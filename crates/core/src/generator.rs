@@ -83,6 +83,32 @@ impl ArbiterSpec {
     pub fn policy(&self) -> PolicyKind {
         self.policy
     }
+
+    /// Whether generating this spec and synthesizing it with `tool` fits
+    /// the two-level synthesizer's 64-variable cube representation
+    /// (state bits plus request inputs); generation or synthesis panics
+    /// on a spec that does not fit.
+    ///
+    /// The round-robin family is judged by
+    /// [`synthesizable`](crate::characterize::synthesizable). The
+    /// preemptive machine has `N(quantum + 1)` states and is synthesized
+    /// one-hot at generation time, whatever the tool, so it fits up to
+    /// `N = 10`. Structural policies are not synthesized and always fit.
+    pub fn fits_synthesizer(&self, tool: &ToolModel) -> bool {
+        match self.policy {
+            PolicyKind::RoundRobin | PolicyKind::PrefixRoundRobin => {
+                crate::characterize::synthesizable(self.n, tool, self.encoding)
+            }
+            PolicyKind::PreemptiveRoundRobin => {
+                let fsm = crate::preempt::preemptive_round_robin_fsm(
+                    self.n,
+                    crate::policy::DEFAULT_PREEMPT_QUANTUM,
+                );
+                fsm.num_states() + fsm.num_inputs() <= 64
+            }
+            PolicyKind::Random | PolicyKind::Fifo | PolicyKind::StaticPriority => true,
+        }
+    }
 }
 
 /// Generates arbiters from specs.
@@ -216,11 +242,18 @@ impl GeneratedArbiter {
     /// # Panics
     ///
     /// Panics for non-round-robin policies, which are generated
-    /// structurally; use [`netlist`](Self::netlist) instead.
+    /// structurally; use [`try_fsm`](Self::try_fsm) or
+    /// [`netlist`](Self::netlist) instead.
     pub fn fsm(&self) -> &Fsm {
-        self.fsm
-            .as_ref()
+        self.try_fsm()
             .expect("only round-robin arbiters have a symbolic FSM")
+    }
+
+    /// The symbolic FSM of the round-robin family, or `None` for the
+    /// structurally generated policies (fifo, random, static-priority),
+    /// whose hardware is only a [`netlist`](Self::netlist).
+    pub fn try_fsm(&self) -> Option<&Fsm> {
+        self.fsm.as_ref()
     }
 
     /// The generated VHDL source.
@@ -301,6 +334,30 @@ mod tests {
         let arb = ArbiterGenerator::new().generate(&spec);
         assert_eq!(arb.fsm().num_states(), 12);
         assert!(arb.vhdl().contains("entity rr_arbiter_n6"));
+    }
+
+    #[test]
+    fn synthesizer_fit_follows_the_cube_variable_ceiling() {
+        let synplify = ToolModel::synplify();
+        let express = ToolModel::fpga_express();
+        let rr = |n| ArbiterSpec::round_robin(n);
+        assert!(rr(21).fits_synthesizer(&synplify));
+        assert!(!rr(22).fits_synthesizer(&synplify));
+        let compact = rr(32).with_encoding(EncodingStyle::Compact);
+        assert!(compact.fits_synthesizer(&express));
+        assert!(!compact.fits_synthesizer(&synplify));
+        let preempt = |n| rr(n).with_policy(PolicyKind::PreemptiveRoundRobin);
+        assert!(preempt(10).fits_synthesizer(&express));
+        assert!(!preempt(11)
+            .with_encoding(EncodingStyle::Compact)
+            .fits_synthesizer(&express));
+        for policy in [
+            PolicyKind::Fifo,
+            PolicyKind::Random,
+            PolicyKind::StaticPriority,
+        ] {
+            assert!(rr(32).with_policy(policy).fits_synthesizer(&synplify));
+        }
     }
 
     #[test]

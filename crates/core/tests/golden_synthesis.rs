@@ -1,0 +1,130 @@
+//! Golden characterization table: every `CharRow` of the round-robin
+//! sweep for N = 2..=16 across the three (tool, encoding) series at speed
+//! grade −3, plus an FNV-1a fingerprint of each row's mapped netlist; and
+//! the same for the largest rows, N = 21, 22 and 32.
+//!
+//! The expected values were recorded from the synthesis pipeline before
+//! the two-level minimizer's containment check and merge loop and the
+//! technology mapper's divisor extraction were rewritten, so this test is
+//! an oracle that is independent of all three: any change to a cover, to
+//! the order of emitted LUT nodes or to a `NetRef` shows up as a changed
+//! fingerprint.
+
+use rcarb_board::device::SpeedGrade;
+use rcarb_core::characterize::Characterization;
+use rcarb_core::generator::{ArbiterGenerator, ArbiterSpec};
+use rcarb_logic::tools::ToolModel;
+
+/// 64-bit FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// One line per row: `n tool encoding clbs fmax luts ffs levels netlist`.
+/// `fmax` is printed with `{:?}` so the line pins the exact `f64`.
+fn actual_table(ns: impl IntoIterator<Item = usize>) -> Vec<String> {
+    let grade = SpeedGrade::Minus3;
+    let table = Characterization::sweep_round_robin(ns, grade);
+    table
+        .rows()
+        .iter()
+        .map(|r| {
+            let tool = match r.tool {
+                "synplify" => ToolModel::synplify(),
+                "fpga_express" => ToolModel::fpga_express(),
+                other => panic!("unexpected tool {other}"),
+            };
+            // Served from the synthesis cache the sweep just filled.
+            let report = ArbiterGenerator::new()
+                .with_grade(grade)
+                .generate(&ArbiterSpec::round_robin(r.n).with_encoding(r.encoding))
+                .synthesize(&tool);
+            assert_eq!(report.clbs(), r.clbs, "row and report disagree");
+            let fp = fnv1a(format!("{:?}", report.netlist).as_bytes());
+            format!(
+                "{} {} {} {} {:?} {} {} {} {fp:016x}",
+                r.n, r.tool, r.encoding, r.clbs, r.fmax_mhz, r.luts, r.ffs, r.levels
+            )
+        })
+        .collect()
+}
+
+const EXPECTED: &[&str] = &[
+    "2 fpga_express one-hot 7 52.18108301273067 10 4 3 6cba9a42486a0cdc",
+    "2 fpga_express compact 4 114.34856219172633 4 2 1 57a05ae2fdfd862b",
+    "2 synplify one-hot 5 52.18108301273067 10 4 3 6cba9a42486a0cdc",
+    "3 fpga_express one-hot 15 48.137427475347515 21 6 3 54478d8440fdb815",
+    "3 fpga_express compact 25 36.16416936622074 31 3 4 85dc2aa9e50d5630",
+    "3 synplify one-hot 10 48.137427475347515 21 6 3 54478d8440fdb815",
+    "4 fpga_express one-hot 24 45.693840486296956 37 8 3 4fcb89866592a3fb",
+    "4 fpga_express compact 30 28.584069596671412 45 3 5 f42b0352dc854423",
+    "4 synplify one-hot 16 45.693840486296956 37 8 3 4fcb89866592a3fb",
+    "5 fpga_express one-hot 40 32.59588559920602 69 10 4 4447511b89ecc651",
+    "5 fpga_express compact 80 20.48390880862952 136 4 6 efc1e203f34a0ae8",
+    "5 synplify one-hot 26 32.59588559920602 69 10 4 4447511b89ecc651",
+    "6 fpga_express one-hot 56 25.1271655623866 103 12 5 8e278f08b0e8376d",
+    "6 fpga_express compact 101 19.296067779260333 180 4 6 9cf283ced22b252c",
+    "6 synplify one-hot 37 25.1271655623866 103 12 5 8e278f08b0e8376d",
+    "7 fpga_express one-hot 74 23.89463964986615 136 14 5 47fdf6b5671f5f83",
+    "7 fpga_express compact 148 15.560662091195955 268 4 7 d9079a1fb710668e",
+    "7 synplify one-hot 48 23.89463964986615 136 14 5 47fdf6b5671f5f83",
+    "8 fpga_express one-hot 88 23.509986662876656 161 16 5 39234e3f030f42d6",
+    "8 fpga_express compact 122 16.187281076181378 209 4 7 f5b3c0f8e4a8b08e",
+    "8 synplify one-hot 57 23.509986662876656 161 16 5 39234e3f030f42d6",
+    "9 fpga_express one-hot 113 22.173413626176444 209 18 5 2690f26d7dc660da",
+    "9 fpga_express compact 259 13.708131806603285 471 5 7 d010d1548f910b80",
+    "9 synplify one-hot 74 22.173413626176444 209 18 5 2690f26d7dc660da",
+    "10 fpga_express one-hot 142 21.259642862779067 262 20 5 a5807406ddc2cefc",
+    "10 fpga_express compact 297 13.257752768384902 552 5 7 4aec09cd1f437c88",
+    "10 synplify one-hot 93 21.259642862779067 262 20 5 a5807406ddc2cefc",
+    "11 fpga_express one-hot 167 20.546463689910315 309 22 5 22cfb4208b4c5940",
+    "11 fpga_express compact 396 12.290559701451269 736 5 7 906bd2d1cdeb6cbd",
+    "11 synplify one-hot 109 20.546463689910315 309 22 5 22cfb4208b4c5940",
+    "12 fpga_express one-hot 189 20.360949159477958 342 24 5 899b608c0e6dae90",
+    "12 fpga_express compact 418 12.103625699522476 777 5 7 596a294a60699546",
+    "12 synplify one-hot 124 20.360949159477958 342 24 5 899b608c0e6dae90",
+    "13 fpga_express one-hot 244 19.457020956226938 406 26 5 aac121c3871bf8bb",
+    "13 fpga_express compact 564 10.003175491988195 995 5 8 c49167addac445c0",
+    "13 synplify one-hot 159 19.457020956226938 406 26 5 aac121c3871bf8bb",
+    "14 fpga_express one-hot 282 18.82139419227361 475 28 5 47eabf58ca9884d6",
+    "14 fpga_express compact 596 9.82208866512974 1056 5 8 89ad47b872cc7e85",
+    "14 synplify one-hot 184 18.82139419227361 475 28 5 47eabf58ca9884d6",
+    "15 fpga_express one-hot 322 18.322117853396858 534 30 5 28118939175ea14e",
+    "15 fpga_express compact 702 9.492410830257342 1192 5 8 b664393a00066f54",
+    "15 synplify one-hot 210 18.322117853396858 534 30 5 28118939175ea14e",
+    "16 fpga_express one-hot 349 18.0347469991534 592 32 5 eec64ba30e00145b",
+    "16 fpga_express compact 484 10.47964804775719 821 5 8 6306e1eea30125be",
+    "16 synplify one-hot 228 18.0347469991534 592 32 5 eec64ba30e00145b",
+];
+
+#[test]
+fn characterization_table_and_netlists_match_the_recorded_golden() {
+    let actual = actual_table(2..=16);
+    assert_eq!(actual.len(), 15 * 3, "three series for each N in 2..=16");
+    for (i, (a, e)) in actual.iter().zip(EXPECTED).enumerate() {
+        assert_eq!(a, e, "row {i} changed");
+    }
+    assert_eq!(actual.len(), EXPECTED.len(), "\n{}", actual.join("\n"));
+}
+
+/// The largest covers the sweep synthesizes: the last one-hot size and
+/// compact up to the generator's N = 32, where adjacent merging and
+/// don't-care expansion do the most work.
+const EXPECTED_LARGE: &[&str] = &[
+    "21 fpga_express one-hot 623 12.810794523323553 1158 42 6 b3a74f9b78b2204e",
+    "21 fpga_express compact 1473 6.733688108704875 2692 6 9 547eb81b61461743",
+    "21 synplify one-hot 407 12.810794523323553 1158 42 6 b3a74f9b78b2204e",
+    "22 fpga_express compact 1530 7.403578775643516 2845 6 8 e8b234d80bb2a57f",
+    "32 fpga_express compact 1925 6.28514341817042 3364 6 9 7ba87b2cb81abfed",
+];
+
+#[test]
+fn largest_rows_match_the_recorded_golden() {
+    let actual = actual_table([21, 22, 32]);
+    assert_eq!(actual, EXPECTED_LARGE, "\n{}", actual.join("\n"));
+}

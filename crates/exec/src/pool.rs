@@ -18,7 +18,10 @@ use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A queued job. It bumps `executed` itself once its work is done, so a
+/// job that hands back a result can count itself before the result is
+/// visible: a caller that has every result sees every job counted.
+type Job = Box<dyn FnOnce(&Counters) + Send + 'static>;
 
 /// Scheduling counters, cumulative since pool creation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,8 +93,7 @@ impl Shared {
     fn run_one(&self, own: Option<usize>) -> bool {
         match self.take_job(own) {
             Some(job) => {
-                job();
-                self.counters.executed.fetch_add(1, Ordering::Relaxed);
+                job(&self.counters);
                 true
             }
             None => false,
@@ -167,11 +169,18 @@ impl ThreadPool {
 
     /// Submits one fire-and-forget job.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        self.push(Box::new(move |counters| {
+            job();
+            counters.executed.fetch_add(1, Ordering::Relaxed);
+        }));
+    }
+
+    fn push(&self, job: Job) {
         let q = self.shared.next_queue.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
         self.shared.queues[q]
             .lock()
             .expect("queue lock")
-            .push_back(Box::new(job));
+            .push_back(job);
         self.shared
             .counters
             .scheduled
@@ -203,10 +212,11 @@ impl ThreadPool {
         for (i, item) in items.into_iter().enumerate() {
             let f = Arc::clone(&f);
             let tx = tx.clone();
-            self.execute(move || {
+            self.push(Box::new(move |counters| {
                 let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(item)));
+                counters.executed.fetch_add(1, Ordering::Relaxed);
                 let _ = tx.send((i, out));
-            });
+            }));
         }
         drop(tx);
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();

@@ -10,7 +10,7 @@
 //! The pipeline:
 //!
 //! 1. [`Scenario::generate`] / [`Scenario::mutate`] — a pure function
-//!    of the seed; [`encode`]/[`decode`] give every scenario a stable
+//!    of the seed; [`encode()`]/[`decode`] give every scenario a stable
 //!    `rcfz1:` one-liner for bug reports and the checked-in corpus.
 //! 2. [`run_scenario`] — the differential-oracle fleet: cross-kernel
 //!    byte equality, prefix-RR vs linear-scan policy equality,
@@ -18,7 +18,7 @@
 //!    watchdog silence, panic capture and hang budgets.
 //! 3. [`CoverageMap`] — keeps a scenario when it touches a new metric
 //!    series/bucket, violation kind, or report shape.
-//! 4. [`shrink`] — delta-debugs a finding to a locally minimal
+//! 4. [`shrink()`] — delta-debugs a finding to a locally minimal
 //!    scenario that still fails the same way.
 //! 5. [`Fuzzer`] / [`fuzz_fleet`] — the seeded loop and its sharded
 //!    fleet mode over the `rcarb-exec` pool.

@@ -7,7 +7,8 @@
 //! before/after.
 
 use crate::cube::Cube;
-use crate::sop::Sop;
+use crate::sop::{Containment, Sop};
+use std::collections::BTreeSet;
 
 /// Optimization effort for two-level minimization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,15 +40,16 @@ pub fn minimize_with_dc(sop: &Sop, dc: &Sop, effort: Effort) -> Sop {
         dc.num_vars(),
         "cover and don't-care set must share a variable space"
     );
+    let mut kernel = Containment::default();
     let mut cubes = sop.cubes().to_vec();
     dedupe_and_contain(&mut cubes);
     if effort >= Effort::Medium {
         merge_adjacent(&mut cubes);
-        expand(sop.num_vars(), &mut cubes, dc, effort >= Effort::High);
+        expand(&mut cubes, dc, effort >= Effort::High, &mut kernel);
         dedupe_and_contain(&mut cubes);
     }
     if effort >= Effort::High {
-        irredundant(sop.num_vars(), &mut cubes, dc);
+        irredundant(&mut cubes, dc, &mut kernel);
     }
     if effort >= Effort::Medium {
         merge_adjacent(&mut cubes);
@@ -67,30 +69,79 @@ fn dedupe_and_contain(cubes: &mut Vec<Cube>) {
     });
 }
 
+/// Merges adjacent pairs (`ab | a!b -> a`) until none is left. `cubes`
+/// must be as [`dedupe_and_contain`] leaves them (sorted, distinct, none
+/// inside another), and so is the result.
+///
+/// Each step merges the first mergeable pair in sorted order: the
+/// smallest cube that has a larger partner (same variables, one polarity
+/// flipped on), with its smallest such partner. The merged cube contains
+/// both and lies inside no other cube, so a step removes every cube the
+/// merged one contains and inserts it. `starts` holds the cubes that have
+/// a larger partner; a step rechecks only the partners of the cubes it
+/// removes and inserts.
 fn merge_adjacent(cubes: &mut Vec<Cube>) {
-    loop {
-        let mut merged = None;
-        'outer: for i in 0..cubes.len() {
-            for j in (i + 1)..cubes.len() {
-                if let Some(m) = cubes[i].try_merge(cubes[j]) {
-                    merged = Some((i, j, m));
-                    break 'outer;
-                }
-            }
+    let mut set: BTreeSet<Cube> = cubes.iter().copied().collect();
+    let mut starts: BTreeSet<Cube> = cubes
+        .iter()
+        .copied()
+        .filter(|&c| larger_partner(&set, c).is_some())
+        .collect();
+    let mut touched = Vec::new();
+    while let Some(&c) = starts.first() {
+        let partner = larger_partner(&set, c).expect("a start has a partner");
+        let merged = c.try_merge(partner).expect("partners merge");
+        // Only cubes binding every variable `merged` binds can lie in it.
+        let inside: Vec<Cube> = set
+            .range(Cube::from_raw(merged.mask(), 0)..)
+            .copied()
+            .filter(|&x| merged.contains(x))
+            .collect();
+        touched.clear();
+        for x in inside {
+            set.remove(&x);
+            starts.remove(&x);
+            touched.extend(smaller_partners(x));
         }
-        match merged {
-            Some((i, j, m)) => {
-                cubes.remove(j);
-                cubes.remove(i);
-                cubes.push(m);
-                dedupe_and_contain(cubes);
+        set.insert(merged);
+        touched.push(merged);
+        touched.extend(smaller_partners(merged));
+        for &t in &touched {
+            if set.contains(&t) && larger_partner(&set, t).is_some() {
+                starts.insert(t);
+            } else {
+                starts.remove(&t);
             }
-            None => break,
         }
     }
+    cubes.clear();
+    cubes.extend(set);
 }
 
-fn expand(num_vars: usize, cubes: &mut [Cube], dc: &Sop, fixpoint: bool) {
+/// The smallest cube of `set` equal to `c` with one negative literal made
+/// positive: the first cube `c` merges with in sorted order.
+fn larger_partner(set: &BTreeSet<Cube>, c: Cube) -> Option<Cube> {
+    bits(c.mask() & !c.value())
+        .map(|bit| Cube::from_raw(c.mask(), c.value() | bit))
+        .find(|p| set.contains(p))
+}
+
+/// The cubes equal to `c` with one positive literal made negative: those
+/// for which `c` is a larger partner.
+fn smaller_partners(c: Cube) -> impl Iterator<Item = Cube> {
+    bits(c.value()).map(move |bit| Cube::from_raw(c.mask(), c.value() & !bit))
+}
+
+/// The set bits of `word`, lowest first.
+fn bits(mut word: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        let bit = word & word.wrapping_neg();
+        word &= !bit;
+        (bit != 0).then_some(bit)
+    })
+}
+
+fn expand(cubes: &mut [Cube], dc: &Sop, fixpoint: bool, kernel: &mut Containment) {
     for i in 0..cubes.len() {
         let mut cube = cubes[i];
         let mut first = true;
@@ -104,10 +155,7 @@ fn expand(num_vars: usize, cubes: &mut [Cube], dc: &Sop, fixpoint: bool) {
                 m &= m - 1;
                 let candidate = cube.without_var(v);
                 // Valid iff cover + don't-cares swallow the expanded cube.
-                let mut all = cubes.to_vec();
-                all.extend_from_slice(dc.cubes());
-                let cover = Sop::from_cubes(num_vars, all);
-                if cover.covers_cube(candidate) {
+                if kernel.covers(&[cubes, dc.cubes()], candidate) {
                     cube = candidate;
                     cubes[i] = cube;
                     changed = true;
@@ -119,17 +167,11 @@ fn expand(num_vars: usize, cubes: &mut [Cube], dc: &Sop, fixpoint: bool) {
 
 /// Removes cubes whose minterms are already covered by the rest of the
 /// cover plus the don't-care set.
-fn irredundant(num_vars: usize, cubes: &mut Vec<Cube>, dc: &Sop) {
+fn irredundant(cubes: &mut Vec<Cube>, dc: &Sop, kernel: &mut Containment) {
     let mut i = 0;
     while i < cubes.len() {
-        let mut rest: Vec<Cube> = cubes
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, &c)| c)
-            .collect();
-        rest.extend_from_slice(dc.cubes());
-        if Sop::from_cubes(num_vars, rest).covers_cube(cubes[i]) {
+        let parts = [&cubes[..i], &cubes[i + 1..], dc.cubes()];
+        if kernel.covers(&parts, cubes[i]) {
             cubes.remove(i);
         } else {
             i += 1;

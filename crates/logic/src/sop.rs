@@ -79,60 +79,14 @@ impl Sop {
             .collect()
     }
 
-    /// Cofactors the whole cover with respect to `var = polarity`.
-    pub fn cofactor(&self, var: usize, polarity: bool) -> Sop {
-        let cubes = self
-            .cubes
-            .iter()
-            .filter_map(|c| c.cofactor(var, polarity))
-            .collect();
-        Sop {
-            num_vars: self.num_vars,
-            cubes,
-        }
-    }
-
     /// Returns true if the cover is a tautology (covers every minterm).
-    ///
-    /// Uses recursive Shannon expansion on support variables; terminal
-    /// cases are an empty cover (false) and a cover containing the
-    /// universal cube (true).
     pub fn is_tautology(&self) -> bool {
-        if self.cubes.iter().any(|c| c.num_lits() == 0) {
-            return true;
-        }
-        if self.cubes.is_empty() {
-            return false;
-        }
-        // Split on the most frequently bound variable to converge fast.
-        let mut counts = [0u32; 64];
-        for c in &self.cubes {
-            let mut m = c.mask();
-            while m != 0 {
-                let v = m.trailing_zeros() as usize;
-                counts[v] += 1;
-                m &= m - 1;
-            }
-        }
-        let var = (0..64).max_by_key(|&v| counts[v]).unwrap_or(0);
-        if counts[var] == 0 {
-            return false;
-        }
-        self.cofactor(var, false).is_tautology() && self.cofactor(var, true).is_tautology()
+        self.covers_cube(Cube::universe())
     }
 
     /// Returns true if this cover covers every minterm of `cube`.
     pub fn covers_cube(&self, cube: Cube) -> bool {
-        // Cofactor the cover against the cube's literals; the result must
-        // be a tautology over the remaining space.
-        let mut reduced = self.clone();
-        let mut m = cube.mask();
-        while m != 0 {
-            let v = m.trailing_zeros() as usize;
-            reduced = reduced.cofactor(v, cube.lit(v).expect("bound literal"));
-            m &= m - 1;
-        }
-        reduced.is_tautology()
+        Containment::default().covers(&[&self.cubes], cube)
     }
 
     /// Returns true if the two covers denote the same function.
@@ -142,6 +96,101 @@ impl Sop {
         self.cubes.iter().all(|&c| other.covers_cube(c))
             && other.cubes.iter().all(|&c| self.covers_cube(c))
     }
+}
+
+/// The containment kernel behind [`Sop::covers_cube`],
+/// [`Sop::is_tautology`] and the minimizer's expand/irredundant passes.
+///
+/// A check makes one pass over the cover that keeps the cubes meeting the
+/// candidate, with the candidate's variables freed (the cofactor by every
+/// bound literal at once), then decides tautology of that cofactor by
+/// Shannon expansion on one stack of cubes: each level pushes its
+/// cofactor above its parent and truncates it afterwards, so a warm
+/// kernel allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Containment {
+    stack: Vec<Cube>,
+}
+
+impl Containment {
+    /// Returns true if the union of `parts` covers every minterm of `cube`.
+    pub(crate) fn covers(&mut self, parts: &[&[Cube]], cube: Cube) -> bool {
+        self.stack.clear();
+        let free = !cube.mask();
+        for &c in parts.iter().flat_map(|part| part.iter()) {
+            if c.intersects(cube) {
+                let rest = Cube::from_raw(c.mask() & free, c.value() & free);
+                if rest.num_lits() == 0 {
+                    return true;
+                }
+                self.stack.push(rest);
+            }
+        }
+        tautology(&mut self.stack, 0)
+    }
+}
+
+/// Decides whether `stack[start..]`, a cover without the universal cube,
+/// is a tautology; `stack` is restored to its length on entry.
+fn tautology(stack: &mut Vec<Cube>, start: usize) -> bool {
+    let end = stack.len();
+    let (mut pos, mut neg) = (0u64, 0u64);
+    for &c in &stack[start..end] {
+        pos |= c.value();
+        neg |= c.mask() & !c.value();
+    }
+    // A variable bound in one polarity only is unate: the cover is a
+    // tautology iff its cofactor against the absent polarity is, and that
+    // cofactor is exactly the cubes not binding any unate variable. A
+    // fully unate cover thus reduces to "holds the universal cube", which
+    // the callers have already ruled out.
+    let binate = pos & neg;
+    if binate == 0 {
+        return false;
+    }
+    let unate = (pos | neg) & !binate;
+    if unate != 0 {
+        for i in start..end {
+            let c = stack[i];
+            if c.mask() & unate == 0 {
+                stack.push(c);
+            }
+        }
+        let taut = tautology(stack, end);
+        stack.truncate(end);
+        return taut;
+    }
+    // Split on the binate variable bound by the most cubes.
+    let mut counts = [0u32; 64];
+    for &c in &stack[start..end] {
+        let mut m = c.mask();
+        while m != 0 {
+            counts[m.trailing_zeros() as usize] += 1;
+            m &= m - 1;
+        }
+    }
+    let var = (0..64)
+        .filter(|&v| binate >> v & 1 != 0)
+        .max_by_key(|&v| counts[v])
+        .expect("binate variable");
+    for polarity in [false, true] {
+        let mut universal = false;
+        for i in start..end {
+            if let Some(c) = stack[i].cofactor(var, polarity) {
+                if c.num_lits() == 0 {
+                    universal = true;
+                    break;
+                }
+                stack.push(c);
+            }
+        }
+        let taut = universal || tautology(stack, end);
+        stack.truncate(end);
+        if !taut {
+            return false;
+        }
+    }
+    true
 }
 
 impl fmt::Display for Sop {

@@ -9,12 +9,14 @@
 use crate::netlist::{and_truth, or_truth, NetRef, Netlist};
 use crate::sop::Sop;
 use crate::synth::FsmNetwork;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A cube as an ordered literal list over mapped nets.
 type LitList = Vec<(NetRef, bool)>;
-/// Bucket members: (cube index, removed literal).
-type BucketMembers = Vec<(usize, (NetRef, bool))>;
+/// The cubes sharing a divisor: (cube position, dropped literal).
+type Chosen = Vec<(usize, (NetRef, bool))>;
 
 /// Maps synthesized FSM networks (and standalone SOPs) onto a [`Netlist`].
 #[derive(Debug)]
@@ -82,7 +84,7 @@ impl Mapper {
         // request scan chains `!R_i & !R_(i+1) & ...` of an arbiter then
         // align across states and the structural-hashing cache shares
         // their AND prefixes — the sharing a real technology mapper finds.
-        let mut cube_lits: Vec<Vec<(NetRef, bool)>> = Vec::with_capacity(sop.cubes().len());
+        let mut cube_lits: Vec<LitList> = Vec::with_capacity(sop.cubes().len());
         for cube in sop.cubes() {
             let mut lits: Vec<(NetRef, bool)> = Vec::new();
             let mut m = cube.mask();
@@ -106,51 +108,15 @@ impl Mapper {
     /// literals into one shared OR node. For arbiter FSMs this pairs the
     /// `C_s`/`F_s` state literals that guard identical scan chains — the
     /// dominant factoring a multi-level synthesizer finds in this logic.
-    fn extract_divisors(&mut self, nl: &mut Netlist, cube_lits: &mut Vec<Vec<(NetRef, bool)>>) {
-        loop {
-            // Bucket cubes by "cube minus one literal".
-            let mut buckets: HashMap<LitList, BucketMembers> = HashMap::new();
-            for (idx, lits) in cube_lits.iter().enumerate() {
-                if lits.len() < 2 {
-                    continue;
-                }
-                for drop in 0..lits.len() {
-                    let mut sig = lits.clone();
-                    let removed = sig.remove(drop);
-                    buckets.entry(sig).or_default().push((idx, removed));
-                }
-            }
-            // Pick the bucket covering the most distinct cubes.
-            let mut best: Option<(&LitList, &BucketMembers)> = None;
-            for (sig, members) in &buckets {
-                let mut seen = std::collections::BTreeSet::new();
-                let distinct = members.iter().filter(|(i, _)| seen.insert(*i)).count();
-                if distinct < 2 {
-                    continue;
-                }
-                match best {
-                    Some((bsig, bmembers)) => {
-                        let mut bseen = std::collections::BTreeSet::new();
-                        let bdistinct = bmembers.iter().filter(|(i, _)| bseen.insert(*i)).count();
-                        if distinct > bdistinct || (distinct == bdistinct && sig < bsig) {
-                            best = Some((sig, members));
-                        }
-                    }
-                    None => best = Some((sig, members)),
-                }
-            }
-            let Some((sig, members)) = best else { break };
-            let sig = sig.clone();
-            // One entry per cube (a cube could match the signature through
-            // two different removals only if it had duplicate literals,
-            // which cube canonicalization precludes).
-            let mut chosen: Vec<(usize, (NetRef, bool))> = Vec::new();
-            let mut seen = std::collections::BTreeSet::new();
-            for &(idx, lit) in members {
-                if seen.insert(idx) {
-                    chosen.push((idx, lit));
-                }
-            }
+    ///
+    /// Each round picks the signature ("cube minus one literal") shared by
+    /// the most distinct cubes, ties going to the smallest signature, and
+    /// replaces those cubes by one factored cube. The [`DivisorIndex`]
+    /// carries the signature buckets across rounds, so a round costs only
+    /// the cubes it removes and adds.
+    fn extract_divisors(&mut self, nl: &mut Netlist, cube_lits: &mut Vec<LitList>) {
+        let mut index = DivisorIndex::new(std::mem::take(cube_lits));
+        while let Some((sig, chosen)) = index.best() {
             // Build the OR of the variant literals.
             let mut terms: Vec<NetRef> = Vec::with_capacity(chosen.len());
             for &(_, (r, pol)) in &chosen {
@@ -164,15 +130,12 @@ impl Mapper {
             terms.dedup();
             let or_node = self.map_or(nl, terms);
             // Replace the matched cubes with one factored cube.
-            let mut remove: Vec<usize> = chosen.iter().map(|&(i, _)| i).collect();
-            remove.sort_unstable_by(|a, b| b.cmp(a));
-            for i in remove {
-                cube_lits.swap_remove(i);
-            }
+            let positions: Vec<usize> = chosen.iter().map(|&(pos, _)| pos).collect();
             let mut new_cube = sig;
             new_cube.push((or_node, true));
-            cube_lits.push(new_cube);
+            index.replace(&positions, new_cube);
         }
+        *cube_lits = index.into_cubes();
     }
 
     fn map_and(&mut self, nl: &mut Netlist, mut lits: Vec<(NetRef, bool)>) -> NetRef {
@@ -215,6 +178,197 @@ impl Mapper {
             }
             terms = next;
         }
+    }
+}
+
+/// A literal packed into one word whose integer order is the order of
+/// `(NetRef, bool)`: the variant tag in the top two bits, the variant's
+/// payload above the polarity bit.
+type Lit = u64;
+
+fn pack(lit: (NetRef, bool)) -> Lit {
+    let (tag, payload) = match lit.0 {
+        NetRef::Const(v) => (0, usize::from(v)),
+        NetRef::Input(i) => (1, i),
+        NetRef::Reg(i) => (2, i),
+        NetRef::Node(i) => (3, i),
+    };
+    let payload = payload as u64;
+    assert!(payload < 1 << 61, "net index out of range");
+    tag << 62 | payload << 1 | u64::from(lit.1)
+}
+
+fn unpack(lit: Lit) -> (NetRef, bool) {
+    let payload = (lit >> 1 & ((1 << 61) - 1)) as usize;
+    let r = match lit >> 62 {
+        0 => NetRef::Const(payload != 0),
+        1 => NetRef::Input(payload),
+        2 => NetRef::Reg(payload),
+        _ => NetRef::Node(payload),
+    };
+    (r, lit & 1 != 0)
+}
+
+/// A multiply-rotate hasher for signature keys. They are short slices of
+/// words, on which SipHash spends most of the index's time. The buckets
+/// are never iterated, so their hash order is never observed, and the
+/// keys come from the mapper's own covers, not from outside input.
+#[derive(Default)]
+struct SigHasher(u64);
+
+impl Hasher for SigHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        for &b in words.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The cubes under divisor extraction, indexed by signature.
+///
+/// Every cube gets a stable id; `order` lists the ids by current position,
+/// and removal mirrors `Vec::swap_remove` on it. A bucket lists its member
+/// cubes as `(id, dropped-literal index)` entries; one cube's entries are
+/// pushed together and so stay adjacent. Buckets reaching two distinct
+/// cubes are kept in `ranked`, most distinct cubes first and then by
+/// signature, so its first entry is the next divisor.
+#[derive(Debug)]
+struct DivisorIndex {
+    cubes: Vec<Vec<Lit>>,
+    order: Vec<usize>,
+    pos: Vec<usize>,
+    buckets: HashMap<Vec<Lit>, Bucket, BuildHasherDefault<SigHasher>>,
+    ranked: BTreeSet<(Reverse<usize>, Vec<Lit>)>,
+    sig: Vec<Lit>,
+}
+
+#[derive(Debug, Default)]
+struct Bucket {
+    members: Vec<(usize, usize)>,
+    distinct: usize,
+}
+
+impl DivisorIndex {
+    fn new(cubes: Vec<LitList>) -> Self {
+        let n = cubes.len();
+        let mut index = Self {
+            cubes: cubes
+                .into_iter()
+                .map(|lits| lits.into_iter().map(pack).collect())
+                .collect(),
+            order: (0..n).collect(),
+            pos: (0..n).collect(),
+            buckets: HashMap::default(),
+            ranked: BTreeSet::new(),
+            sig: Vec::new(),
+        };
+        for id in 0..n {
+            index.update(id, true);
+        }
+        index
+    }
+
+    /// The best signature and its cubes as `(position, dropped literal)`,
+    /// one per cube in position order, or `None` when no signature is
+    /// shared by two cubes.
+    fn best(&self) -> Option<(LitList, Chosen)> {
+        let (_, sig) = self.ranked.first()?;
+        let mut chosen = Chosen::new();
+        let mut last = None;
+        for &(id, drop) in &self.buckets[sig].members {
+            if last != Some(id) {
+                last = Some(id);
+                chosen.push((self.pos[id], unpack(self.cubes[id][drop])));
+            }
+        }
+        chosen.sort_unstable_by_key(|&(pos, _)| pos);
+        Some((sig.iter().map(|&l| unpack(l)).collect(), chosen))
+    }
+
+    /// Swap-removes the cubes at `positions` (ascending), last first, and
+    /// appends `cube`.
+    fn replace(&mut self, positions: &[usize], cube: LitList) {
+        for &p in positions.iter().rev() {
+            let id = self.order.swap_remove(p);
+            self.update(id, false);
+            self.cubes[id] = Vec::new();
+            if let Some(&moved) = self.order.get(p) {
+                self.pos[moved] = p;
+            }
+        }
+        let id = self.cubes.len();
+        self.cubes.push(cube.into_iter().map(pack).collect());
+        self.pos.push(self.order.len());
+        self.order.push(id);
+        self.update(id, true);
+    }
+
+    /// Adds (or removes) cube `id`'s entry in the bucket of each of its
+    /// signatures, re-ranking every bucket whose distinct count changes.
+    fn update(&mut self, id: usize, add: bool) {
+        let len = self.cubes[id].len();
+        if len < 2 {
+            return;
+        }
+        for drop in 0..len {
+            let lits = &self.cubes[id];
+            self.sig.clear();
+            self.sig.extend_from_slice(&lits[..drop]);
+            self.sig.extend_from_slice(&lits[drop + 1..]);
+            let bucket = match self.buckets.get_mut(self.sig.as_slice()) {
+                Some(b) => b,
+                None => self.buckets.entry(self.sig.clone()).or_default(),
+            };
+            let before = bucket.distinct;
+            if add {
+                if bucket.members.last().map(|&(last, _)| last) != Some(id) {
+                    bucket.distinct += 1;
+                }
+                bucket.members.push((id, drop));
+            } else {
+                let n = bucket.members.len();
+                bucket.members.retain(|&(m, _)| m != id);
+                if bucket.members.len() != n {
+                    bucket.distinct -= 1;
+                }
+            }
+            let after = bucket.distinct;
+            if after == 0 {
+                self.buckets.remove(self.sig.as_slice());
+            }
+            if before != after {
+                if before >= 2 {
+                    self.ranked.remove(&(Reverse(before), self.sig.clone()));
+                }
+                if after >= 2 {
+                    self.ranked.insert((Reverse(after), self.sig.clone()));
+                }
+            }
+        }
+    }
+
+    /// The remaining cubes in position order.
+    fn into_cubes(self) -> Vec<LitList> {
+        self.order
+            .iter()
+            .map(|&id| self.cubes[id].iter().map(|&l| unpack(l)).collect())
+            .collect()
     }
 }
 
@@ -309,6 +463,32 @@ mod tests {
             NetRef::Const(true)
         );
         assert_eq!(nl.num_luts(), 0);
+    }
+
+    #[test]
+    fn divisor_index_breaks_ties_by_signature_and_tracks_swap_remove() {
+        let [a, b, x, y] = [0, 1, 2, 3].map(|i| (NetRef::Input(i), true));
+        let or = (NetRef::Node(0), true);
+        let mut index = DivisorIndex::new(vec![vec![a, x], vec![b, x], vec![a, y], vec![b, y]]);
+        // Four signatures reach two cubes each; the smallest one wins, its
+        // members listed by position.
+        let (sig, chosen) = index.best().expect("shared signature");
+        assert_eq!(sig, vec![a]);
+        assert_eq!(chosen, vec![(0, x), (2, y)]);
+        index.replace(&[0, 2], vec![a, or]);
+        // swap_remove(2) then swap_remove(0) moved `b&y` to the front.
+        let (sig, chosen) = index.best().expect("shared signature");
+        assert_eq!(sig, vec![b]);
+        assert_eq!(chosen, vec![(0, y), (1, x)]);
+        index.replace(&[0, 1], vec![b, or]);
+        // The two factored cubes now share `or`.
+        let (sig, chosen) = index.best().expect("shared signature");
+        assert_eq!(sig, vec![or]);
+        assert_eq!(chosen, vec![(0, a), (1, b)]);
+        let or2 = (NetRef::Node(1), true);
+        index.replace(&[0, 1], vec![or, or2]);
+        assert!(index.best().is_none());
+        assert_eq!(index.into_cubes(), vec![vec![or, or2]]);
     }
 
     #[test]

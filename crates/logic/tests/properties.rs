@@ -121,6 +121,120 @@ proptest! {
     }
 }
 
+/// Variable count of the wide covers: big enough for the containment
+/// kernel's unate reduction and multi-level Shannon splits, small enough
+/// to check every minterm.
+const WIDE: usize = 10;
+
+/// A cube over `WIDE` variables binding each with probability `1/4`, so
+/// covers of a few dozen cubes straddle the tautology boundary.
+fn arb_sparse_cube() -> impl Strategy<Value = Cube> {
+    (0u64..(1 << WIDE), 0u64..(1 << WIDE), 0u64..(1 << WIDE))
+        .prop_map(|(a, b, value)| Cube::from_raw(a & b, value & a & b))
+}
+
+/// A cube over `WIDE` variables binding each with probability `3/4`.
+fn arb_dense_cube() -> impl Strategy<Value = Cube> {
+    (0u64..(1 << WIDE), 0u64..(1 << WIDE), 0u64..(1 << WIDE))
+        .prop_map(|(a, b, value)| Cube::from_raw(a | b, value & (a | b)))
+}
+
+fn arb_wide_sop() -> impl Strategy<Value = Sop> {
+    prop_oneof![
+        proptest::collection::vec(arb_sparse_cube(), 0..=40),
+        proptest::collection::vec(arb_dense_cube(), 0..=40),
+    ]
+    .prop_map(|cubes| Sop::from_cubes(WIDE, cubes))
+}
+
+/// Variable count of the covers built for divisor extraction.
+const MAP_VARS: usize = 9;
+
+/// Covers built to exercise divisor extraction: groups of cubes sharing a
+/// base and differing in one literal, so many cubes share a signature,
+/// buckets tie, and extraction runs for several rounds; a spine cube on
+/// five variables keeps the support wider than one LUT.
+fn arb_factorable_sop() -> impl Strategy<Value = Sop> {
+    let group = (
+        0u64..(1 << MAP_VARS),
+        0u64..(1 << MAP_VARS),
+        proptest::collection::vec((0usize..MAP_VARS, any::<bool>()), 2..6),
+    );
+    (0u64..32, proptest::collection::vec(group, 1..7)).prop_map(|(spine, groups)| {
+        let mut cubes = vec![Cube::from_raw(0b1_1111, spine)];
+        for (mask, value, variants) in groups {
+            let base = Cube::from_raw(mask, value & mask);
+            for (v, p) in variants {
+                if base.lit(v).is_none() {
+                    cubes.push(base.with_lit(v, p));
+                }
+            }
+        }
+        Sop::from_cubes(MAP_VARS, cubes)
+    })
+}
+
+fn bits(minterm: u64, vars: usize) -> Vec<bool> {
+    (0..vars).map(|b| minterm >> b & 1 != 0).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Tautology checking agrees with brute force on wide covers.
+    #[test]
+    fn wide_tautology_matches_brute_force(s in arb_wide_sop()) {
+        let brute = (0..(1u64 << WIDE)).all(|m| s.eval(m));
+        prop_assert_eq!(s.is_tautology(), brute);
+    }
+
+    /// covers_cube agrees with brute force on wide covers.
+    #[test]
+    fn wide_covers_cube_matches_brute_force(s in arb_wide_sop(), c in arb_sparse_cube()) {
+        let brute = (0..(1u64 << WIDE)).all(|m| !c.eval(m) || s.eval(m));
+        prop_assert_eq!(s.covers_cube(c), brute);
+    }
+
+    /// Don't-care minimization of wide covers only differs inside the DC
+    /// set, at every effort.
+    #[test]
+    fn wide_minimize_with_dc_respects_the_care_set(
+        s in arb_wide_sop(),
+        dc in proptest::collection::vec(arb_dense_cube(), 0..8),
+        e in arb_effort(),
+    ) {
+        let dc = Sop::from_cubes(WIDE, dc);
+        let m = minimize_with_dc(&s, &dc, e);
+        for minterm in 0..(1u64 << WIDE) {
+            if !dc.eval(minterm) {
+                prop_assert_eq!(m.eval(minterm), s.eval(minterm), "care minterm {}", minterm);
+            }
+        }
+    }
+
+    /// Mapping with structural sharing evaluates to the SOP on every
+    /// minterm, for covers whose cubes share literals so that divisor
+    /// extraction runs; a second cover mapped by the same mapper reuses
+    /// the first one's nodes and must stay correct too.
+    #[test]
+    fn shared_mapping_of_factorable_covers_preserves_function(
+        a in arb_factorable_sop(),
+        b in arb_factorable_sop(),
+    ) {
+        let mut nl = rcarb_logic::netlist::Netlist::new(MAP_VARS);
+        let mut mapper = Mapper::new(true);
+        for s in [&a, &b] {
+            let out = mapper.map_sop(&mut nl, s, &NetRef::Input);
+            nl.push_output(out);
+        }
+        for minterm in 0..(1u64 << MAP_VARS) {
+            let outs = nl.outputs_for(&[], &bits(minterm, MAP_VARS));
+            prop_assert_eq!(outs[0], a.eval(minterm), "first cover, minterm {}", minterm);
+            prop_assert_eq!(outs[1], b.eval(minterm), "second cover, minterm {}", minterm);
+        }
+    }
+}
+
 /// A random deterministic, complete 1-input Mealy machine.
 fn arb_fsm() -> impl Strategy<Value = Fsm> {
     let n_states = 2usize..=5;

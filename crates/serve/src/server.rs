@@ -33,6 +33,10 @@
 //! Because the synthesis cache and the exec pool are process-wide,
 //! every connection shares warm state automatically: the second tenant
 //! asking for an `Arb4` gets the first tenant's cache hit.
+//!
+//! [`ErrorCode::DeadlineExceeded`]: crate::wire::ErrorCode::DeadlineExceeded
+//! [`ErrorCode::Transport`]: crate::wire::ErrorCode::Transport
+//! [`ErrorCode::GoAway`]: crate::wire::ErrorCode::GoAway
 
 use crate::frame::{read_frame_event, write_frame, FrameEvent, DEFAULT_READ_TIMEOUT};
 use crate::transport::{duplex, InMemoryStream, TimedRead};

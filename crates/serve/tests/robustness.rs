@@ -471,3 +471,64 @@ fn per_request_timeouts_bound_every_wait() {
     assert_eq!(client.stats().retries, 0);
     assert_eq!(client.stats().transport_errors, 1);
 }
+
+// ---------------------------------------------------------------------------
+// Every arbitration policy is servable.
+// ---------------------------------------------------------------------------
+
+/// Synthesize answers every policy at every size over the wire, with a
+/// synthesis report or a typed `BadRequest`. Before
+/// `GeneratedArbiter::try_fsm`, asking a structural policy (fifo, random,
+/// static-priority) for its state count panicked a worker; a spec wider
+/// than the synthesizer's 64 cube variables panicked it inside synthesis.
+/// Either way the request never got a reply.
+#[test]
+fn synthesize_answers_every_policy_over_the_in_memory_transport() {
+    let server = Arc::new(Server::in_process(ServeConfig::default()));
+    let connect = Arc::clone(&server);
+    let mut client =
+        RobustClient::new(move || Ok(Client::in_memory(&connect)), RetryPolicy::none())
+            .with_timeout(Some(Duration::from_secs(30)));
+    // (policy, states per task, largest size that fits the synthesizer
+    // under Synplify's forced one-hot encoding).
+    let policies = [
+        ("round-robin", 2, 21),
+        ("prefix-rr", 2, 21),
+        ("preemptive-rr", 5, 10),
+        ("fifo", 0, 32),
+        ("random", 0, 32),
+        ("static-priority", 0, 32),
+    ];
+    for (policy, states_per_task, fits_up_to) in policies {
+        for n in [1usize, 4, 11, 32] {
+            let req = SynthesizeRequest {
+                policy: policy.to_owned(),
+                include_vhdl: true,
+                ..SynthesizeRequest::round_robin(n)
+            };
+            match client.call(RequestBody::Synthesize(req)) {
+                Ok(ResponseBody::Synthesize(s)) => {
+                    assert!(n <= fits_up_to, "{policy} n={n}: answered past the ceiling");
+                    assert_eq!(s.n, n as u64, "{policy} n={n}");
+                    assert_eq!(
+                        s.states,
+                        states_per_task * n as u64,
+                        "{policy} n={n}: states"
+                    );
+                    assert!(s.clbs > 0 && s.fmax_mhz > 0.0, "{policy} n={n}: {s:?}");
+                    assert!(
+                        s.vhdl.is_some_and(|v| v.contains("entity")),
+                        "{policy} n={n}"
+                    );
+                }
+                Ok(ResponseBody::Error(e)) => {
+                    assert!(n > fits_up_to, "{policy} n={n}: rejected: {e:?}");
+                    assert_eq!(e.code, ErrorCode::BadRequest, "{policy} n={n}: {e:?}");
+                }
+                other => panic!("{policy} n={n}: expected an answer, got {other:?}"),
+            }
+        }
+    }
+    let report = server.shutdown();
+    assert_eq!(report.aborted, 0, "{report:?}");
+}

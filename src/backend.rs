@@ -51,7 +51,9 @@ pub trait Backend: Send + Sync {
     /// # Errors
     ///
     /// Returns [`Error::Request`] on unknown policy/encoding/tool/grade
-    /// names and [`Error::InvalidTaskCount`] on unsupported sizes.
+    /// names or a spec too wide for the synthesizer (see
+    /// [`ArbiterSpec::fits_synthesizer`]), and [`Error::InvalidTaskCount`]
+    /// on unsupported sizes.
     fn synthesize(&self, req: &SynthesizeRequest) -> Result<SynthesizeResponse, Error>;
 
     /// Binds, merges and inserts arbiters for a whole design
@@ -191,6 +193,9 @@ pub struct SynthesizeResponse {
     /// Arbiter size echoed back.
     pub n: u64,
     /// FSM state count (`2n` for the paper's round-robin machines).
+    /// Structural policies (fifo, random, static-priority) have no
+    /// symbolic FSM and report 0; their area and timing come from the
+    /// structural netlist.
     pub states: u64,
     /// Encoding the tool actually used.
     pub encoding_used: String,
@@ -550,11 +555,17 @@ impl Backend for InProcessBackend {
             .with_encoding(parse_encoding(&req.encoding)?);
         let tool = parse_tool(&req.tool)?;
         let grade = parse_grade(&req.grade)?;
+        if !spec.fits_synthesizer(&tool) {
+            return Err(bad_request(format!(
+                "a {} arbiter of size {n} with {} exceeds the synthesizer's 64 cube variables",
+                req.policy, req.tool
+            )));
+        }
         let arbiter = ArbiterGenerator::new().with_grade(grade).generate(&spec);
         let synth = arbiter.synthesize(&tool);
         Ok(SynthesizeResponse {
             n: req.n,
-            states: arbiter.fsm().num_states() as u64,
+            states: arbiter.try_fsm().map_or(0, |fsm| fsm.num_states() as u64),
             encoding_used: synth.encoding_used.to_string(),
             clbs: u64::from(synth.clb.clbs),
             luts: u64::from(synth.clb.luts),
