@@ -181,8 +181,8 @@ fn run_check(ctx: &CheckCtx, job: CheckJob) -> AnalysisReport {
             ));
             report.extend(netlist::check_fsm(generated.fsm(), &name));
             if ctx.config.lint_netlists {
-                let nl = generated.netlist(&ToolModel::synplify());
-                report.extend(netlist::check_netlist(&nl, &name));
+                let synth = generated.synthesize(&ToolModel::synplify());
+                report.extend(netlist::check_netlist(&synth.netlist, &name));
             }
         }
         CheckJob::Elision => {

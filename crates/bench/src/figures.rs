@@ -83,7 +83,7 @@ pub fn policy_ablation_rows(ns: impl IntoIterator<Item = usize>) -> Vec<PolicyRo
     for n in ns {
         for policy in PolicyKind::ALL {
             let spec = ArbiterSpec::round_robin(n).with_policy(policy);
-            let report = generator.generate(&spec).synthesize(&tool);
+            let report = generator.synthesize(&spec, &tool);
             rows.push(PolicyRow {
                 n,
                 policy,

@@ -66,8 +66,7 @@ fn char_row(n: usize, tool: &ToolModel, encoding: EncodingStyle, grade: SpeedGra
     let spec = ArbiterSpec::round_robin(n).with_encoding(encoding);
     let report = ArbiterGenerator::new()
         .with_grade(grade)
-        .generate(&spec)
-        .synthesize(tool);
+        .synthesize(&spec, tool);
     CharRow {
         n,
         tool: report.tool,
@@ -197,14 +196,13 @@ impl Characterization {
 }
 
 /// Quick estimate used by the partitioner when no full table is at hand:
-/// synthesizes a single round-robin arbiter with the Synplify model and
-/// returns `(clbs, fmax_mhz)`.
+/// the `(clbs, fmax_mhz)` of a single round-robin arbiter synthesized
+/// with the Synplify model. Once the synthesis cache holds the size, the
+/// estimate is one key lookup.
 pub fn estimate_round_robin(n: usize, grade: SpeedGrade) -> (u32, f64) {
-    let spec = ArbiterSpec::round_robin(n);
     let report = ArbiterGenerator::new()
         .with_grade(grade)
-        .generate(&spec)
-        .synthesize(&ToolModel::synplify());
+        .synthesize(&ArbiterSpec::round_robin(n), &ToolModel::synplify());
     (report.clbs(), report.fmax_mhz())
 }
 

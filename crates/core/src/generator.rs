@@ -6,6 +6,13 @@
 //! from both tool models. Baseline policies generate their structural
 //! netlists through the same interface so the Sec. 4 comparison can be run
 //! uniformly.
+//!
+//! Synthesis reports live in one process-wide cache keyed by the spec,
+//! the speed grade and the tool. [`ArbiterGenerator::synthesize`] looks
+//! the key up first and generates the arbiter only on a miss, so a warm
+//! estimate is a table lookup that hands out a shared
+//! [`Arc<SynthReport>`]. VHDL text is rendered on the first
+//! [`GeneratedArbiter::vhdl`] call, not by [`ArbiterGenerator::generate`].
 
 use crate::error::Error;
 use crate::fifo::FifoArbiter;
@@ -19,6 +26,7 @@ use rcarb_logic::encode::EncodingStyle;
 use rcarb_logic::fsm::Fsm;
 use rcarb_logic::netlist::Netlist;
 use rcarb_logic::tools::{SynthReport, ToolModel};
+use std::sync::{Arc, OnceLock};
 
 /// What to generate: task count, FSM encoding, policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,15 +92,29 @@ impl ArbiterSpec {
         self.policy
     }
 
-    /// Whether generating this spec and synthesizing it with `tool` fits
-    /// the two-level synthesizer's 64-variable cube representation
-    /// (state bits plus request inputs); generation or synthesis panics
-    /// on a spec that does not fit.
+    /// The number of states of the symbolic FSM this spec generates, or
+    /// `None` for the structurally generated policies (fifo, random,
+    /// static-priority). Computed from the spec alone: the Fig. 5
+    /// machine has `2N` states, the preemptive one `N(quantum + 1)`.
+    pub fn fsm_states(&self) -> Option<usize> {
+        match self.policy {
+            PolicyKind::RoundRobin | PolicyKind::PrefixRoundRobin => Some(2 * self.n),
+            PolicyKind::PreemptiveRoundRobin => {
+                Some(self.n * (crate::policy::DEFAULT_PREEMPT_QUANTUM as usize + 1))
+            }
+            PolicyKind::Random | PolicyKind::Fifo | PolicyKind::StaticPriority => None,
+        }
+    }
+
+    /// Whether synthesizing this spec with `tool`, and rendering its
+    /// VHDL, fits the two-level synthesizer's 64-variable cube
+    /// representation (state bits plus request inputs); both panic on a
+    /// spec that does not fit.
     ///
     /// The round-robin family is judged by
     /// [`synthesizable`](crate::characterize::synthesizable). The
-    /// preemptive machine has `N(quantum + 1)` states and is synthesized
-    /// one-hot at generation time, whatever the tool, so it fits up to
+    /// preemptive machine has `N(quantum + 1)` states and its VHDL is a
+    /// one-hot Synplify synthesis, whatever the tool, so it fits up to
     /// `N = 10`. Structural policies are not synthesized and always fit.
     pub fn fits_synthesizer(&self, tool: &ToolModel) -> bool {
         match self.policy {
@@ -100,11 +122,7 @@ impl ArbiterSpec {
                 crate::characterize::synthesizable(self.n, tool, self.encoding)
             }
             PolicyKind::PreemptiveRoundRobin => {
-                let fsm = crate::preempt::preemptive_round_robin_fsm(
-                    self.n,
-                    crate::policy::DEFAULT_PREEMPT_QUANTUM,
-                );
-                fsm.num_states() + fsm.num_inputs() <= 64
+                self.fsm_states().expect("an FSM policy") + self.n <= 64
             }
             PolicyKind::Random | PolicyKind::Fifo | PolicyKind::StaticPriority => true,
         }
@@ -131,54 +149,49 @@ impl ArbiterGenerator {
         self
     }
 
-    /// Generates the arbiter described by `spec`.
+    /// Generates the arbiter described by `spec`: its symbolic FSM, or
+    /// the structural netlist of a baseline policy. The VHDL text is
+    /// rendered on the first [`GeneratedArbiter::vhdl`] call.
     pub fn generate(&self, spec: &ArbiterSpec) -> GeneratedArbiter {
-        let (fsm, structural, vhdl_text) = match spec.policy {
+        let (fsm, structural) = match spec.policy {
             // The parallel-prefix policy is grant-identical to the Fig. 5
             // rotation — only the combinational resolution tree differs —
             // so both map onto the same symbolic FSM and VHDL template;
             // synthesis and co-simulation see one machine.
             PolicyKind::RoundRobin | PolicyKind::PrefixRoundRobin => {
-                let fsm = rr::round_robin_fsm(spec.n);
-                let v = vhdl::round_robin_vhdl(spec.n, spec.encoding);
-                (Some(fsm), None, v)
+                (Some(rr::round_robin_fsm(spec.n)), None)
             }
             PolicyKind::PreemptiveRoundRobin => {
                 let fsm = crate::preempt::preemptive_round_robin_fsm(
                     spec.n,
                     crate::policy::DEFAULT_PREEMPT_QUANTUM,
                 );
-                // No hand-written behavioural template exists for the
-                // quantum machine; emit the synthesized netlist instead.
-                let nl = ToolModel::synplify()
-                    .synthesize_fsm(&fsm, spec.encoding, self.grade)
-                    .netlist;
-                let v = vhdl::netlist_vhdl(&format!("prr_arbiter_n{}", spec.n), &nl);
-                (Some(fsm), None, v)
+                (Some(fsm), None)
             }
-            PolicyKind::Random => {
-                let nl = RandomArbiter::structural_netlist(spec.n);
-                let v = vhdl::netlist_vhdl(&format!("random_arbiter_n{}", spec.n), &nl);
-                (None, Some(nl), v)
-            }
-            PolicyKind::Fifo => {
-                let nl = FifoArbiter::structural_netlist(spec.n);
-                let v = vhdl::netlist_vhdl(&format!("fifo_arbiter_n{}", spec.n), &nl);
-                (None, Some(nl), v)
-            }
-            PolicyKind::StaticPriority => {
-                let nl = StaticPriorityArbiter::structural_netlist(spec.n);
-                let v = vhdl::netlist_vhdl(&format!("priority_arbiter_n{}", spec.n), &nl);
-                (None, Some(nl), v)
-            }
+            PolicyKind::Random => (None, Some(RandomArbiter::structural_netlist(spec.n))),
+            PolicyKind::Fifo => (None, Some(FifoArbiter::structural_netlist(spec.n))),
+            PolicyKind::StaticPriority => (
+                None,
+                Some(StaticPriorityArbiter::structural_netlist(spec.n)),
+            ),
         };
         GeneratedArbiter {
             spec: *spec,
             grade: self.grade,
             fsm,
             structural,
-            vhdl: vhdl_text,
+            vhdl: OnceLock::new(),
         }
+    }
+
+    /// The `tool`-synthesized report for `spec` at this generator's
+    /// speed grade, from the process-wide synthesis cache. The arbiter is
+    /// generated and synthesized only on a miss; a hit is one key lookup
+    /// that shares the stored report.
+    pub fn synthesize(&self, spec: &ArbiterSpec, tool: &ToolModel) -> Arc<SynthReport> {
+        cached_synthesis(spec, self.grade, tool, || {
+            self.generate(spec).synthesize_uncached(tool)
+        })
     }
 }
 
@@ -201,10 +214,27 @@ struct SynthKey {
     tool: &'static str,
 }
 
-fn synth_cache() -> &'static rcarb_exec::Cache<SynthKey, SynthReport> {
-    static CACHE: std::sync::OnceLock<rcarb_exec::Cache<SynthKey, SynthReport>> =
-        std::sync::OnceLock::new();
+fn synth_cache() -> &'static rcarb_exec::Cache<SynthKey, Arc<SynthReport>> {
+    static CACHE: OnceLock<rcarb_exec::Cache<SynthKey, Arc<SynthReport>>> = OnceLock::new();
     CACHE.get_or_init(rcarb_exec::Cache::new)
+}
+
+/// The one entry point to the synthesis cache: one counted lookup keyed
+/// by (spec, grade, tool), running `miss` only when the key is absent.
+fn cached_synthesis(
+    spec: &ArbiterSpec,
+    grade: SpeedGrade,
+    tool: &ToolModel,
+    miss: impl FnOnce() -> SynthReport,
+) -> Arc<SynthReport> {
+    let key = SynthKey {
+        n: spec.n,
+        policy: spec.policy,
+        encoding: spec.encoding,
+        grade,
+        tool: tool.name(),
+    };
+    synth_cache().get_or_insert_with(&key, || Arc::new(miss()))
 }
 
 /// Hit/miss statistics of the process-wide synthesis cache (for
@@ -221,14 +251,14 @@ pub fn reset_synthesis_cache() {
 }
 
 /// A generated arbiter: symbolic FSM (round-robin), structural netlist
-/// (baselines), VHDL text, plus on-demand synthesis.
+/// (baselines), VHDL text rendered on demand, plus cached synthesis.
 #[derive(Debug, Clone)]
 pub struct GeneratedArbiter {
     spec: ArbiterSpec,
     grade: SpeedGrade,
     fsm: Option<Fsm>,
     structural: Option<Netlist>,
-    vhdl: String,
+    vhdl: OnceLock<String>,
 }
 
 impl GeneratedArbiter {
@@ -256,9 +286,31 @@ impl GeneratedArbiter {
         self.fsm.as_ref()
     }
 
-    /// The generated VHDL source.
+    /// The generated VHDL source, rendered on the first call.
+    ///
+    /// The preemptive machine has no behavioural template; its VHDL is
+    /// the Synplify-synthesized netlist, read from the synthesis cache
+    /// (one lookup under this arbiter's spec and grade).
     pub fn vhdl(&self) -> &str {
-        &self.vhdl
+        self.vhdl.get_or_init(|| {
+            let n = self.spec.n;
+            let structural = |name: &str| {
+                let nl = self.structural.as_ref().expect("structural netlist");
+                vhdl::netlist_vhdl(&format!("{name}_arbiter_n{n}"), nl)
+            };
+            match self.spec.policy {
+                PolicyKind::RoundRobin | PolicyKind::PrefixRoundRobin => {
+                    vhdl::round_robin_vhdl(n, self.spec.encoding)
+                }
+                PolicyKind::PreemptiveRoundRobin => {
+                    let report = self.synthesize(&ToolModel::synplify());
+                    vhdl::netlist_vhdl(&format!("prr_arbiter_n{n}"), &report.netlist)
+                }
+                PolicyKind::Random => structural("random"),
+                PolicyKind::Fifo => structural("fifo"),
+                PolicyKind::StaticPriority => structural("priority"),
+            }
+        })
     }
 
     /// The arbiter in KISS2 format (FSM-based policies only), consumable
@@ -269,40 +321,32 @@ impl GeneratedArbiter {
 
     /// The `tool`-synthesized netlist in BLIF format.
     pub fn blif(&self, tool: &ToolModel) -> String {
-        let nl = self.netlist(tool);
         rcarb_logic::export::netlist_to_blif(
             &format!("{}_arbiter_n{}", self.spec.policy, self.spec.n).replace('-', "_"),
-            &nl,
+            &self.synthesize(tool).netlist,
         )
     }
 
-    /// An executable hardware netlist: the structural one for baselines,
-    /// or the `tool`-synthesized one for round-robin.
+    /// An owned copy of the executable hardware netlist: the structural
+    /// one for baselines, or the `tool`-synthesized one for the FSM
+    /// policies. Callers that only read it should borrow
+    /// [`synthesize`](Self::synthesize)`(tool).netlist` instead.
     pub fn netlist(&self, tool: &ToolModel) -> Netlist {
-        match (&self.fsm, &self.structural) {
-            (Some(_), _) => self.synthesize(tool).netlist,
-            (None, Some(nl)) => nl.clone(),
-            (None, None) => unreachable!("generator always fills one representation"),
-        }
+        self.synthesize(tool).netlist.clone()
     }
 
     /// Synthesizes with `tool` and reports area/timing.
     ///
-    /// Round-robin arbiters run the full FSM pipeline (encoding,
-    /// minimization, mapping); baselines pack/time their structural
-    /// netlists through the same back end. Results are memoized in a
-    /// process-wide cache addressed by the full content key (task count,
-    /// policy, encoding, speed grade, tool), so re-synthesizing an
-    /// identical spec is a clone, not a pipeline run.
-    pub fn synthesize(&self, tool: &ToolModel) -> SynthReport {
-        let key = SynthKey {
-            n: self.spec.n,
-            policy: self.spec.policy,
-            encoding: self.spec.encoding,
-            grade: self.grade,
-            tool: tool.name(),
-        };
-        synth_cache().get_or_insert_with(&key, || self.synthesize_uncached(tool))
+    /// FSM policies run the full pipeline (encoding, minimization,
+    /// mapping); baselines pack/time their structural netlists through
+    /// the same back end. Reports are memoized in a process-wide cache
+    /// addressed by the full content key (task count, policy, encoding,
+    /// speed grade, tool), so re-synthesizing an identical spec shares
+    /// the stored report instead of running the pipeline.
+    pub fn synthesize(&self, tool: &ToolModel) -> Arc<SynthReport> {
+        cached_synthesis(&self.spec, self.grade, tool, || {
+            self.synthesize_uncached(tool)
+        })
     }
 
     fn synthesize_uncached(&self, tool: &ToolModel) -> SynthReport {
@@ -357,6 +401,18 @@ mod tests {
             PolicyKind::StaticPriority,
         ] {
             assert!(rr(32).with_policy(policy).fits_synthesizer(&synplify));
+        }
+    }
+
+    #[test]
+    fn fsm_states_match_the_generated_machines() {
+        let g = ArbiterGenerator::new();
+        for policy in PolicyKind::ALL {
+            for n in 1..=32 {
+                let spec = ArbiterSpec::round_robin(n).with_policy(policy);
+                let states = g.generate(&spec).try_fsm().map(Fsm::num_states);
+                assert_eq!(spec.fsm_states(), states, "{policy} n={n}");
+            }
         }
     }
 
@@ -425,7 +481,7 @@ mod tests {
 
     #[test]
     fn cached_synthesis_equals_cold_synthesis() {
-        // A cold miss computes the report; the warm hit clones it. Both
+        // A cold miss computes the report; the warm hit shares it. Both
         // must be indistinguishable, down to the mapped netlist.
         let spec = ArbiterSpec::round_robin(9).with_encoding(EncodingStyle::Compact);
         let g = ArbiterGenerator::new();

@@ -1,7 +1,8 @@
 //! Golden characterization table: every `CharRow` of the round-robin
 //! sweep for N = 2..=16 across the three (tool, encoding) series at speed
 //! grade −3, plus an FNV-1a fingerprint of each row's mapped netlist; and
-//! the same for the largest rows, N = 21, 22 and 32.
+//! the same for the largest rows, N = 21, 22 and 32. A third table pins
+//! the generated VHDL of every policy.
 //!
 //! The expected values were recorded from the synthesis pipeline before
 //! the two-level minimizer's containment check and merge loop and the
@@ -13,6 +14,8 @@
 use rcarb_board::device::SpeedGrade;
 use rcarb_core::characterize::Characterization;
 use rcarb_core::generator::{ArbiterGenerator, ArbiterSpec};
+use rcarb_core::policy::PolicyKind;
+use rcarb_logic::encode::EncodingStyle;
 use rcarb_logic::tools::ToolModel;
 
 /// 64-bit FNV-1a over a byte string.
@@ -127,4 +130,105 @@ const EXPECTED_LARGE: &[&str] = &[
 fn largest_rows_match_the_recorded_golden() {
     let actual = actual_table([21, 22, 32]);
     assert_eq!(actual, EXPECTED_LARGE, "\n{}", actual.join("\n"));
+}
+
+/// One line per generated arbiter: `policy n encoding bytes vhdl`, the
+/// last an FNV-1a fingerprint of [`GeneratedArbiter::vhdl`]. Sizes that
+/// do not fit the synthesizer (the preemptive machine above N = 10) are
+/// skipped: their VHDL is a synthesized netlist.
+///
+/// [`GeneratedArbiter::vhdl`]: rcarb_core::generator::GeneratedArbiter::vhdl
+fn actual_vhdl() -> Vec<String> {
+    let synplify = ToolModel::synplify();
+    let mut lines = Vec::new();
+    for policy in PolicyKind::ALL {
+        for n in [2, 3, 4, 8, 16] {
+            for encoding in [EncodingStyle::OneHot, EncodingStyle::Compact] {
+                let spec = ArbiterSpec::round_robin(n)
+                    .with_policy(policy)
+                    .with_encoding(encoding);
+                if !spec.fits_synthesizer(&synplify) {
+                    continue;
+                }
+                let vhdl = ArbiterGenerator::new().generate(&spec).vhdl().to_owned();
+                lines.push(format!(
+                    "{policy} {n} {encoding} {} {:016x}",
+                    vhdl.len(),
+                    fnv1a(vhdl.as_bytes())
+                ));
+            }
+        }
+    }
+    lines
+}
+
+/// Recorded from the eager generator, which rendered VHDL inside
+/// `generate` and ran a fresh Synplify synthesis for the preemptive
+/// machine's netlist entity; lazy rendering from the synthesis cache
+/// must reproduce every byte.
+const EXPECTED_VHDL: &[&str] = &[
+    "round-robin 2 one-hot 2029 6f9f7d486dddfdaa",
+    "round-robin 2 compact 2029 23e3f2b37c2b5fa6",
+    "round-robin 3 one-hot 3349 fd5f25b09cc7d25e",
+    "round-robin 3 compact 3349 29033eb3708c93a6",
+    "round-robin 4 one-hot 5289 41e49a6bf77d3774",
+    "round-robin 4 compact 5289 2986247a72946a48",
+    "round-robin 8 one-hot 21289 8d8a20f8182b8e50",
+    "round-robin 8 compact 21289 ff9ef7c777802e94",
+    "round-robin 16 one-hot 116153 dcc35a58cb420c00",
+    "round-robin 16 compact 116153 3ce3783f9cac58e2",
+    "random 2 one-hot 1932 e7ba6346c712116a",
+    "random 2 compact 1932 e7ba6346c712116a",
+    "random 3 one-hot 3418 640a5fda5976ec59",
+    "random 3 compact 3418 640a5fda5976ec59",
+    "random 4 one-hot 6627 38e9b367db6ac047",
+    "random 4 compact 6627 38e9b367db6ac047",
+    "random 8 one-hot 23173 5041322d0f7f55bb",
+    "random 8 compact 23173 5041322d0f7f55bb",
+    "random 16 one-hot 97478 f502ae061a0a411f",
+    "random 16 compact 97478 f502ae061a0a411f",
+    "fifo 2 one-hot 2096 ad657be1fbeaed5f",
+    "fifo 2 compact 2096 ad657be1fbeaed5f",
+    "fifo 3 one-hot 4091 317794b73a7c3dc3",
+    "fifo 3 compact 4091 317794b73a7c3dc3",
+    "fifo 4 one-hot 7111 c946c5ddf31124fb",
+    "fifo 4 compact 7111 c946c5ddf31124fb",
+    "fifo 8 one-hot 26158 ed5dbf6254237f7c",
+    "fifo 8 compact 26158 ed5dbf6254237f7c",
+    "fifo 16 one-hot 102438 180809851db16dcc",
+    "fifo 16 compact 102438 180809851db16dcc",
+    "static-priority 2 one-hot 1138 f103d703fa372f99",
+    "static-priority 2 compact 1138 f103d703fa372f99",
+    "static-priority 3 one-hot 1570 1d4ea8e59ffa0a8e",
+    "static-priority 3 compact 1570 1d4ea8e59ffa0a8e",
+    "static-priority 4 one-hot 2280 a92d89682c2a752b",
+    "static-priority 4 compact 2280 a92d89682c2a752b",
+    "static-priority 8 one-hot 4380 0fee730861ea8e3c",
+    "static-priority 8 compact 4380 0fee730861ea8e3c",
+    "static-priority 16 one-hot 9356 2f47a1cd300a8a2e",
+    "static-priority 16 compact 9356 2f47a1cd300a8a2e",
+    "preemptive-rr 2 one-hot 4979 669e78ffbf58fdea",
+    "preemptive-rr 2 compact 4979 669e78ffbf58fdea",
+    "preemptive-rr 3 one-hot 8582 a8b55b785149bc26",
+    "preemptive-rr 3 compact 8582 a8b55b785149bc26",
+    "preemptive-rr 4 one-hot 15449 ec0b496c98894bdc",
+    "preemptive-rr 4 compact 15449 ec0b496c98894bdc",
+    "preemptive-rr 8 one-hot 48449 6f78b5ec18ceb7e2",
+    "preemptive-rr 8 compact 48449 6f78b5ec18ceb7e2",
+    "prefix-rr 2 one-hot 2029 6f9f7d486dddfdaa",
+    "prefix-rr 2 compact 2029 23e3f2b37c2b5fa6",
+    "prefix-rr 3 one-hot 3349 fd5f25b09cc7d25e",
+    "prefix-rr 3 compact 3349 29033eb3708c93a6",
+    "prefix-rr 4 one-hot 5289 41e49a6bf77d3774",
+    "prefix-rr 4 compact 5289 2986247a72946a48",
+    "prefix-rr 8 one-hot 21289 8d8a20f8182b8e50",
+    "prefix-rr 8 compact 21289 ff9ef7c777802e94",
+    "prefix-rr 16 one-hot 116153 dcc35a58cb420c00",
+    "prefix-rr 16 compact 116153 3ce3783f9cac58e2",
+];
+
+#[test]
+fn generated_vhdl_matches_the_recorded_golden() {
+    let actual = actual_vhdl();
+    assert_eq!(actual, EXPECTED_VHDL, "\n{}", actual.join("\n"));
 }

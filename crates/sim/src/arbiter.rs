@@ -2,9 +2,9 @@
 
 use rcarb_core::generator::{ArbiterGenerator, ArbiterSpec};
 use rcarb_core::policy::{self, Policy, PolicyKind};
-use rcarb_logic::netlist::Netlist;
-use rcarb_logic::tools::ToolModel;
+use rcarb_logic::tools::{SynthReport, ToolModel};
 use rcarb_taskgraph::id::{ArbiterId, TaskId};
+use std::sync::Arc;
 
 /// An arbiter instance inside the simulator.
 ///
@@ -27,7 +27,8 @@ pub struct ArbiterSim {
 
 #[derive(Debug)]
 struct Cosim {
-    netlist: Netlist,
+    /// The shared synthesis report whose netlist is co-simulated.
+    synth: Arc<SynthReport>,
     state: Vec<bool>,
 }
 
@@ -72,11 +73,9 @@ impl ArbiterSim {
             "co-simulation is wired for the FSM-based policies"
         );
         let spec = ArbiterSpec::round_robin(self.ports.len()).with_policy(kind);
-        let netlist = ArbiterGenerator::new()
-            .generate(&spec)
-            .netlist(&ToolModel::synplify());
-        let state = netlist.reset_state();
-        self.cosim = Some(Cosim { netlist, state });
+        let synth = ArbiterGenerator::new().synthesize(&spec, &ToolModel::synplify());
+        let state = synth.netlist.reset_state();
+        self.cosim = Some(Cosim { synth, state });
         self
     }
 
@@ -162,7 +161,7 @@ impl ArbiterSim {
         self.note_step(grants);
         if let Some(cosim) = &mut self.cosim {
             let bits: Vec<bool> = (0..self.ports.len()).map(|i| word >> i & 1 != 0).collect();
-            let hw = cosim.netlist.step(&mut cosim.state, &bits);
+            let hw = cosim.synth.netlist.step(&mut cosim.state, &bits);
             let hw_word = hw
                 .iter()
                 .enumerate()

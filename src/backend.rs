@@ -561,18 +561,20 @@ impl Backend for InProcessBackend {
                 req.policy, req.tool
             )));
         }
-        let arbiter = ArbiterGenerator::new().with_grade(grade).generate(&spec);
-        let synth = arbiter.synthesize(&tool);
+        let generator = ArbiterGenerator::new().with_grade(grade);
+        let synth = generator.synthesize(&spec, &tool);
         Ok(SynthesizeResponse {
             n: req.n,
-            states: arbiter.try_fsm().map_or(0, |fsm| fsm.num_states() as u64),
+            states: spec.fsm_states().map_or(0, |s| s as u64),
             encoding_used: synth.encoding_used.to_string(),
             clbs: u64::from(synth.clb.clbs),
             luts: u64::from(synth.clb.luts),
             ffs: u64::from(synth.clb.ffs),
             levels: u64::from(synth.timing.levels),
             fmax_mhz: synth.timing.fmax_mhz,
-            vhdl: req.include_vhdl.then(|| arbiter.vhdl().to_owned()),
+            vhdl: req
+                .include_vhdl
+                .then(|| generator.generate(&spec).vhdl().to_owned()),
         })
     }
 

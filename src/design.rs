@@ -345,21 +345,6 @@ impl PlannedDesign {
         })
     }
 
-    /// Builds a cycle-accurate [`System`] for this design.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnboundSegment`] if a task accesses a segment
-    /// the binding did not place.
-    #[deprecated(
-        since = "0.1.0",
-        note = "raw systems bypass the Backend request path; build a SimulateSpec and call \
-                simulate_spec (or the simulate/simulate_with_faults wrappers) instead"
-    )]
-    pub fn system(&self, config: SimConfig) -> Result<System, Error> {
-        self.build_system(&SimulateSpec::new(config), None)
-    }
-
     /// Builds a system and runs it for at most `max_cycles` cycles.
     ///
     /// # Errors

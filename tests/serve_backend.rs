@@ -128,3 +128,81 @@ fn sweep_matches_direct_characterization() {
         assert_eq!(wire.fmax_mhz, row.fmax_mhz);
     }
 }
+
+/// 64-bit FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// One line per `Backend::synthesize` request with `include_vhdl` set:
+/// `policy n encoding tool grade bytes json`, the last an FNV-1a
+/// fingerprint of the JSON-encoded response (figures and VHDL text).
+fn actual_synthesize_responses() -> Vec<String> {
+    let backend = InProcessBackend::new();
+    let mut lines = Vec::new();
+    for (policy, ns) in [("round-robin", [2, 6, 11]), ("preemptive-rr", [2, 4, 10])] {
+        for n in ns {
+            for encoding in ["one-hot", "compact"] {
+                for (tool, grade) in [("synplify", "-3"), ("fpga_express", "-1")] {
+                    let resp = backend
+                        .synthesize(&SynthesizeRequest {
+                            n,
+                            policy: policy.to_owned(),
+                            encoding: encoding.to_owned(),
+                            tool: tool.to_owned(),
+                            grade: grade.to_owned(),
+                            include_vhdl: true,
+                        })
+                        .unwrap();
+                    let json = rcarb_json::to_string(&resp);
+                    lines.push(format!(
+                        "{policy} {n} {encoding} {tool} {grade} {} {:016x}",
+                        json.len(),
+                        fnv1a(json.as_bytes())
+                    ));
+                }
+            }
+        }
+    }
+    lines
+}
+
+/// Recorded from the eager generator; the cache-first path and lazily
+/// rendered VHDL must answer every request byte for byte the same.
+const EXPECTED_SYNTHESIZE: &[&str] = &[
+    "round-robin 2 one-hot synplify -3 2230 09bc43c988413e7c",
+    "round-robin 2 one-hot fpga_express -1 2230 56a106b759b88b19",
+    "round-robin 2 compact synplify -3 2230 662f962db2a0f3b6",
+    "round-robin 2 compact fpga_express -1 2230 b6c4983007f0dbd8",
+    "round-robin 6 one-hot synplify -3 11865 f9f87f78396250c7",
+    "round-robin 6 one-hot fpga_express -1 11866 e38bf46934bd7ad0",
+    "round-robin 6 compact synplify -3 11865 7c6bb77c4edd45a5",
+    "round-robin 6 compact fpga_express -1 11866 1f578f2bdf2f81db",
+    "round-robin 11 one-hot synplify -3 45995 7845e0aeb97ee7dc",
+    "round-robin 11 one-hot fpga_express -1 45994 f5e38c139e054aad",
+    "round-robin 11 compact synplify -3 45995 06982959fd237be4",
+    "round-robin 11 compact fpga_express -1 45994 3df2fe8ea72e91d7",
+    "preemptive-rr 2 one-hot synplify -3 5178 ec82643e441df98e",
+    "preemptive-rr 2 one-hot fpga_express -1 5178 ad28247fdb39bad4",
+    "preemptive-rr 2 compact synplify -3 5178 ec82643e441df98e",
+    "preemptive-rr 2 compact fpga_express -1 5176 83f6e7de0630bb83",
+    "preemptive-rr 4 one-hot synplify -3 15709 c310fa4ce77ce798",
+    "preemptive-rr 4 one-hot fpga_express -1 15711 2f3eeb7d2bbc0c95",
+    "preemptive-rr 4 compact synplify -3 15709 c310fa4ce77ce798",
+    "preemptive-rr 4 compact fpga_express -1 15711 b3a4362ceedf253f",
+    "preemptive-rr 10 one-hot synplify -3 69756 b13b70707d31fd08",
+    "preemptive-rr 10 one-hot fpga_express -1 69756 60bfe1a0d2d07b43",
+    "preemptive-rr 10 compact synplify -3 69756 b13b70707d31fd08",
+    "preemptive-rr 10 compact fpga_express -1 69755 5b9520ba5bd7c2eb",
+];
+
+#[test]
+fn synthesize_responses_with_vhdl_match_the_recorded_golden() {
+    let actual = actual_synthesize_responses();
+    assert_eq!(actual, EXPECTED_SYNTHESIZE, "\n{}", actual.join("\n"));
+}
