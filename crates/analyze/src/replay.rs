@@ -5,8 +5,9 @@
 //! `fairness_breach`, `no_progress`, `access_without_grant`). This
 //! module compiles a witness into a *directed* simulation: the design
 //! runs under `rcarb-sim` with the corresponding watchdogs armed, on
-//! **both** kernels (event-driven and legacy cycle-scanning), and the
-//! witness is confirmed only when a matching violation fires on both.
+//! **both** kernels (the batched production kernel and the legacy
+//! cycle-scanning reference), and the witness is confirmed only when a
+//! matching violation fires on both.
 //! A static finding that survives replay is not a heuristic — it is a
 //! demonstrated execution.
 //!
@@ -22,7 +23,7 @@ use rcarb_board::board::Board;
 use rcarb_core::channel::ChannelMergePlan;
 use rcarb_core::insertion::ArbitrationPlan;
 use rcarb_core::memmap::MemoryBinding;
-use rcarb_sim::{SimConfig, SystemBuilder, Violation, WatchdogConfig};
+use rcarb_sim::{KernelKind, SimConfig, SystemBuilder, Violation, WatchdogConfig};
 
 /// Cycles of grant wait the replay treats as a timeout.
 const GRANT_TIMEOUT: u64 = 64;
@@ -40,8 +41,8 @@ pub struct ReplayOutcome {
     pub location: String,
     /// Violation kind the witness expects (snake_case).
     pub expect: String,
-    /// A matching violation fired on the event-driven kernel.
-    pub event_confirmed: bool,
+    /// A matching violation fired on the batched production kernel.
+    pub batched_confirmed: bool,
     /// A matching violation fired on the legacy kernel.
     pub legacy_confirmed: bool,
 }
@@ -49,7 +50,7 @@ pub struct ReplayOutcome {
 impl ReplayOutcome {
     /// True when both kernels confirmed the witness.
     pub fn confirmed(&self) -> bool {
-        self.event_confirmed && self.legacy_confirmed
+        self.batched_confirmed && self.legacy_confirmed
     }
 }
 
@@ -96,17 +97,14 @@ fn run_one(
     config: &AnalyzeConfig,
     board: &Board,
     witness: &Witness,
-    legacy: bool,
+    kernel: KernelKind,
 ) -> Result<bool, rcarb_core::Error> {
     let watchdog = WatchdogConfig::none()
         .with_grant_timeout(GRANT_TIMEOUT)
         .with_progress_bound(PROGRESS_BOUND)
         .with_fairness_m(config.max_burst);
-    let mut builder = SystemBuilder::from_plan(plan, binding, merges).with_config(
-        SimConfig::new()
-            .with_watchdog(watchdog)
-            .with_legacy_kernel(legacy),
-    );
+    let mut builder = SystemBuilder::from_plan(plan, binding, merges)
+        .with_config(SimConfig::new().with_watchdog(watchdog).with_kernel(kernel));
     if witness.expect == "fairness_breach" {
         if let Some(a) = witness.arbiter {
             if let Some(arb) = plan.arbiters.iter().find(|x| x.id == a) {
@@ -142,13 +140,21 @@ pub fn replay_diagnostic(
     let Some(w) = &diag.witness else {
         return Ok(None);
     };
-    let event_confirmed = run_one(plan, binding, merges, config, board, w, false)?;
-    let legacy_confirmed = run_one(plan, binding, merges, config, board, w, true)?;
+    let batched_confirmed = run_one(
+        plan,
+        binding,
+        merges,
+        config,
+        board,
+        w,
+        KernelKind::BatchedSoa,
+    )?;
+    let legacy_confirmed = run_one(plan, binding, merges, config, board, w, KernelKind::Legacy)?;
     Ok(Some(ReplayOutcome {
         code: diag.code,
         location: diag.location.clone(),
         expect: w.expect.clone(),
-        event_confirmed,
+        batched_confirmed,
         legacy_confirmed,
     }))
 }

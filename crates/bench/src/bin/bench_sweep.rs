@@ -20,15 +20,16 @@
 //! `rcarb_core::characterize::synthesizable`), so the tail of the range
 //! only carries the compact series.
 //!
-//! The `kernel` section of the JSON compares all three simulation
-//! kernels — the batched SoA default, the event-driven per-component
-//! kernel, and the legacy always-execute loop — on four workloads: a
+//! The `kernel` section of the JSON compares both simulation kernels —
+//! the batched SoA production kernel and the legacy always-execute
+//! reference loop — on four workloads: a
 //! sparse one (long computes, long grant waits), a dense one (private
 //! banks, memory traffic every cycle), a contended one (sixteen tasks
 //! queued on shared banks — the fully-loaded regime the batched
-//! kernel's deferred-wait fast path targets) and one FFT block. The differential assertions (identical reports, identical
-//! skip decisions, full cycle accounting) run on every host; only the
-//! wall-clock speedup thresholds are gated on a multi-core machine.
+//! kernel's deferred-wait fast path targets) and one FFT block. The
+//! differential assertions (identical reports, full cycle accounting,
+//! a never-skipping reference) run on every host; only the wall-clock
+//! speedup thresholds are gated on a multi-core machine.
 //! Each entry records simulated cycles per wall-clock second per
 //! kernel.
 //!
@@ -36,7 +37,7 @@
 //! cost of arming an *empty* fault plan (the zero-fault fast path must
 //! be free and byte-identical to an unarmed run), then sweeps seeded
 //! fault plans — a camping stuck-request plus a transient task hang —
-//! over a contended two-task workload on all three kernels, asserting
+//! over a contended two-task workload on both kernels, asserting
 //! the kernels produce identical run and fault reports for every seed
 //! and recording detection/recovery counts and the worst detection
 //! latency.
@@ -95,11 +96,10 @@ fn best_of<T>(reps: usize, run: impl Fn() -> KernelRun<T>) -> KernelRun<T> {
     best.expect("reps > 0")
 }
 
-/// The three-kernel comparison record for one workload: the JSON entry
-/// plus the wall-clock speedups of each skipping kernel over legacy.
+/// The two-kernel comparison record for one workload: the JSON entry
+/// plus the batched kernel's wall-clock speedup over legacy.
 struct KernelComparison {
     json: Json,
-    event_speedup: f64,
     batched_speedup: f64,
     cycle_speedup: f64,
 }
@@ -110,16 +110,15 @@ fn cycles_per_sec(cycles: u64, wall: Duration) -> f64 {
     cycles as f64 / wall.as_secs_f64().max(1e-9)
 }
 
-/// Runs one workload under all three kernels, asserts they agree, and
+/// Runs one workload under both kernels, asserts they agree, and
 /// renders a JSON record of the comparison.
 ///
 /// The differential checks here are *unconditional* — they hold on any
 /// host, single-core included: byte-identical witnesses, identical cycle
-/// counts, a never-skipping legacy oracle, full cycle accounting, and
-/// bit-identical skip decisions (executed/skipped counts) between the
-/// event and batched kernels. Only the wall-clock *thresholds* in
-/// `main` are gated on core count; the timings themselves are always
-/// recorded.
+/// counts, a never-skipping legacy oracle, and full cycle accounting
+/// (executed plus skipped) on the batched kernel. Only the wall-clock
+/// *thresholds* in `main` are gated on core count; the timings
+/// themselves are always recorded.
 fn kernel_entry<T: PartialEq + std::fmt::Debug>(
     label: &str,
     reps: usize,
@@ -127,19 +126,12 @@ fn kernel_entry<T: PartialEq + std::fmt::Debug>(
 ) -> KernelComparison {
     let (legacy_wall, legacy_witness, legacy_cycles, legacy_stats) =
         best_of(reps, || run(KernelKind::Legacy));
-    let (event_wall, event_witness, event_cycles, event_stats) =
-        best_of(reps, || run(KernelKind::Event));
     let (batched_wall, batched_witness, batched_cycles, batched_stats) =
         best_of(reps, || run(KernelKind::BatchedSoa));
-    assert!(
-        event_witness == legacy_witness,
-        "{label}: event kernel disagrees\nevent:  {event_witness:?}\nlegacy: {legacy_witness:?}"
-    );
     assert!(
         batched_witness == legacy_witness,
         "{label}: batched kernel disagrees\nbatched: {batched_witness:?}\nlegacy:  {legacy_witness:?}"
     );
-    assert_eq!(event_cycles, legacy_cycles, "{label}: cycle counts differ");
     assert_eq!(
         batched_cycles, legacy_cycles,
         "{label}: batched cycle count differs"
@@ -149,68 +141,54 @@ fn kernel_entry<T: PartialEq + std::fmt::Debug>(
         "{label}: the legacy kernel must never skip"
     );
     assert_eq!(
-        event_stats.total_cycles(),
+        batched_stats.total_cycles(),
         legacy_stats.total_cycles(),
         "{label}: kernels must account the same simulated cycles"
     );
-    assert_eq!(
-        batched_stats, event_stats,
-        "{label}: batched and event kernels must make identical skip decisions"
-    );
-    let event_speedup = legacy_wall.as_secs_f64() / event_wall.as_secs_f64().max(1e-9);
     let batched_speedup = legacy_wall.as_secs_f64() / batched_wall.as_secs_f64().max(1e-9);
-    let cycle_speedup = kernel_speedup(&event_stats);
+    let cycle_speedup = kernel_speedup(&batched_stats);
     let json = Json::Obj(vec![
         (
             "legacy_ms".to_owned(),
             Json::from(legacy_wall.as_secs_f64() * 1e3),
         ),
         (
-            "event_ms".to_owned(),
-            Json::from(event_wall.as_secs_f64() * 1e3),
-        ),
-        (
             "batched_ms".to_owned(),
             Json::from(batched_wall.as_secs_f64() * 1e3),
         ),
-        ("event_speedup".to_owned(), Json::from(event_speedup)),
         ("batched_speedup".to_owned(), Json::from(batched_speedup)),
         ("cycle_speedup".to_owned(), Json::from(cycle_speedup)),
-        ("cycles".to_owned(), Json::from(event_cycles)),
+        ("cycles".to_owned(), Json::from(batched_cycles)),
         (
             "executed".to_owned(),
-            Json::from(event_stats.executed_cycles),
+            Json::from(batched_stats.executed_cycles),
         ),
-        ("skipped".to_owned(), Json::from(event_stats.skipped_cycles)),
+        (
+            "skipped".to_owned(),
+            Json::from(batched_stats.skipped_cycles),
+        ),
         (
             "legacy_cycles_per_sec".to_owned(),
             Json::from(cycles_per_sec(legacy_cycles, legacy_wall)),
-        ),
-        (
-            "event_cycles_per_sec".to_owned(),
-            Json::from(cycles_per_sec(event_cycles, event_wall)),
         ),
         (
             "batched_cycles_per_sec".to_owned(),
             Json::from(cycles_per_sec(batched_cycles, batched_wall)),
         ),
         ("reports_identical".to_owned(), Json::Bool(true)),
-        ("skip_decisions_identical".to_owned(), Json::Bool(true)),
     ]);
     println!(
-        "kernel/{label}: legacy {:.2} ms, event {:.2} ms ({event_speedup:.2}x), \
+        "kernel/{label}: legacy {:.2} ms, \
          batched {:.2} ms ({batched_speedup:.2}x wall, {cycle_speedup:.2}x cycles), \
          {}/{} cycles executed, batched {:.1}M cycles/s",
         legacy_wall.as_secs_f64() * 1e3,
-        event_wall.as_secs_f64() * 1e3,
         batched_wall.as_secs_f64() * 1e3,
-        event_stats.executed_cycles,
-        event_stats.total_cycles(),
+        batched_stats.executed_cycles,
+        batched_stats.total_cycles(),
         cycles_per_sec(batched_cycles, batched_wall) / 1e6,
     );
     KernelComparison {
         json,
-        event_speedup,
         batched_speedup,
         cycle_speedup,
     }
@@ -237,7 +215,7 @@ fn sparse_graph(iters: u32) -> TaskGraph {
 }
 
 /// Dense workload: four tasks each touching their own private bank every
-/// cycle — nothing ever sleeps, so the event kernel can never skip and
+/// cycle — nothing ever sleeps, so the batched kernel can never skip and
 /// its bookkeeping overhead is measured head-on.
 fn dense_graph(iters: u32) -> TaskGraph {
     let mut b = TaskGraphBuilder::new("kernel_dense");
@@ -417,12 +395,6 @@ fn fault_sweep(smoke: bool) -> Json {
             config.with_kernel(KernelKind::BatchedSoa),
             Some(&plan),
         );
-        let (_, event_report, event_faults) = fault_run(
-            &graph,
-            &duo,
-            config.with_kernel(KernelKind::Event),
-            Some(&plan),
-        );
         let (_, legacy_report, legacy_faults) = fault_run(
             &graph,
             &duo,
@@ -430,28 +402,20 @@ fn fault_sweep(smoke: bool) -> Json {
             Some(&plan),
         );
         assert_eq!(
-            event_report, legacy_report,
-            "seed {seed}: event kernel disagrees on the run report"
-        );
-        assert_eq!(
             batched_report, legacy_report,
             "seed {seed}: batched kernel disagrees on the run report"
-        );
-        assert_eq!(
-            event_faults, legacy_faults,
-            "seed {seed}: event kernel disagrees on the fault report"
         );
         assert_eq!(
             batched_faults, legacy_faults,
             "seed {seed}: batched kernel disagrees on the fault report"
         );
         assert!(
-            event_report.completed,
+            batched_report.completed,
             "seed {seed}: recovery must restore progress"
         );
-        detected += event_faults.detected;
-        recovered += event_faults.recovered;
-        worst_latency = worst_latency.max(event_faults.worst_detection_latency().unwrap_or(0));
+        detected += batched_faults.detected;
+        recovered += batched_faults.recovered;
+        worst_latency = worst_latency.max(batched_faults.worst_detection_latency().unwrap_or(0));
     }
     assert!(detected > 0, "the sweep must detect at least one fault");
     assert_eq!(
@@ -497,7 +461,7 @@ fn fault_sweep(smoke: bool) -> Json {
 
 /// Observability overhead measurement on the dense workload — the worst
 /// case for per-cycle instrumentation, since nothing ever sleeps and the
-/// event kernel cannot skip. Asserts the observed run report is
+/// batched kernel cannot skip. Asserts the observed run report is
 /// byte-identical to the bare one and that the enabled-session overhead
 /// stays within 5%.
 fn obs_overhead(smoke: bool) -> Json {
@@ -752,7 +716,7 @@ fn main() {
     perf.add_stage("sweep/parallel-warm", warm_wall);
     assert_eq!(warm.rows(), seq.rows());
 
-    // Kernel comparison: batched SoA and event-driven versus legacy,
+    // Kernel comparison: batched SoA versus legacy,
     // four workloads. The dense/contended runs are sized to dominate
     // timer noise (tens of milliseconds per legacy run, hundreds of
     // thousands of simulated cycles) so the recorded speedups are
@@ -835,14 +799,9 @@ fn main() {
     let thresholds_checked = cores > 1;
     if thresholds_checked {
         assert!(
-            sparse_cmp.event_speedup >= 2.0,
-            "event kernel must be at least 2x faster on the sparse workload, got {:.2}x",
-            sparse_cmp.event_speedup
-        );
-        assert!(
-            dense_cmp.event_speedup >= 0.9,
-            "event kernel must not regress the dense workload by more than 10%, got {:.2}x",
-            dense_cmp.event_speedup
+            sparse_cmp.batched_speedup >= 2.0,
+            "batched kernel must be at least 2x faster on the sparse workload, got {:.2}x",
+            sparse_cmp.batched_speedup
         );
         assert!(
             dense_cmp.batched_speedup >= 1.0,
@@ -866,8 +825,7 @@ fn main() {
             "thresholds".to_owned(),
             Json::Obj(vec![
                 ("checked".to_owned(), Json::Bool(thresholds_checked)),
-                ("sparse_event_min".to_owned(), Json::from(2.0)),
-                ("dense_event_min".to_owned(), Json::from(0.9)),
+                ("sparse_batched_min".to_owned(), Json::from(2.0)),
                 ("dense_batched_min".to_owned(), Json::from(1.0)),
                 ("contended_batched_min".to_owned(), Json::from(5.0)),
                 (
@@ -882,15 +840,11 @@ fn main() {
         ),
     ]);
     println!(
-        "kernel comparison vs legacy: sparse {:.2}x event / {:.2}x batched, \
-         dense {:.2}x / {:.2}x, contended {:.2}x / {:.2}x, fft {:.2}x / {:.2}x",
-        sparse_cmp.event_speedup,
+        "kernel comparison vs legacy (batched): sparse {:.2}x, dense {:.2}x, \
+         contended {:.2}x, fft {:.2}x",
         sparse_cmp.batched_speedup,
-        dense_cmp.event_speedup,
         dense_cmp.batched_speedup,
-        contended_cmp.event_speedup,
         contended_cmp.batched_speedup,
-        fft_cmp.event_speedup,
         fft_cmp.batched_speedup,
     );
 

@@ -288,7 +288,7 @@ fn replay_one(scenario: &Scenario, label: &str) -> i32 {
     let outcome = run_scenario(scenario, &RunConfig::default());
     match outcome.observation {
         Some(obs) => println!(
-            "{label}: {} cycles, completed={}, {} violations, {} metric series — identical under all kernels",
+            "{label}: {} cycles, completed={}, {} violations, {} metric series — identical under both kernels",
             obs.report.cycles,
             obs.report.completed,
             obs.report.violations.len(),

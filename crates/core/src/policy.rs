@@ -83,7 +83,7 @@ pub trait Policy: fmt::Debug {
     /// `Some(grant)` promises that, starting from the current state,
     /// every future [`step`](Self::step) with the same `requests` word
     /// returns exactly `grant` and leaves all observable state (grants,
-    /// internal counters, pointers) unchanged. The event-driven
+    /// internal counters, pointers) unchanged. The batched
     /// simulation kernel uses this to prove an arbiter quiescent and
     /// skip whole cycles; the legacy kernel cross-checks the promise
     /// against `step` in debug builds.

@@ -204,7 +204,7 @@ impl Policy for RandomArbiter {
     fn next_grant(&self, _requests: u64) -> Option<u64> {
         // The LFSR advances on every step regardless of the request
         // word, so this policy is never at a fixed point: the
-        // event-driven kernel must execute every cycle under it to keep
+        // batched kernel must execute every cycle under it to keep
         // the pseudo-random sequence bit-identical to the legacy loop.
         None
     }

@@ -2,7 +2,7 @@
 //!
 //! Fault plans must reproduce **byte-identical** runs from a seed, on
 //! both simulation kernels. A stateful generator cannot give that: the
-//! event-driven kernel skips cycles the legacy kernel executes, so any
+//! batched kernel skips cycles the legacy kernel executes, so any
 //! draw consumed "per cycle" would desynchronize the two. The module
 //! therefore offers two primitives:
 //!
@@ -54,7 +54,7 @@ impl SplitMix64 {
 /// A stateless keyed draw: hashes `(seed, a, b)` into one uniform
 /// 64-bit word. Identical inputs give identical outputs regardless of
 /// call order, which is what keeps fault injection byte-identical
-/// across the event-driven and legacy kernels.
+/// across the batched and legacy kernels.
 pub fn mix3(seed: u64, a: u64, b: u64) -> u64 {
     // Feed each key through the golden-ratio increment so consecutive
     // cycles land far apart in state space, then avalanche.

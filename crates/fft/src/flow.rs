@@ -596,14 +596,18 @@ mod tests {
         let flow = run_fft_flow().unwrap();
         let tile: [[i64; 4]; 4] =
             std::array::from_fn(|r| std::array::from_fn(|c| (r * 4 + c + 1) as i64));
-        let event = simulate_block(&flow, tile);
-        let legacy = simulate_block_with(&flow, tile, SimConfig::new().with_legacy_kernel(true));
-        assert_eq!(event.output, legacy.output);
-        assert_eq!(event.stage_cycles, legacy.stage_cycles);
-        // The legacy kernel never skips; the event kernel accounts every
-        // simulated cycle either as executed or skipped.
+        let batched = simulate_block(&flow, tile);
+        let legacy = simulate_block_with(
+            &flow,
+            tile,
+            SimConfig::new().with_kernel(rcarb_sim::KernelKind::Legacy),
+        );
+        assert_eq!(batched.output, legacy.output);
+        assert_eq!(batched.stage_cycles, legacy.stage_cycles);
+        // The legacy kernel never skips; the batched kernel accounts
+        // every simulated cycle either as executed or skipped.
         assert!(legacy.kernel_stats().skipped_cycles == 0);
-        for (stats, &cycles) in event.stage_kernel.iter().zip(&event.stage_cycles) {
+        for (stats, &cycles) in batched.stage_kernel.iter().zip(&batched.stage_cycles) {
             assert_eq!(stats.total_cycles(), cycles);
         }
     }

@@ -50,7 +50,7 @@ pub struct RuntimeReport {
     /// Simulated cycles per block, per temporal partition.
     pub stage_cycles: Vec<u64>,
     /// Kernel cycle accounting per temporal partition (executed versus
-    /// skipped cycles under the event-driven kernel).
+    /// skipped cycles under the batched kernel).
     pub stage_kernel: Vec<KernelStats>,
     /// Hardware compute time, seconds.
     pub hw_compute_s: f64,

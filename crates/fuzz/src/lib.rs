@@ -4,7 +4,7 @@
 //! Every test generator in the repo — board presets, random task
 //! graphs, seeded fault plans, watchdog configs, the full policy
 //! list — composed into one replayable [`Scenario`] value, run under
-//! all three simulation kernels and both synthesis tool models, with
+//! both simulation kernels and both synthesis tool models, with
 //! the obs deterministic-metrics snapshot as the coverage signal.
 //!
 //! The pipeline:

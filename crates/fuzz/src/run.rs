@@ -1,11 +1,13 @@
 //! The differential-oracle runner: one scenario, every kernel, every
 //! cross-check.
 //!
-//! A scenario is executed under all three kernels (legacy reference,
-//! event-driven, batched SoA) and its observable state — `RunReport`,
-//! VCD trace, final memory image, fault report, and the deterministic
-//! obs metrics subset — must be byte-identical across them. On top of
-//! the kernel differential sit four more oracles:
+//! A scenario is executed under both kernels (the legacy reference and
+//! the batched SoA production kernel) and its observable state —
+//! `RunReport`, VCD trace, final memory image, fault report, and the
+//! deterministic obs metrics subset — must be byte-identical across
+//! them; the batched kernel's skip accounting must also cover every
+//! reported cycle. On top of the kernel differential sit four more
+//! oracles:
 //!
 //! * **policy differential** — prefix round-robin is grant-identical to
 //!   the paper's linear FSM scan by construction, so a round-robin
@@ -38,11 +40,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Kernel execution order; legacy first because it is the reference.
-pub const KERNELS: [KernelKind; 3] = [
-    KernelKind::Legacy,
-    KernelKind::Event,
-    KernelKind::BatchedSoa,
-];
+pub const KERNELS: [KernelKind; 2] = [KernelKind::Legacy, KernelKind::BatchedSoa];
 
 /// Everything observable about one kernel's run of one scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +55,8 @@ pub struct Observation {
     pub faults: FaultReport,
     /// The deterministic obs metrics subset — also the coverage signal.
     pub metrics: MetricsSnapshot,
-    /// Kernel-private skip accounting (compared batched vs event only).
+    /// Kernel-private skip accounting (checked per kernel, never
+    /// compared across them).
     pub stats: KernelStats,
 }
 
@@ -86,8 +85,8 @@ pub enum FindingKind {
         /// Which observable diverged ("report", "vcd", ...).
         field: &'static str,
     },
-    /// Batched and event kernels made different skip decisions, or the
-    /// legacy kernel claimed to skip.
+    /// The legacy kernel claimed to skip, or the batched kernel's
+    /// executed and skipped cycles do not add up to the reported run.
     StatsDivergence,
     /// Round-robin and prefix round-robin disagreed.
     PolicyDivergence {
@@ -148,7 +147,7 @@ impl Default for RunConfig {
 pub struct RunOutcome {
     /// Findings from every oracle (empty for a healthy scenario).
     pub findings: Vec<Finding>,
-    /// The default (batched) kernel's observation, feeding the coverage
+    /// The production (batched) kernel's observation, feeding the coverage
     /// map. `None` when the scenario failed to build or panicked.
     pub observation: Option<Observation>,
 }
@@ -200,7 +199,7 @@ fn run_scenario_inner(
         }
     };
 
-    // One observation per kernel, [legacy, event, batched].
+    // One observation per kernel, [legacy, batched].
     let mut obs: Vec<Option<Observation>> = Vec::with_capacity(KERNELS.len());
     for kernel in KERNELS {
         let started = Instant::now();
@@ -250,49 +249,52 @@ fn run_scenario_inner(
         }
     }
 
-    // Oracle 1: three-way kernel equivalence against the legacy
-    // reference, field by field so the finding names the divergence.
-    if let Some(reference) = obs[0].clone() {
-        for (i, kernel) in KERNELS.iter().enumerate().skip(1) {
-            let Some(candidate) = &obs[i] else { continue };
-            for (field, diverged) in diff_observations(&reference, candidate) {
-                if diverged {
-                    findings.push(Finding {
-                        scenario: scenario.clone(),
-                        kind: FindingKind::KernelDivergence {
-                            kernel: *kernel,
-                            field,
-                        },
-                        detail: format!("{kernel:?} disagrees with legacy on {field}"),
-                    });
-                }
-            }
-        }
-        // Oracle 1b: skip accounting. The optimized kernels must agree
-        // with each other; the legacy loop never skips.
-        if let (Some(event), Some(batched)) = (&obs[1], &obs[2]) {
-            if event.stats != batched.stats || reference.stats.skipped_cycles != 0 {
+    // Oracle 1: the production kernel against the legacy reference,
+    // field by field so the finding names the divergence.
+    let [reference, batched] = [&obs[0], &obs[1]];
+    if let (Some(reference), Some(candidate)) = (reference, batched) {
+        let kernel = KernelKind::BatchedSoa;
+        for (field, diverged) in diff_observations(reference, candidate) {
+            if diverged {
                 findings.push(Finding {
                     scenario: scenario.clone(),
-                    kind: FindingKind::StatsDivergence,
-                    detail: format!(
-                        "legacy {:?} event {:?} batched {:?}",
-                        reference.stats, event.stats, batched.stats
-                    ),
+                    kind: FindingKind::KernelDivergence { kernel, field },
+                    detail: format!("{kernel:?} disagrees with legacy on {field}"),
                 });
             }
         }
     }
+    // Oracle 1b: skip accounting, checked per kernel. The legacy loop
+    // never skips; the batched kernel accounts every reported cycle as
+    // either executed or skipped.
+    let legacy_skipped = reference
+        .as_ref()
+        .is_some_and(|o| o.stats.skipped_cycles != 0);
+    let batched_unaccounted = batched
+        .as_ref()
+        .is_some_and(|o| o.stats.total_cycles() != o.report.cycles);
+    if legacy_skipped || batched_unaccounted {
+        let stats = |o: &Option<Observation>| o.as_ref().map(|o| (o.stats, o.report.cycles));
+        findings.push(Finding {
+            scenario: scenario.clone(),
+            kind: FindingKind::StatsDivergence,
+            detail: format!(
+                "(stats, cycles): legacy {:?} batched {:?}",
+                stats(reference),
+                stats(batched)
+            ),
+        });
+    }
 
     // Oracle 2: prefix round-robin is grant-identical to the linear
-    // scan by construction — run the counterpart policy on the default
-    // kernel and require the same observable state.
+    // scan by construction — run the counterpart policy on the
+    // production kernel and require the same observable state.
     if let Some(counterpart) = match scenario.policy {
         PolicyKind::RoundRobin => Some(PolicyKind::PrefixRoundRobin),
         PolicyKind::PrefixRoundRobin => Some(PolicyKind::RoundRobin),
         _ => None,
     } {
-        if let Some(base) = &obs[2] {
+        if let Some(base) = batched {
             match catch_unwind(AssertUnwindSafe(|| {
                 observe(scenario, &mat, counterpart, KernelKind::BatchedSoa)
             })) {
@@ -368,7 +370,7 @@ fn run_scenario_inner(
             &AnalyzeConfig::default().with_max_burst(scenario.max_burst),
         );
         if analysis.is_clean() {
-            if let Some(o) = &obs[2] {
+            if let Some(o) = batched {
                 if !o.report.clean() {
                     findings.push(Finding {
                         scenario: scenario.clone(),
@@ -385,7 +387,7 @@ fn run_scenario_inner(
 
     RunOutcome {
         findings,
-        observation: obs[2].clone(),
+        observation: obs.pop().flatten(),
     }
 }
 

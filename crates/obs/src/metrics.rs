@@ -136,7 +136,7 @@ impl MetricsRegistry {
 /// An immutable, ordered copy of a registry's state.
 ///
 /// Two snapshots compare equal when every metric name and value
-/// matches, which is how the equivalence tests assert that the event
+/// matches, which is how the equivalence tests assert that the batched
 /// and legacy kernels — or 1-thread and N-thread pools — told the same
 /// story.
 #[derive(Debug, Clone, PartialEq, Default)]

@@ -146,7 +146,7 @@ impl ArbiterSim {
     pub fn step_word(&mut self, word: u64) -> u64 {
         // In debug builds, hold the behavioural policy to any fixed
         // point it promised — the legacy kernel thereby cross-checks
-        // the same `next_grant` interface the event kernel skips on.
+        // the same `next_grant` interface the batched kernel skips on.
         #[cfg(debug_assertions)]
         let promised = self.policy.next_grant(word);
         let grants = self.policy.step(word);

@@ -1,5 +1,5 @@
 //! The arbiter component: a behavioural [`ArbiterSim`] plus the
-//! last-sampled request/grant pair the event kernel needs to prove the
+//! last-sampled request/grant pair the batched kernel needs to prove the
 //! arbiter steady.
 
 use super::task::TaskComponent;

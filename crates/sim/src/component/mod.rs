@@ -19,11 +19,11 @@
 //!   and busy counters, grant tallies, starvation ticks) that `k`
 //!   executed-but-inert cycles would have applied, and nothing else.
 //!
-//! All kernels share the same component step code, so the legacy
-//! cycle-scanning loop, the event-driven kernel and the batched
-//! structure-of-arrays kernel (`soa`) differ *only* in whether provably
-//! inert cycles are executed or skipped and in how the per-cycle
-//! traffic is carried (fresh `BTreeMap`s versus reused flat arenas).
+//! Both kernels share the same component step code, so the legacy
+//! cycle-scanning loop and the batched structure-of-arrays kernel
+//! (`soa`) differ *only* in whether provably inert cycles are executed
+//! or skipped and in how the per-cycle traffic is carried (fresh
+//! `BTreeMap`s versus reused flat arenas).
 
 pub mod arbiter;
 pub mod bank;

@@ -1,7 +1,6 @@
 //! Structure-of-arrays state for the batched simulation kernel.
 //!
-//! The dispatch kernels (legacy and event) re-derive everything each
-//! cycle: request words are recomputed from per-task `BTreeMap` request
+//! The legacy kernel re-derives everything each cycle: request words are recomputed from per-task `BTreeMap` request
 //! lines, grants and traffic travel in freshly allocated maps, and every
 //! placement or guard lookup walks an ordered tree. The batched kernel
 //! keeps the same *semantics* but flattens the state:
@@ -20,11 +19,11 @@
 //!   placements, access guards, channel routes and bank slots;
 //! - [`BatchedEnv`] — the [`CycleEnv`] implementation gluing the above
 //!   under the task interpreter, so the batched kernel executes the
-//!   *same* instruction semantics as the dispatch kernels by
+//!   *same* instruction semantics as the legacy kernel by
 //!   construction.
 //!
 //! Everything here is bookkeeping over the very same component state the
-//! other kernels use; `tests/kernel_equivalence.rs` holds all three to
+//! legacy kernel uses; `tests/kernel_equivalence.rs` holds the two to
 //! byte-identical reports, VCD and memory.
 
 use super::arbiter::ArbiterComponent;

@@ -5,8 +5,8 @@
 //! a [`Component`]: it still executes exactly one *costed* instruction
 //! per cycle (free loop bookkeeping around it), but it now also tracks
 //! *why* it stopped each cycle — ready, mid-compute, awaiting a grant,
-//! awaiting channel data — which is what lets the event-driven kernel
-//! prove it inert and skip cycles without executing them.
+//! awaiting channel data — which is what lets the batched kernel prove
+//! it inert and skip cycles without executing them.
 
 use super::arbiter::ArbiterComponent;
 use super::monitor::MonitorComponent;
@@ -52,7 +52,7 @@ enum Block {
 /// their memory and channel traffic for the bank/route resolution
 /// phases. [`TaskComponent::step_cycle`] is generic over this trait and
 /// monomorphizes once per environment — the dispatch [`ExecCtx`] (fresh
-/// per-cycle maps, legacy and event kernels) and the batched kernel's
+/// per-cycle maps, the legacy kernel) and the batched kernel's
 /// arena-backed SoA environment — so every kernel executes the *same*
 /// instruction semantics by construction.
 pub trait CycleEnv {
@@ -160,8 +160,8 @@ pub trait CycleEnv {
 }
 
 /// The engine-owned dispatch environment: per-cycle `BTreeMap` traffic
-/// and map-walk lookups, exactly as the legacy and event kernels have
-/// always worked. The batched kernel's SoA environment lives in
+/// and map-walk lookups, exactly as the legacy kernel has always
+/// worked. The batched kernel's SoA environment lives in
 /// `super::soa`.
 pub struct ExecCtx<'a> {
     /// The executing cycle.

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 /// waveform.
 ///
 /// The writer deduplicates unchanged samples, which is what makes the
-/// event kernel's output byte-identical to the legacy kernel's: a skip
+/// batched kernel's output byte-identical to the legacy kernel's: a skip
 /// is only taken when every traced signal provably holds its value, so
 /// the skipped cycles would have emitted nothing anyway.
 #[derive(Debug)]

@@ -96,25 +96,28 @@ impl Default for WatchdogConfig {
 
 /// Which simulation kernel executes the run.
 ///
-/// All three kernels share one cycle semantics — phase order, component
+/// Both kernels share one cycle semantics — phase order, component
 /// code and violation ordering are identical — and are proven
 /// report/VCD/memory-identical by `tests/kernel_equivalence.rs`. They
 /// differ only in *how* they reach the next interesting cycle:
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// Execute every cycle, component by component. The slowest and
-    /// simplest kernel, kept as the differential oracle the other two
-    /// are measured and verified against.
+    /// simplest kernel, kept as the differential oracle the production
+    /// kernel is measured and verified against.
     Legacy,
-    /// Per-component dynamic dispatch with cycle-skipping: after each
-    /// executed cycle every component re-registers its wake condition
-    /// and provably inert stretches are bulk-accounted (PR 3).
+    /// Deprecated alias for [`KernelKind::BatchedSoa`]: the
+    /// per-component event kernel it named is gone. The alias goes away
+    /// with the next change to the `arbbench` harness, the last code
+    /// that still names it.
+    #[deprecated(note = "the event kernel is gone; this alias runs `KernelKind::BatchedSoa`")]
     Event,
     /// Cycle-skipping plus a batched structure-of-arrays dense path:
-    /// request/grant state lives in flat `u64` bitset lanes, arbiter
-    /// FSMs step as word-level operations, and per-cycle traffic is
-    /// carried in reused arenas instead of fresh `BTreeMap`s. The
-    /// default.
+    /// provably inert stretches are bulk-accounted, request/grant state
+    /// lives in flat `u64` bitset lanes, arbiter FSMs step as
+    /// word-level operations, and per-cycle traffic is carried in
+    /// reused arenas instead of fresh `BTreeMap`s. The default and the
+    /// one production kernel.
     BatchedSoa,
 }
 
@@ -134,10 +137,9 @@ pub struct SimConfig {
     pub select_line: SharedLineKind,
     /// Any wait longer than this many cycles is flagged as starvation.
     pub starvation_bound: u64,
-    /// Which kernel runs the cycle loop. All kinds produce identical
-    /// reports; select [`KernelKind::Legacy`] or [`KernelKind::Event`]
-    /// only when diagnosing a suspected kernel divergence, never for
-    /// performance.
+    /// Which kernel runs the cycle loop. Both kinds produce identical
+    /// reports; select [`KernelKind::Legacy`] only when diagnosing a
+    /// suspected kernel divergence, never for performance.
     pub kernel: KernelKind,
     /// Runtime watchdog thresholds (all off by default).
     pub watchdog: WatchdogConfig,
@@ -228,25 +230,12 @@ impl SimConfig {
     }
 
     /// Selects the simulation kernel. Reports are provably identical
-    /// across all kinds — see `tests/kernel_equivalence.rs` — so this is
-    /// a diagnostic switch, not a semantic one.
+    /// across both kinds — see `tests/kernel_equivalence.rs` — so this
+    /// is a diagnostic switch, not a semantic one.
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
         self
-    }
-
-    /// Back-compat spelling of the PR 3 differential switch: `true`
-    /// selects the legacy cycle-scanning oracle, `false` the
-    /// per-component event-driven kernel (**not** the batched default —
-    /// existing differential call sites expect the PR 3 pairing).
-    #[must_use]
-    pub fn with_legacy_kernel(self, enabled: bool) -> Self {
-        self.with_kernel(if enabled {
-            KernelKind::Legacy
-        } else {
-            KernelKind::Event
-        })
     }
 }
 
@@ -271,12 +260,8 @@ mod tests {
         // The batched SoA kernel is the default.
         assert_eq!(c.kernel, KernelKind::BatchedSoa);
         assert_eq!(
-            SimConfig::new().with_legacy_kernel(true).kernel,
+            SimConfig::new().with_kernel(KernelKind::Legacy).kernel,
             KernelKind::Legacy
-        );
-        assert_eq!(
-            SimConfig::new().with_legacy_kernel(false).kernel,
-            KernelKind::Event
         );
         // No watchdogs, no recovery: faults change nothing unless asked.
         assert!(c.watchdog.is_off());

@@ -15,31 +15,30 @@
 //! 4. Banks and shared routes resolve the cycle's accesses, detecting
 //!    simultaneous-drive conflicts.
 //!
-//! # Three kernels, one cycle
+//! # Two kernels, one cycle
 //!
 //! The heavy lifting lives in [`crate::component`]: tasks, arbiters,
 //! banks, routes, the monitor and the tracer are self-contained units
-//! driven through the phase order above. Three kernels share that
-//! cycle semantics and differ only in how they reach the next
-//! interesting cycle ([`KernelKind`]):
+//! driven through the phase order above. Two kernels share that cycle
+//! semantics and differ only in how they reach the next interesting
+//! cycle ([`KernelKind`]):
 //!
 //! - the **legacy** cycle-scanning loop executes every cycle
 //!   unconditionally, component by component — the differential oracle;
-//! - the **event-driven** kernel consults the [`Scheduler`] after every
-//!   executed cycle: when every component proves itself inert (tasks
-//!   sleeping in multi-cycle computes or blocked on steady arbiters, no
-//!   pending release, no floating select line), the clock jumps
-//!   straight to the next wake and the gap is bulk-accounted through
-//!   [`Component::skip`];
-//! - the **batched SoA** kernel (the default) keeps the skipping and
-//!   additionally executes dense cycles through flat
-//!   structure-of-arrays state (`crate::component::soa`): request words
-//!   live in `u64` bitset lanes maintained from request-line edges,
-//!   round-robin FSMs step as word-level parallel-prefix operations,
-//!   and per-cycle traffic travels in reused arenas instead of fresh
-//!   `BTreeMap`s.
+//! - the **batched SoA** kernel (the default, and the one production
+//!   kernel) consults the [`Scheduler`] after every executed cycle:
+//!   when every component proves itself inert (tasks sleeping in
+//!   multi-cycle computes or blocked on steady arbiters, no pending
+//!   release, no floating select line, no fault window live or just
+//!   closed), the clock jumps straight to the next wake and the gap is
+//!   bulk-accounted through [`Component::skip`]. Dense cycles execute
+//!   through flat structure-of-arrays state (`crate::component::soa`):
+//!   request words live in `u64` bitset lanes maintained from
+//!   request-line edges, round-robin FSMs step as word-level
+//!   parallel-prefix operations, and per-cycle traffic travels in
+//!   reused arenas instead of fresh `BTreeMap`s.
 //!
-//! `tests/kernel_equivalence.rs` holds all three to identical
+//! `tests/kernel_equivalence.rs` holds the two to identical
 //! [`RunReport`]s, identical VCD output and identical memory.
 //!
 //! [`Component::skip`]: crate::component::Component::skip
@@ -474,7 +473,14 @@ impl SystemBuilder {
             routes: 0,
         });
         let banks = BankSet::from_map(banks);
-        let soa = (self.config.kernel == KernelKind::BatchedSoa).then(|| {
+        // The one place the deprecated `Event` alias is resolved: it
+        // runs the batched kernel.
+        #[allow(deprecated)]
+        let batched = matches!(
+            self.config.kernel,
+            KernelKind::BatchedSoa | KernelKind::Event
+        );
+        let soa = batched.then(|| {
             BatchedState::new(
                 &arbiters,
                 &tasks,
@@ -500,7 +506,6 @@ impl SystemBuilder {
             channel_guards,
             starvation_bound: self.config.starvation_bound,
             select_line: self.config.select_line,
-            kernel: self.config.kernel,
             soa,
             watchdog: self.config.watchdog,
             recovery: self.config.recovery,
@@ -525,7 +530,7 @@ impl SystemBuilder {
 /// The modelled banks as a slab: components at stable slots (the dense
 /// indices the batched kernel's arena is addressed by), plus an ordered
 /// id-to-slot index preserving the `BTreeMap` iteration order the
-/// dispatch kernels' violation sequences depend on. Quarantine appends
+/// legacy kernel's violation sequences depend on. Quarantine appends
 /// a spare bank at a fresh slot without disturbing existing ones.
 #[derive(Debug)]
 struct BankSet {
@@ -575,7 +580,7 @@ impl BankSet {
         &mut self.comps[slot as usize]
     }
 
-    /// The components in id order (the dispatch kernels' map order).
+    /// The components in id order (the legacy kernel's map order).
     fn values_ordered(&self) -> impl Iterator<Item = &BankComponent> {
         self.index.values().map(|&s| &self.comps[s])
     }
@@ -590,8 +595,8 @@ impl BankSet {
 }
 
 /// Per-component execution counters, kept only when an observability
-/// session is attached (the runtime analogue of the event kernel's
-/// wake list: how many cycles each component actually stepped).
+/// session is attached (the runtime analogue of the scheduler's wake
+/// list: how many cycles each component actually stepped).
 #[derive(Debug)]
 struct WakeCounters {
     /// Executed steps per task, indexed like `System::tasks`.
@@ -695,9 +700,8 @@ pub struct System {
     channel_guards: BTreeMap<(TaskId, ChannelId), ArbiterId>,
     starvation_bound: u64,
     select_line: rcarb_core::line::SharedLineKind,
-    kernel: KernelKind,
-    /// The batched kernel's SoA mirror; `Some` exactly when `kernel`
-    /// is [`KernelKind::BatchedSoa`].
+    /// The batched kernel's SoA mirror; `Some` exactly when the run
+    /// uses [`KernelKind::BatchedSoa`], `None` for the legacy kernel.
     soa: Option<BatchedState>,
     watchdog: WatchdogConfig,
     recovery: RecoveryPolicy,
@@ -845,7 +849,7 @@ impl System {
     /// restart.
     pub fn run(&mut self, max_cycles: u64) -> RunReport {
         let progress_bound = self.watchdog.progress_bound;
-        let skipping = self.kernel != KernelKind::Legacy;
+        let skipping = self.soa.is_some();
         while self.cycle < max_cycles && !self.all_done() {
             // Deadlock/livelock watchdog: every kernel measures the gap
             // in *simulated* cycles since the last cycle that advanced
@@ -864,7 +868,7 @@ impl System {
                     // progress window and keep running.
                     self.last_progress = self.cycle;
                     if skipping {
-                        self.refresh();
+                        self.refresh_batched();
                     }
                 } else {
                     break;
@@ -878,16 +882,17 @@ impl System {
                 }
             }
             let from = self.monitor.violations().len();
-            match self.kernel {
-                KernelKind::BatchedSoa => self.step_batched(),
-                _ => self.step_cycle(),
+            if skipping {
+                self.step_batched();
+            } else {
+                self.step_cycle();
             }
             if self.faults.is_some() {
                 self.process_new_violations(from);
             }
             self.note_progress();
             if skipping {
-                self.refresh();
+                self.refresh_batched();
             }
         }
         self.flush_deferred_waits();
@@ -937,7 +942,7 @@ impl System {
     /// session (no-op without one). Counters accumulate across runs
     /// sharing a session; gauges reflect the latest run. The `sim/*`
     /// and `fault/*` series derive from kernel-independent state, so
-    /// they match exactly across the event and legacy kernels; the
+    /// they match exactly across the batched and legacy kernels; the
     /// `kernel/*` series expose the kernel's own execute/skip split
     /// and are excluded from the deterministic snapshot.
     fn flush_obs(&self, report: &RunReport) {
@@ -1019,9 +1024,10 @@ impl System {
         self.tasks.iter().all(|t| t.status() == TaskStatus::Done)
     }
 
-    /// Bounds a proposed skip so the event kernel never jumps over a
-    /// cycle the legacy kernel would treat specially: a cycle inside (or
-    /// starting) a fault window, or the cycle the progress watchdog
+    /// Bounds a proposed skip so the batched kernel never jumps over a
+    /// cycle the legacy kernel would treat specially: a cycle inside,
+    /// starting or just after a fault window (see
+    /// `FaultController::horizon`), or the cycle the progress watchdog
     /// fires.
     fn clamp_skip(&self, skippable: u64) -> u64 {
         let mut s = skippable;
@@ -1146,7 +1152,7 @@ impl System {
 
     /// Rebuilds the batched kernel's flat lookup tables after a
     /// structural recovery (quarantine or re-route) mutated the binding,
-    /// the bank set or the routing. No-op for the dispatch kernels.
+    /// the bank set or the routing. No-op for the legacy kernel.
     fn rebuild_batched_tables(&mut self) {
         let Self {
             tasks,
@@ -1244,8 +1250,9 @@ impl System {
         }
     }
 
-    /// Executes one cycle through the shared phase order. Both kernels
-    /// run exactly this code for every non-skipped cycle.
+    /// Executes one cycle through the shared phase order, component by
+    /// component: the legacy kernel runs exactly this code for every
+    /// cycle.
     fn step_cycle(&mut self) {
         let cycle = self.cycle;
         // 1. Release newly runnable tasks.
@@ -1431,78 +1438,6 @@ impl System {
         self.scheduler.record_executed();
     }
 
-    /// Re-registers every component's wake condition after an executed
-    /// cycle. Returns as soon as anything is dirty: in a dense workload
-    /// the first running task short-circuits the whole refresh, keeping
-    /// the event kernel's per-cycle overhead near zero.
-    fn refresh_wakes(&mut self) {
-        let now = self.cycle; // next cycle to execute
-        self.scheduler.begin_refresh();
-        for (i, t) in self.tasks.iter().enumerate() {
-            match t.wake(now) {
-                Wake::Active => {
-                    self.scheduler.mark_active(CompId::Task(i));
-                    return;
-                }
-                Wake::Timer(c) => self.scheduler.wake_at(c, CompId::Task(i)),
-                Wake::Idle => {
-                    // Wake conditions a task cannot see from its own
-                    // state: a pending release, or data landed in the
-                    // route register a blocked Recv is watching. (A
-                    // blocked AwaitGrant is covered by the arbiter
-                    // steadiness check below.)
-                    if t.status() == TaskStatus::NotStarted {
-                        let ready = self
-                            .graph
-                            .predecessors(t.id())
-                            .iter()
-                            .all(|p| self.tasks[p.index()].status() == TaskStatus::Done);
-                        if ready {
-                            self.scheduler.mark_active(CompId::Task(i));
-                            return;
-                        }
-                    } else if let Some(ch) = t.awaiting_data() {
-                        let data_ready = self
-                            .route_of_channel
-                            .get(&ch)
-                            .and_then(|&r| self.routes[r].read(ch))
-                            .is_some();
-                        if data_ready {
-                            self.scheduler.mark_active(CompId::Task(i));
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        // Arbiter steadiness is judged against the *post-exec* request
-        // word — the word it will sample next cycle — so a request edge
-        // flipped this cycle forces execution.
-        for (i, a) in self.arbiters.iter().enumerate() {
-            let word = a.compute_word(&self.tasks);
-            if !a.steady_for(word) {
-                self.scheduler.mark_active(CompId::Arbiter(i));
-                return;
-            }
-        }
-        for (i, b) in self.banks.values_ordered().enumerate() {
-            if b.wake(now) == Wake::Active {
-                self.scheduler.mark_active(CompId::Bank(i));
-                return;
-            }
-        }
-    }
-
-    /// Post-cycle wake refresh, dispatched per kernel (the legacy
-    /// kernel never refreshes — it executes every cycle).
-    fn refresh(&mut self) {
-        match self.kernel {
-            KernelKind::Legacy => {}
-            KernelKind::Event => self.refresh_wakes(),
-            KernelKind::BatchedSoa => self.refresh_batched(),
-        }
-    }
-
     /// Executes one cycle through the batched structure-of-arrays path:
     /// the same five phases as [`step_cycle`](Self::step_cycle), with
     /// request words read from the incremental matrix, FSMs stepped in
@@ -1534,7 +1469,7 @@ impl System {
             deferred_waits,
         } = soa;
         // 1. Release newly runnable tasks. Releasing *inside* the
-        // ascending pass reproduces the dispatch kernels' index-order
+        // ascending pass reproduces the legacy kernel's index-order
         // scan exactly: an empty-program predecessor that completes on
         // release lets a later-indexed successor start this same cycle.
         wake_list.drain_ready(|t| {
@@ -1551,7 +1486,7 @@ impl System {
         wake_list.commit_released(|t| tasks[t as usize].status() == TaskStatus::Running);
         // 2. Arbiters sample the request lines — straight out of the
         // matrix, no reassembly. Fault perturbation and the multi-grant
-        // check are identical to the dispatch path.
+        // check are identical to the legacy path.
         arena.begin_cycle();
         for (i, a) in arbiters.iter_mut().enumerate() {
             let mut word = matrix.word(i);
@@ -1591,7 +1526,7 @@ impl System {
         // anything else. The totals are order-independent sums, no
         // crossing can fire while disarmed, and a parked task drives
         // no request edges — so reports, VCD and memory stay
-        // byte-identical to the dispatch kernels.
+        // byte-identical to the legacy kernel.
         {
             let defer_ok = faults.is_none() && !monitor.wait_bounds_armed();
             let mut env = BatchedEnv {
@@ -1643,7 +1578,7 @@ impl System {
                 }
             }
         }
-        // 4. Banks resolve, in id order (the dispatch kernels' map
+        // 4. Banks resolve, in id order (the legacy kernel's map
         // order — quarantine can append a spare whose id is out of slot
         // order).
         arena.sort_touched_banks(banks.ids());
@@ -1717,13 +1652,13 @@ impl System {
         self.scheduler.record_executed();
     }
 
-    /// The batched kernel's wake refresh: same quiescence questions as
-    /// [`refresh_wakes`](Self::refresh_wakes), asked of the dense
-    /// running/pending lists and the incremental request matrix instead
-    /// of full component scans. The skip decision (quiescent or not,
+    /// The batched kernel's post-cycle wake refresh: re-registers every
+    /// component's wake condition with the scheduler, returning as soon
+    /// as anything must run next cycle. It asks the dense running and
+    /// pending lists and the incremental request matrix rather than
+    /// scanning every component. The skip decision (quiescent or not,
     /// earliest timer) is order-independent, so visiting running tasks
-    /// before pending ones is outcome-identical to the event kernel's
-    /// interleaved index scan.
+    /// before pending ones needs no interleaved index scan.
     fn refresh_batched(&mut self) {
         let now = self.cycle; // next cycle to execute
         self.scheduler.begin_refresh();
@@ -1808,8 +1743,8 @@ impl System {
     /// accounting plus the starvation ticks blocked tasks would have
     /// accrued, then jumps the clock. Watchdog crossings inside the
     /// span are merged into executed-cycle order (cycle, then task,
-    /// then timeout-before-fairness) so both kernels log identical
-    /// violation sequences.
+    /// then timeout-before-fairness) so the batched kernel logs the
+    /// violation sequence the legacy kernel does.
     fn skip_cycles(&mut self, cycles: u64) {
         let from = self.monitor.violations().len();
         let start = self.cycle;
@@ -1929,7 +1864,7 @@ mod tests {
     }
 
     #[test]
-    fn event_kernel_skips_through_long_computes() {
+    fn batched_kernel_skips_through_long_computes() {
         let (mut sys, t) = one_task_system(Program::build(|p| p.compute(1000)));
         let report = sys.run(10_000);
         assert!(report.clean());
@@ -1956,7 +1891,7 @@ mod tests {
             &MemoryBinding::default(),
             &ChannelMergePlan::default(),
         )
-        .with_config(SimConfig::new().with_legacy_kernel(true))
+        .with_config(SimConfig::new().with_kernel(KernelKind::Legacy))
         .try_build(&board)
         .unwrap();
         let report = sys.run(1000);
@@ -1969,7 +1904,7 @@ mod tests {
 
     #[test]
     fn kernels_agree_on_a_dependent_design() {
-        let build = |legacy: bool| {
+        let build = |kernel: KernelKind| {
             let mut b = TaskGraphBuilder::new("pair");
             let first = b.task("first", Program::build(|p| p.compute(40)));
             let second = b.task("second", Program::build(|p| p.compute(7)));
@@ -1981,16 +1916,16 @@ mod tests {
                 &MemoryBinding::default(),
                 &ChannelMergePlan::default(),
             )
-            .with_config(SimConfig::new().with_legacy_kernel(legacy))
+            .with_config(SimConfig::new().with_kernel(kernel))
             .try_build(&board)
             .unwrap();
             sys.run(10_000)
         };
-        assert_eq!(build(false), build(true));
+        assert_eq!(build(KernelKind::BatchedSoa), build(KernelKind::Legacy));
     }
 
     #[test]
-    fn batched_kernel_matches_event_and_skips_identically() {
+    fn batched_kernel_matches_legacy_and_pins_its_skips() {
         let build = |kernel: KernelKind| {
             let mut b = TaskGraphBuilder::new("trio");
             let first = b.task("first", Program::build(|p| p.compute(40)));
@@ -2011,19 +1946,24 @@ mod tests {
             (sys.run(10_000), sys.kernel_stats())
         };
         let (batched_report, batched_stats) = build(KernelKind::BatchedSoa);
-        let (event_report, event_stats) = build(KernelKind::Event);
-        let (legacy_report, _) = build(KernelKind::Legacy);
-        assert_eq!(batched_report, event_report);
+        let (legacy_report, legacy_stats) = build(KernelKind::Legacy);
         assert_eq!(batched_report, legacy_report);
-        // The batched kernel must make the *same* skip decisions as the
-        // event kernel, not merely the same report.
-        assert_eq!(batched_stats, event_stats);
-        assert!(batched_stats.skipped_cycles > 0);
+        assert_eq!(legacy_stats.skipped_cycles, 0);
+        // The skip decisions themselves are pinned, not merely the
+        // report: both computes jump, the releases and finishes execute.
+        assert_eq!(
+            batched_stats,
+            KernelStats {
+                executed_cycles: 4,
+                skipped_cycles: 43,
+                skips: 2,
+            }
+        );
     }
 
     #[test]
     fn blocked_receiver_wakes_when_data_arrives() {
-        let run = |legacy: bool| {
+        let run = |kernel: KernelKind| {
             let mut b = TaskGraphBuilder::new("chan");
             let seg = b.segment("out", 4, 16);
             let producer = b.task(
@@ -2046,7 +1986,7 @@ mod tests {
             let binding = bind_segments(graph.segments(), &board, &|_| None).unwrap();
             let mut sys =
                 SystemBuilder::unarbitrated(&graph, &binding, &ChannelMergePlan::default())
-                    .with_config(SimConfig::new().with_legacy_kernel(legacy))
+                    .with_config(SimConfig::new().with_kernel(kernel))
                     .try_build(&board)
                     .unwrap();
             let report = sys.run(10_000);
@@ -2054,14 +1994,14 @@ mod tests {
             assert_eq!(sys.try_read_segment(seg, 1).unwrap()[0], 77);
             (report, sys.kernel_stats())
         };
-        let (event_report, event_stats) = run(false);
-        let (legacy_report, _) = run(true);
-        assert_eq!(event_report, legacy_report);
+        let (batched_report, batched_stats) = run(KernelKind::BatchedSoa);
+        let (legacy_report, _) = run(KernelKind::Legacy);
+        assert_eq!(batched_report, legacy_report);
         // The consumer blocks on the empty channel while the producer
         // computes; those cycles must be skipped, not executed.
         assert!(
-            event_stats.skipped_cycles > 40,
-            "expected the consumer's wait to be skipped, got {event_stats:?}"
+            batched_stats.skipped_cycles > 40,
+            "expected the consumer's wait to be skipped, got {batched_stats:?}"
         );
     }
 

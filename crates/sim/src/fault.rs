@@ -7,9 +7,9 @@
 //! half-open cycle [`FaultWindow`]. Plans are seeded: every random
 //! decision (does this read fail? which bit flips?) is a stateless
 //! [`rcarb_core::rng::mix3`] draw keyed by `(seed, cycle, fault)`, so
-//! identical seeds reproduce byte-identical runs on both the
-//! event-driven and the legacy kernel, regardless of how many cycles
-//! either kernel skipped elsewhere.
+//! identical seeds reproduce byte-identical runs on both the batched
+//! and the legacy kernel, regardless of how many cycles the batched
+//! kernel skipped elsewhere.
 //!
 //! The engine compiles a plan into a crate-private `FaultController` at
 //! build time
@@ -20,7 +20,9 @@
 //! and a system whose windows have all expired (or been repaired) is
 //! skip-eligible again — the controller's fault horizon (the distance
 //! to the next live window) is what the kernel folds into its skip
-//! bound.
+//! bound. A window counts as live through the first cycle after it
+//! closes, so the cycle that sees an unmasked grant again is always
+//! executed.
 //!
 //! What the runtime *does* about detected faults is the
 //! [`RecoveryPolicy`]'s business: scrubbing stuck request lines,
@@ -718,17 +720,23 @@ impl FaultController {
     }
 
     /// How many cycles starting at `now` are provably fault-silent:
-    /// `0` if any enabled fault window is live at `now`, otherwise the
-    /// distance to the earliest future window (or `u64::MAX` when all
-    /// windows are spent). The kernel folds this into its skip bound so
-    /// every in-window cycle executes on both kernels.
+    /// `0` if any enabled fault window is live at `now` or closed
+    /// exactly at `now`, otherwise the distance to the earliest future
+    /// window (or `u64::MAX` when all windows are spent). The kernel
+    /// folds this into its skip bound so every in-window cycle, and the
+    /// first cycle after each window, executes on both kernels.
+    ///
+    /// The cycle at `until` counts as live because a window's last
+    /// perturbation is only seen then: a task that sampled a masked or
+    /// glitched grant looks blocked on a steady arbiter, yet the
+    /// unmasked grant it acts on next cycle would let it proceed.
     pub(crate) fn horizon(&self, now: u64) -> u64 {
         let mut horizon = u64::MAX;
         for f in &self.faults {
-            if f.disabled || f.window.until <= now {
+            if f.disabled || f.window.until < now {
                 continue;
             }
-            if f.window.contains(now) {
+            if f.window.from <= now {
                 return 0;
             }
             horizon = horizon.min(f.window.from - now);
@@ -1027,9 +1035,12 @@ mod tests {
         let fc = FaultController::new(&plan, |_| None);
         assert_eq!(fc.horizon(0), 50);
         assert_eq!(fc.horizon(50), 0);
-        assert_eq!(fc.horizon(51), 49);
+        // The first cycle after a window still executes.
+        assert_eq!(fc.horizon(51), 0);
+        assert_eq!(fc.horizon(52), 48);
         assert_eq!(fc.horizon(105), 0);
-        assert_eq!(fc.horizon(110), u64::MAX);
+        assert_eq!(fc.horizon(110), 0);
+        assert_eq!(fc.horizon(111), u64::MAX);
     }
 
     #[test]

@@ -29,14 +29,14 @@
 //!   explicit wake/skip contract, plus the batched kernel's
 //!   structure-of-arrays state (bitset request matrix, word-level
 //!   arbiter FSM lanes, reused traffic arenas, flat lookup tables);
-//! - [`scheduler`] — the skipping kernels' wake-list/dirty-set
+//! - [`scheduler`] — the batched kernel's wake-list/dirty-set
 //!   scheduler and its cycle-accounting [`KernelStats`];
 //! - [`engine`] — the simulation kernel: orchestrates the components
 //!   through the shared per-cycle phase order, skipping provably inert
 //!   cycles. [`KernelKind`] selects between the batched SoA default,
-//!   the per-component event-driven kernel, and the legacy
-//!   always-execute differential oracle — all three held to identical
-//!   reports, VCD and memory by `tests/kernel_equivalence.rs`;
+//!   the one production kernel, and the legacy always-execute
+//!   differential oracle — the two held to identical reports, VCD and
+//!   memory by `tests/kernel_equivalence.rs`;
 //! - [`stats`] — fairness and utilization summaries;
 //! - [`vcd`] — a small VCD waveform writer for request/grant traces.
 //!

@@ -497,7 +497,7 @@ impl StarvationTracker {
 
     /// Records `cycles` consecutive blocked cycles in one step —
     /// equivalent to calling [`tick_waiting`](Self::tick_waiting) that
-    /// many times. The event-driven kernel uses this to account for
+    /// many times. The batched kernel uses this to account for
     /// skipped quiescent cycles in bulk.
     pub fn tick_waiting_n(&mut self, task: TaskId, arbiter: ArbiterId, cycles: u64) {
         if cycles == 0 {

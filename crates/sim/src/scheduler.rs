@@ -1,4 +1,4 @@
-//! The event-driven kernel's wake-list/dirty-set scheduler.
+//! The batched kernel's wake-list/dirty-set scheduler.
 //!
 //! After every executed cycle the engine re-registers each component's
 //! wake condition here (see [`Component::wake`]): components that must
@@ -79,7 +79,7 @@ impl KernelStats {
     }
 }
 
-/// The wake-list/dirty-set bookkeeping behind the event-driven kernel.
+/// The wake-list/dirty-set bookkeeping behind the batched kernel's skips.
 ///
 /// Storage is deliberately flat — the first dirty component and the
 /// earliest timer — because those are the only two facts the engine ever

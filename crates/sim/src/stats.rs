@@ -4,7 +4,7 @@
 use crate::engine::RunReport;
 use crate::scheduler::KernelStats;
 
-/// Effective simulation speedup of the event-driven kernel over the
+/// Effective simulation speedup of the batched kernel over the
 /// legacy always-execute loop, assuming equal per-executed-cycle cost:
 /// `total_cycles / executed_cycles`. Returns 1.0 for an empty run (and
 /// exactly 1.0 for a legacy run, which never skips).
@@ -83,12 +83,12 @@ mod tests {
             skips: 0,
         };
         assert_eq!(kernel_speedup(&legacy), 1.0);
-        let event = KernelStats {
+        let batched = KernelStats {
             executed_cycles: 100,
             skipped_cycles: 900,
             skips: 12,
         };
-        assert!((kernel_speedup(&event) - 10.0).abs() < 1e-12);
+        assert!((kernel_speedup(&batched) - 10.0).abs() < 1e-12);
     }
 
     #[test]

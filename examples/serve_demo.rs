@@ -108,7 +108,7 @@ fn main() {
     {
         ResponseBody::Simulate(s) => {
             println!(
-                "  simulate: {} cycles, completed={}, {} skipped by the event kernel",
+                "  simulate: {} cycles, completed={}, {} skipped by the batched kernel",
                 s.report.cycles, s.report.completed, s.kernel.skipped_cycles
             );
             if !s.report.clean() {

@@ -348,9 +348,7 @@ impl SimulateOptions {
         let mut config = rcarb_sim::config::SimConfig::new()
             .with_policy(parse_policy(&self.policy)?)
             .with_cosim(self.cosim);
-        // `legacy_kernel: false` means "the default kernel" over the
-        // wire (batched SoA), not the event kernel the back-compat
-        // `with_legacy_kernel(false)` shim selects.
+        // `legacy_kernel: false` keeps the default (batched SoA) kernel.
         if self.legacy_kernel {
             config = config.with_kernel(rcarb_sim::KernelKind::Legacy);
         }

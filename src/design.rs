@@ -359,7 +359,7 @@ impl PlannedDesign {
 
     /// [`simulate`](Self::simulate) plus the kernel's cycle accounting:
     /// how many cycles were executed component by component versus
-    /// bulk-skipped by the event-driven scheduler.
+    /// bulk-skipped by the batched kernel's scheduler.
     ///
     /// # Errors
     ///
@@ -465,6 +465,7 @@ impl PlannedDesign {
 mod tests {
     use super::*;
     use rcarb_board::presets;
+    use rcarb_sim::KernelKind;
     use rcarb_taskgraph::builder::TaskGraphBuilder;
     use rcarb_taskgraph::program::{Expr, Program};
 
@@ -529,16 +530,16 @@ mod tests {
         let planned = Design::new(b.finish().unwrap(), presets::duo_small())
             .plan()
             .unwrap();
-        let (event_report, event) = planned
+        let (batched_report, batched) = planned
             .simulate_with_stats(SimConfig::new(), 10_000)
             .unwrap();
         let (legacy_report, legacy) = planned
-            .simulate_with_stats(SimConfig::new().with_legacy_kernel(true), 10_000)
+            .simulate_with_stats(SimConfig::new().with_kernel(KernelKind::Legacy), 10_000)
             .unwrap();
-        assert_eq!(event_report, legacy_report);
-        assert_eq!(event.total_cycles(), legacy.total_cycles());
+        assert_eq!(batched_report, legacy_report);
+        assert_eq!(batched.total_cycles(), legacy.total_cycles());
         assert_eq!(legacy.skipped_cycles, 0);
-        assert!(event.skipped_cycles > 150, "{event:?}");
+        assert!(batched.skipped_cycles > 150, "{batched:?}");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! 1. **Determinism** — a [`FaultPlan`] with a given seed produces a
 //!    byte-identical [`FaultReport`], [`RunReport`], memory image and
-//!    VCD on every run, *and* on both kernels (the event-driven one
-//!    clamps its skips to fault windows, so every in-window cycle
-//!    executes on both).
+//!    VCD on every run, *and* on both kernels (the batched one clamps
+//!    its skips to fault windows, so every in-window cycle and the
+//!    first cycle after each window executes on both).
 //! 2. **Zero-fault transparency** — an empty plan, or one whose windows
 //!    never open, is byte-identical to a run with no plan at all.
 //! 3. **Detection and recovery** — the watchdogs turn line faults,
@@ -18,6 +18,7 @@
 use proptest::prelude::*;
 use rcarb::board::memory::BankId;
 use rcarb::prelude::*;
+use rcarb::sim::KernelKind;
 use rcarb::taskgraph::id::{ArbiterId, ChannelId};
 
 /// Two tasks whose segments collide in duo_small's single shared bank:
@@ -95,8 +96,8 @@ fn zero_fault_runs_are_byte_identical() {
     let config = SimConfig::new().with_trace(true);
     let empty = FaultPlan::seeded(42);
     let dormant = FaultPlan::seeded(42).with_task_hang(TaskId::new(0), FaultWindow::at(5_000_000));
-    for legacy in [false, true] {
-        let cfg = config.with_legacy_kernel(legacy);
+    for kernel in [KernelKind::BatchedSoa, KernelKind::Legacy] {
+        let cfg = config.with_kernel(kernel);
         let baseline = observe(&graph, &insertion, cfg, None, 50_000);
         let with_empty = observe(&graph, &insertion, cfg, Some(&empty), 50_000);
         let with_dormant = observe(&graph, &insertion, cfg, Some(&dormant), 50_000);
@@ -135,20 +136,23 @@ fn seeded_plans_are_deterministic_across_runs_and_kernels() {
         .with_trace(true)
         .with_watchdog(WatchdogConfig::none().with_grant_timeout(32))
         .with_recovery(RecoveryPolicy::full());
-    let event_a = observe(&graph, &insertion, config, Some(&plan), 100_000);
-    let event_b = observe(&graph, &insertion, config, Some(&plan), 100_000);
+    let batched_a = observe(&graph, &insertion, config, Some(&plan), 100_000);
+    let batched_b = observe(&graph, &insertion, config, Some(&plan), 100_000);
     let legacy = observe(
         &graph,
         &insertion,
-        config.with_legacy_kernel(true),
+        config.with_kernel(KernelKind::Legacy),
         Some(&plan),
         100_000,
     );
-    assert_eq!(event_a, event_b, "same seed, same everything");
-    assert_eq!(event_a.0, legacy.0, "RunReports diverged across kernels");
-    assert_eq!(event_a.1, legacy.1, "FaultReports diverged across kernels");
-    assert_eq!(event_a.2, legacy.2, "VCD diverged across kernels");
-    assert_eq!(event_a.3, legacy.3, "memory diverged across kernels");
+    assert_eq!(batched_a, batched_b, "same seed, same everything");
+    assert_eq!(batched_a.0, legacy.0, "RunReports diverged across kernels");
+    assert_eq!(
+        batched_a.1, legacy.1,
+        "FaultReports diverged across kernels"
+    );
+    assert_eq!(batched_a.2, legacy.2, "VCD diverged across kernels");
+    assert_eq!(batched_a.3, legacy.3, "memory diverged across kernels");
 }
 
 // ---------------------------------------------------------------------
@@ -358,7 +362,7 @@ fn dead_bank_is_quarantined_onto_a_spare() {
     let merges = ChannelMergePlan::default();
     let arb_plan = insert_arbiters(&graph, &binding, &merges, &InsertionConfig::paper());
     let plan = FaultPlan::seeded(99).with_bank_read_error(sick, 1000, FaultWindow::starting_at(0));
-    let run = |legacy: bool| {
+    let run = |kernel: KernelKind| {
         let mut sys = SystemBuilder::from_plan(&arb_plan, &binding, &merges)
             .with_config(
                 SimConfig::new()
@@ -367,7 +371,7 @@ fn dead_bank_is_quarantined_onto_a_spare() {
                             .with_retry_reads(true)
                             .with_quarantine_banks(4),
                     )
-                    .with_legacy_kernel(legacy),
+                    .with_kernel(kernel),
             )
             .with_faults(plan.clone())
             .try_build(&board)
@@ -380,7 +384,7 @@ fn dead_bank_is_quarantined_onto_a_spare() {
         let words = sys.try_read_segment(graph.segments()[0].id(), 16).unwrap();
         (report, faults, words)
     };
-    let (report, faults, words) = run(false);
+    let (report, faults, words) = run(KernelKind::BatchedSoa);
     assert!(report.completed, "quarantine must unblock the reader");
     assert!(has_violation(&report, "BankReadFault"));
     assert_eq!(faults.detected, 1);
@@ -389,7 +393,7 @@ fn dead_bank_is_quarantined_onto_a_spare() {
     let expect: Vec<u64> = (0..8).map(|i| i * 3 + 1).collect();
     assert_eq!(words[8..16], expect[..]);
     // And the whole episode is kernel-independent.
-    let legacy = run(true);
+    let legacy = run(KernelKind::Legacy);
     assert_eq!((report, faults, words), legacy);
 }
 
@@ -428,12 +432,12 @@ fn noisy_channel_is_rerouted() {
     let merges = ChannelMergePlan::default();
     let arb_plan = insert_arbiters(&graph, &binding, &merges, &InsertionConfig::paper());
     let plan = FaultPlan::seeded(5).with_channel_bit_flip(c, FaultWindow::starting_at(0));
-    let run = |legacy: bool| {
+    let run = |kernel: KernelKind| {
         let mut sys = SystemBuilder::from_plan(&arb_plan, &binding, &merges)
             .with_config(
                 SimConfig::new()
                     .with_recovery(RecoveryPolicy::none().with_reroute_channels(2))
-                    .with_legacy_kernel(legacy),
+                    .with_kernel(kernel),
             )
             .with_faults(plan.clone())
             .try_build(&board)
@@ -443,7 +447,7 @@ fn noisy_channel_is_rerouted() {
         let words = sys.try_read_segment(seg, 1).unwrap();
         (report, faults, words)
     };
-    let (report, faults, words) = run(false);
+    let (report, faults, words) = run(KernelKind::BatchedSoa);
     assert!(report.completed);
     assert!(has_violation(&report, "ChannelFault"));
     assert_eq!(faults.detected, 1);
@@ -451,7 +455,7 @@ fn noisy_channel_is_rerouted() {
     // After the re-route the fault cannot inject: the final transfer
     // arrives intact on the fresh route.
     assert_eq!(words[0], 1 << 8 | 7);
-    let legacy = run(true);
+    let legacy = run(KernelKind::Legacy);
     assert_eq!((report, faults, words), legacy);
 }
 
@@ -531,7 +535,7 @@ fn transient_task_hang_resumes_exactly() {
     let legacy = observe(
         &graph,
         &insertion,
-        config.with_legacy_kernel(true),
+        config.with_kernel(KernelKind::Legacy),
         Some(&plan),
         100_000,
     );
@@ -645,19 +649,19 @@ proptest! {
             )
             .with_recovery(RecoveryPolicy::full());
         let insertion = InsertionConfig::paper();
-        let event = observe(&graph, &insertion, config, Some(&plan), 20_000);
-        let event_again = observe(&graph, &insertion, config, Some(&plan), 20_000);
+        let batched = observe(&graph, &insertion, config, Some(&plan), 20_000);
+        let batched_again = observe(&graph, &insertion, config, Some(&plan), 20_000);
         let legacy = observe(
             &graph,
             &insertion,
-            config.with_legacy_kernel(true),
+            config.with_kernel(KernelKind::Legacy),
             Some(&plan),
             20_000,
         );
-        prop_assert_eq!(&event, &event_again, "determinism broke");
-        prop_assert_eq!(&event.0, &legacy.0, "RunReports diverged");
-        prop_assert_eq!(&event.1, &legacy.1, "FaultReports diverged");
-        prop_assert_eq!(&event.2, &legacy.2, "VCD diverged");
-        prop_assert_eq!(&event.3, &legacy.3, "memory diverged");
+        prop_assert_eq!(&batched, &batched_again, "determinism broke");
+        prop_assert_eq!(&batched.0, &legacy.0, "RunReports diverged");
+        prop_assert_eq!(&batched.1, &legacy.1, "FaultReports diverged");
+        prop_assert_eq!(&batched.2, &legacy.2, "VCD diverged");
+        prop_assert_eq!(&batched.3, &legacy.3, "memory diverged");
     }
 }

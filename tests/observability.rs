@@ -11,13 +11,14 @@
 //!    and the facade's `design/*` spans nest correctly.
 //! 3. **Determinism** — the deterministic subset of the snapshot
 //!    (`sim/*` and `fault/*`; kernel- and pool-private series excluded)
-//!    is identical across the event-driven and legacy kernels for random
+//!    is identical across the batched and legacy kernels for random
 //!    designs, and pool-local counters are thread-count-insensitive.
 
 use proptest::prelude::*;
 use rcarb::obs::chrome::validate_trace;
 use rcarb::obs::MetricsSnapshot;
 use rcarb::prelude::*;
+use rcarb::sim::KernelKind;
 
 /// Two tasks colliding in duo_small's shared bank — the quickstart
 /// shape, guaranteed to instantiate an arbiter.
@@ -163,14 +164,14 @@ fn random_design(num_tasks: usize, patterns: &[Vec<u8>]) -> TaskGraph {
 
 /// Runs `graph` on the chosen kernel with a fresh session and returns
 /// the deterministic (kernel-independent) slice of the snapshot.
-fn observed_deterministic(graph: &TaskGraph, legacy: bool) -> (RunReport, MetricsSnapshot) {
+fn observed_deterministic(graph: &TaskGraph, kernel: KernelKind) -> (RunReport, MetricsSnapshot) {
     let board = presets::duo_small();
     let binding = bind_segments(graph.segments(), &board, &|_| None).expect("binds");
     let merges = ChannelMergePlan::default();
     let plan = insert_arbiters(graph, &binding, &merges, &InsertionConfig::paper());
     let obs = ObsConfig::on().session().unwrap();
     let mut sys = SystemBuilder::from_plan(&plan, &binding, &merges)
-        .with_config(SimConfig::new().with_legacy_kernel(legacy))
+        .with_config(SimConfig::new().with_kernel(kernel))
         .with_obs(obs.clone())
         .try_build(&board)
         .unwrap();
@@ -190,17 +191,17 @@ proptest! {
         patterns in proptest::collection::vec(proptest::collection::vec(0u8..=255, 1..24), 2..4)
     ) {
         let graph = random_design(patterns.len(), &patterns);
-        let (event_report, event_snap) = observed_deterministic(&graph, false);
-        let (legacy_report, legacy_snap) = observed_deterministic(&graph, true);
-        prop_assert_eq!(event_report, legacy_report);
-        prop_assert_eq!(event_snap, legacy_snap);
+        let (batched_report, batched_snap) = observed_deterministic(&graph, KernelKind::BatchedSoa);
+        let (legacy_report, legacy_snap) = observed_deterministic(&graph, KernelKind::Legacy);
+        prop_assert_eq!(batched_report, legacy_report);
+        prop_assert_eq!(batched_snap, legacy_snap);
     }
 }
 
 #[test]
 fn deterministic_filter_drops_kernel_private_series() {
     let graph = contended_graph();
-    let (_, snap) = observed_deterministic(&graph, false);
+    let (_, snap) = observed_deterministic(&graph, KernelKind::BatchedSoa);
     assert!(!snap.is_empty());
     assert!(snap.counter("sim/cycles_total") > 0);
     assert!(snap.get("kernel/executed_cycles").is_none());

@@ -17,6 +17,7 @@ use rcarb::board::board::Board;
 use rcarb::board::presets;
 use rcarb::sim::config::{SimConfig, WatchdogConfig};
 use rcarb::sim::engine::SystemBuilder;
+use rcarb::sim::KernelKind;
 use rcarb::taskgraph::builder::TaskGraphBuilder;
 use rcarb::taskgraph::program::{Expr, Op, Program};
 
@@ -249,12 +250,12 @@ fn every_corpus_error_carries_a_witness_that_replays_on_both_kernels() {
         for o in &outcomes {
             assert!(
                 o.confirmed(),
-                "{}: {} at {} expecting {} — event={} legacy={}",
+                "{}: {} at {} expecting {} — batched={} legacy={}",
                 s.name,
                 o.code,
                 o.location,
                 o.expect,
-                o.event_confirmed,
+                o.batched_confirmed,
                 o.legacy_confirmed
             );
         }
@@ -332,20 +333,20 @@ proptest! {
             .with_grant_timeout(((n.max(2) - 1) * (u64::from(m) + 2) + 16).max(64))
             .with_progress_bound(256)
             .with_fairness_m(m);
-        for legacy in [false, true] {
+        for kernel in [KernelKind::BatchedSoa, KernelKind::Legacy] {
             let mut sys = SystemBuilder::from_plan(&plan, &binding, &merges)
                 .with_config(
                     SimConfig::new()
                         .with_watchdog(watchdog)
-                        .with_legacy_kernel(legacy),
+                        .with_kernel(kernel),
                 )
                 .try_build(&board)
                 .unwrap();
             let run = sys.run(1_000_000);
-            prop_assert!(run.completed, "legacy={legacy}: did not terminate");
+            prop_assert!(run.completed, "{kernel:?}: did not terminate");
             prop_assert!(
                 run.violations.is_empty(),
-                "legacy={legacy}: {:?}",
+                "{kernel:?}: {:?}",
                 run.violations
             );
         }
