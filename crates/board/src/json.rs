@@ -2,10 +2,9 @@
 //! external tagging, plus whole-board round-trip tests. The per-struct
 //! conversions live next to each type (they need private-field access).
 
-use crate::board::PeId;
-use crate::memory::{BankAttachment, BankId};
+use crate::memory::BankAttachment;
 use crate::resources::ResourceError;
-use rcarb_json::{expect_field, FromJson, Json, JsonError, ToJson};
+use rcarb_json::{decode_fields, Decoder, FromJson, Json, JsonError, ToJson};
 
 impl ToJson for BankAttachment {
     fn to_json(&self) -> Json {
@@ -17,12 +16,11 @@ impl ToJson for BankAttachment {
 }
 
 impl FromJson for BankAttachment {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Str(s) if s == "Shared" => Ok(BankAttachment::Shared),
-            Json::Obj(_) => Ok(BankAttachment::Local(PeId::from_json(expect_field(
-                v, "Local",
-            )?)?)),
+    #[allow(non_snake_case)]
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        match d.peek() {
+            Some(b'"') if d.string()? == "Shared" => Ok(BankAttachment::Shared),
+            Some(b'{') => Ok(decode_fields!(d, { Local } => BankAttachment::Local(Local))),
             _ => Err(JsonError::shape("expected a BankAttachment")),
         }
     }
@@ -73,41 +71,40 @@ impl ToJson for ResourceError {
 }
 
 impl FromJson for ResourceError {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| JsonError::shape("expected a ResourceError object"))?;
-        let (tag, body) = pairs
-            .first()
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        d.object("expected a ResourceError object")?;
+        let tag = d
+            .next_key()?
             .ok_or_else(|| JsonError::shape("expected a tagged ResourceError"))?;
-        let requested = u32::from_json(expect_field(body, "requested")?)?;
-        let free = u32::from_json(expect_field(body, "free")?)?;
-        match tag.as_str() {
-            "ClbsExhausted" => Ok(ResourceError::ClbsExhausted {
-                pe: PeId::from_json(expect_field(body, "pe")?)?,
-                requested,
-                free,
+        let err = match &*tag {
+            "ClbsExhausted" => decode_fields!(d, { requested, free, pe } => {
+                ResourceError::ClbsExhausted { pe, requested, free }
             }),
-            "BankExhausted" => Ok(ResourceError::BankExhausted {
-                bank: BankId::from_json(expect_field(body, "bank")?)?,
-                requested,
-                free,
+            "BankExhausted" => decode_fields!(d, { requested, free, bank } => {
+                ResourceError::BankExhausted { bank, requested, free }
             }),
-            "PinsExhausted" => Ok(ResourceError::PinsExhausted {
-                pe: PeId::from_json(expect_field(body, "pe")?)?,
-                requested,
-                free,
+            "PinsExhausted" => decode_fields!(d, { requested, free, pe } => {
+                ResourceError::PinsExhausted { pe, requested, free }
             }),
-            other => Err(JsonError::shape(format!(
-                "unknown ResourceError variant `{other}`"
-            ))),
+            other => {
+                return Err(JsonError::shape(format!(
+                    "unknown ResourceError variant `{other}`"
+                )))
+            }
+        };
+        // The first member is the error; any others are ignored.
+        while d.next_key()?.is_some() {
+            d.skip()?;
         }
+        Ok(err)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::board::PeId;
+    use crate::memory::BankId;
     use crate::presets;
 
     #[test]

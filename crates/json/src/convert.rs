@@ -1,6 +1,6 @@
 //! The [`ToJson`]/[`FromJson`] conversion traits and primitive impls.
 
-use crate::parse::JsonError;
+use crate::decode::{Decoder, JsonError};
 use crate::value::{Json, Number};
 
 /// Serializes a value to a [`Json`] document.
@@ -9,29 +9,23 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-/// Deserializes a value from a [`Json`] document.
+/// Deserializes a value straight from JSON text.
 pub trait FromJson: Sized {
-    /// Reads the document.
+    /// Reads one value off the decoder, leaving it just past the value.
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] when the document has the wrong shape.
-    fn from_json(v: &Json) -> Result<Self, JsonError>;
+    /// Returns [`JsonError`] when the text is malformed or the value has
+    /// the wrong shape.
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError>;
 }
 
-/// Looks up a required object field; used by the derive-style macros.
-///
-/// # Errors
-///
-/// Returns [`JsonError`] when `v` is not an object or lacks the field.
-pub fn expect_field<'a>(v: &'a Json, name: &str) -> Result<&'a Json, JsonError> {
-    match v {
-        Json::Obj(_) => v
-            .get(name)
-            .ok_or_else(|| JsonError::shape(format!("missing field `{name}`"))),
-        other => Err(JsonError::shape(format!(
-            "expected an object with field `{name}`, found {other:?}"
-        ))),
+/// Reads a number, or fails with the shape error `expected` when the
+/// next value is not one.
+fn number(d: &mut Decoder<'_>, expected: &str) -> Result<Number, JsonError> {
+    match d.peek() {
+        Some(b'-' | b'0'..=b'9') => d.number(),
+        _ => Err(JsonError::shape(expected)),
     }
 }
 
@@ -44,12 +38,12 @@ macro_rules! impl_json_uint {
                 }
             }
             impl FromJson for $ty {
-                fn from_json(v: &Json) -> Result<Self, JsonError> {
-                    v.as_u64()
+                fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+                    const EXPECTED: &str = concat!("expected a ", stringify!($ty));
+                    number(d, EXPECTED)?
+                        .as_u64()
                         .and_then(|u| <$ty>::try_from(u).ok())
-                        .ok_or_else(|| {
-                            JsonError::shape(concat!("expected a ", stringify!($ty)))
-                        })
+                        .ok_or_else(|| JsonError::shape(EXPECTED))
                 }
             }
         )+
@@ -67,12 +61,12 @@ macro_rules! impl_json_int {
                 }
             }
             impl FromJson for $ty {
-                fn from_json(v: &Json) -> Result<Self, JsonError> {
-                    v.as_i64()
+                fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+                    const EXPECTED: &str = concat!("expected an ", stringify!($ty));
+                    number(d, EXPECTED)?
+                        .as_i64()
                         .and_then(|i| <$ty>::try_from(i).ok())
-                        .ok_or_else(|| {
-                            JsonError::shape(concat!("expected an ", stringify!($ty)))
-                        })
+                        .ok_or_else(|| JsonError::shape(EXPECTED))
                 }
             }
         )+
@@ -88,9 +82,8 @@ impl ToJson for f64 {
 }
 
 impl FromJson for f64 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_f64()
-            .ok_or_else(|| JsonError::shape("expected a number"))
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        number(d, "expected a number").map(Number::as_f64)
     }
 }
 
@@ -101,9 +94,11 @@ impl ToJson for bool {
 }
 
 impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_bool()
-            .ok_or_else(|| JsonError::shape("expected a boolean"))
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        match d.peek() {
+            Some(b't' | b'f') => d.bool(),
+            _ => Err(JsonError::shape("expected a boolean")),
+        }
     }
 }
 
@@ -120,10 +115,11 @@ impl ToJson for String {
 }
 
 impl FromJson for String {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| JsonError::shape("expected a string"))
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        match d.peek() {
+            Some(b'"') => d.string().map(String::from),
+            _ => Err(JsonError::shape("expected a string")),
+        }
     }
 }
 
@@ -134,12 +130,13 @@ impl<T: ToJson> ToJson for Vec<T> {
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_array()
-            .ok_or_else(|| JsonError::shape("expected an array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        d.array("expected an array")?;
+        let mut items = Vec::new();
+        while d.next_element()? {
+            items.push(T::from_json(d)?);
+        }
+        Ok(items)
     }
 }
 
@@ -153,10 +150,11 @@ impl<T: ToJson> ToJson for Option<T> {
 }
 
 impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        if d.peek() == Some(b'n') {
+            d.null().map(|()| None)
+        } else {
+            T::from_json(d).map(Some)
         }
     }
 }
@@ -168,8 +166,8 @@ impl<T: ToJson + ?Sized> ToJson for Box<T> {
 }
 
 impl<T: FromJson> FromJson for Box<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        T::from_json(v).map(Box::new)
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        T::from_json(d).map(Box::new)
     }
 }
 
@@ -186,10 +184,24 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
 }
 
 impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_array() {
-            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
-            _ => Err(JsonError::shape("expected a two-element array")),
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        const PAIR: &str = "expected a two-element array";
+        let element = |d: &mut Decoder<'_>| {
+            if d.next_element()? {
+                Ok(())
+            } else {
+                Err(JsonError::shape(PAIR))
+            }
+        };
+        d.array(PAIR)?;
+        element(d)?;
+        let a = A::from_json(d)?;
+        element(d)?;
+        let b = B::from_json(d)?;
+        if d.next_element()? {
+            Err(JsonError::shape(PAIR))
+        } else {
+            Ok((a, b))
         }
     }
 }
@@ -200,8 +212,34 @@ impl ToJson for Json {
     }
 }
 
+/// The tree builder: any value, as a [`Json`] document.
 impl FromJson for Json {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(v.clone())
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        Ok(match d.peek() {
+            Some(b'n') => {
+                d.null()?;
+                Json::Null
+            }
+            Some(b't' | b'f') => Json::Bool(d.bool()?),
+            Some(b'"') => Json::Str(d.string()?.into_owned()),
+            Some(b'-' | b'0'..=b'9') => Json::Num(d.number()?),
+            Some(b'[') => {
+                d.begin_array()?;
+                let mut items = Vec::new();
+                while d.next_element()? {
+                    items.push(Json::from_json(d)?);
+                }
+                Json::Arr(items)
+            }
+            Some(b'{') => {
+                d.begin_object()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = d.next_key()? {
+                    pairs.push((key.into_owned(), Json::from_json(d)?));
+                }
+                Json::Obj(pairs)
+            }
+            _ => return Err(d.not_a_value()),
+        })
     }
 }

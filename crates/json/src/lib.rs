@@ -5,9 +5,17 @@
 //! The repository's portability story ("a design is plain data") rests on
 //! serializing boards and taskgraphs to JSON and back. This crate provides
 //! the small JSON substrate that story needs — a value model ([`Json`]),
-//! a strict parser ([`Json::parse`]), compact and pretty printers, and the
+//! compact and pretty printers, a strict pull [`Decoder`], and the
 //! [`ToJson`]/[`FromJson`] conversion traits — with no dependencies, so
 //! the workspace builds without any registry access.
+//!
+//! Decoding reads typed values straight from the text: each [`FromJson`]
+//! impl pulls its scalars off the [`Decoder`] and steps through objects
+//! and arrays itself, so no intermediate tree is built. Strings without
+//! escapes are borrowed from the text, values nobody asked for are
+//! skipped (and still validated), and nesting is capped at
+//! [`MAX_DEPTH`]. The tree is one more [`FromJson`] impl:
+//! [`Json::parse`] is `from_str::<Json>`, and there is no other parser.
 //!
 //! The layout conventions mirror what a derive-based serializer would
 //! produce, keeping existing documents valid:
@@ -19,12 +27,12 @@
 //! - tuples become fixed-length arrays, `Option` uses `null` for `None`.
 
 mod convert;
-mod parse;
+mod decode;
 mod print;
 mod value;
 
-pub use convert::{expect_field, FromJson, ToJson};
-pub use parse::JsonError;
+pub use convert::{FromJson, ToJson};
+pub use decode::{Decoder, JsonError, MAX_DEPTH};
 pub use value::{Json, Number};
 
 /// Serializes a value to a compact JSON string.
@@ -42,24 +50,66 @@ pub fn to_value<T: ToJson + ?Sized>(value: &T) -> Json {
     value.to_json()
 }
 
-/// Deserializes a value from a JSON string.
+/// Deserializes a value from a JSON string: the value, then nothing but
+/// whitespace.
 ///
 /// # Errors
 ///
 /// Returns [`JsonError`] on malformed text or a document that does not
-/// match the expected shape.
+/// match the expected shape. When the text is malformed anywhere, the
+/// error is its first syntax error, even if a shape error comes earlier
+/// in the text.
 pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
-    T::from_json(&Json::parse(text)?)
+    let mut d = Decoder::new(text);
+    T::from_json(&mut d)
+        .and_then(|value| d.finish().map(|()| value))
+        .map_err(|e| {
+            // The error path alone re-reads the text: validating it whole
+            // ranks a later syntax error ahead of an early shape error.
+            let mut check = Decoder::new(text);
+            check
+                .skip()
+                .and_then(|()| check.finish())
+                .err()
+                .unwrap_or(e)
+        })
 }
 
-/// Deserializes a value from a [`Json`] document.
+/// Decodes an object into the named fields and evaluates `$build` with
+/// them bound, as `decode_fields!(d, { a, b: u64, c = None } => Ty { a, b, c })`.
 ///
-/// # Errors
-///
-/// Returns [`JsonError`] when the document does not match the expected
-/// shape.
-pub fn from_value<T: FromJson>(doc: &Json) -> Result<T, JsonError> {
-    T::from_json(doc)
+/// Keys are read in document order: the first occurrence of a field
+/// wins, and unknown keys and later duplicates are skipped (but still
+/// validated). A field is decoded as its annotated type, or as the type
+/// `$build` infers for it. A field given a default may be absent; any
+/// other missing field is an error, reported by name in the order
+/// listed, and a value that is not an object is reported against the
+/// first field. Errors are returned with `?` from the enclosing
+/// function.
+#[macro_export]
+macro_rules! decode_fields {
+    (@or $field:ident) => {
+        $field.ok_or_else(|| $crate::JsonError::missing_field(stringify!($field)))?
+    };
+    (@or $field:ident, $default:expr) => {
+        $field.unwrap_or($default)
+    };
+    ($d:ident, {
+        $($field:ident $(: $ty:ty)? $(= $default:expr)?),+ $(,)?
+    } => $build:expr) => {{
+        $(let mut $field $(: Option<$ty>)? = None;)+
+        $d.fields([$(stringify!($field)),+][0])?;
+        while let Some(key) = $d.next_key()? {
+            match &*key {
+                $(stringify!($field) if $field.is_none() => {
+                    $field = Some($crate::FromJson::from_json($d)?);
+                })+
+                _ => $d.skip()?,
+            }
+        }
+        $(let $field = $crate::decode_fields!(@or $field $(, $default)?);)+
+        $build
+    }};
 }
 
 /// Implements [`ToJson`]/[`FromJson`] for a struct as an object keyed by
@@ -76,12 +126,8 @@ macro_rules! impl_json_struct {
             }
         }
         impl $crate::FromJson for $ty {
-            fn from_json(v: &$crate::Json) -> Result<Self, $crate::JsonError> {
-                Ok(Self {
-                    $($field: $crate::FromJson::from_json(
-                        $crate::expect_field(v, stringify!($field))?,
-                    )?),+
-                })
+            fn from_json(d: &mut $crate::Decoder<'_>) -> Result<Self, $crate::JsonError> {
+                Ok($crate::decode_fields!(d, { $($field),+ } => Self { $($field),+ }))
             }
         }
     };
@@ -100,12 +146,14 @@ macro_rules! impl_json_unit_enum {
             }
         }
         impl $crate::FromJson for $ty {
-            fn from_json(v: &$crate::Json) -> Result<Self, $crate::JsonError> {
-                match v.as_str() {
-                    $(Some(stringify!($variant)) => Ok($ty::$variant),)+
-                    _ => Err($crate::JsonError::shape(concat!(
-                        "expected a ", stringify!($ty), " variant name"
-                    ))),
+            fn from_json(d: &mut $crate::Decoder<'_>) -> Result<Self, $crate::JsonError> {
+                const EXPECTED: &str = concat!("expected a ", stringify!($ty), " variant name");
+                if d.peek() != Some(b'"') {
+                    return Err($crate::JsonError::shape(EXPECTED));
+                }
+                match &*d.string()? {
+                    $(stringify!($variant) => Ok($ty::$variant),)+
+                    _ => Err($crate::JsonError::shape(EXPECTED)),
                 }
             }
         }
@@ -124,8 +172,8 @@ macro_rules! impl_json_newtype {
             }
         }
         impl $crate::FromJson for $ty {
-            fn from_json(v: &$crate::Json) -> Result<Self, $crate::JsonError> {
-                Ok($ty($crate::FromJson::from_json(v)?))
+            fn from_json(d: &mut $crate::Decoder<'_>) -> Result<Self, $crate::JsonError> {
+                $crate::FromJson::from_json(d).map($ty)
             }
         }
     };
@@ -134,6 +182,7 @@ macro_rules! impl_json_newtype {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
 
     #[test]
     fn round_trip_all_shapes() {
@@ -173,6 +222,88 @@ mod tests {
     fn unicode_escapes_decode() {
         let doc = Json::parse(r#""\u0041\uD83D\uDE00""#).unwrap();
         assert_eq!(doc.as_str(), Some("A\u{1F600}"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Vec<Json>>(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid JSON: nesting deeper than 128 at byte 128"
+        );
+        // Skipped values are held to the same cap.
+        let deep = format!(r#"{{"a": 1, "b": {}}}"#, "{\"c\": ".repeat(200));
+        let err = from_str::<Option<u32>>(&deep).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let mut d = Decoder::new(r#" "plain" "a\tb" "#);
+        assert!(matches!(d.string().unwrap(), Cow::Borrowed("plain")));
+        assert!(matches!(d.string().unwrap(), Cow::Owned(s) if s == "a\tb"));
+    }
+
+    #[test]
+    fn a_syntax_error_outranks_an_earlier_shape_error() {
+        // The first element is the wrong type, but the text is also
+        // malformed further on: the syntax error is what gets reported.
+        let err = from_str::<Vec<u32>>(r#"["x", 2, ]"#).unwrap_err();
+        assert_eq!(err.to_string(), "invalid JSON: expected a value at byte 9");
+        let err = from_str::<Vec<u32>>(r#"["x", 2] 3"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid JSON: trailing characters at byte 9"
+        );
+        let err = from_str::<Vec<u32>>(r#"["x", 2]"#).unwrap_err();
+        assert_eq!(err.to_string(), "invalid JSON: expected a u32");
+    }
+
+    struct Pair {
+        a: u32,
+        b: Option<String>,
+    }
+
+    impl_json_struct!(Pair { a, b });
+
+    #[test]
+    fn struct_fields_decode_in_document_order_and_the_first_key_wins() {
+        let p: Pair = from_str(r#"{"b": "x", "z": [1, {"q": null}], "a": 1, "a": "dup"}"#).unwrap();
+        assert_eq!((p.a, p.b.as_deref()), (1, Some("x")));
+        let err = from_str::<Pair>(r#"{"b": null}"#).err().unwrap();
+        assert_eq!(err.to_string(), "invalid JSON: missing field `a`");
+        let err = from_str::<Pair>("[1]").err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            "invalid JSON: expected an object with field `a`, found Arr([Num(Uint(1))])"
+        );
+        // Unknown members are validated even though they are skipped.
+        let err = from_str::<Pair>(r#"{"a": 1, "b": null, "z": [1,]}"#)
+            .err()
+            .unwrap();
+        assert_eq!(err.to_string(), "invalid JSON: expected a value at byte 28");
+    }
+
+    #[test]
+    fn numbers_keep_their_classification() {
+        let num = |text: &str| Decoder::new(text).number().unwrap();
+        assert_eq!(num("0"), Number::Uint(0));
+        assert_eq!(num("-0"), Number::Int(0));
+        assert_eq!(
+            num("9999999999999999999"),
+            Number::Uint(9_999_999_999_999_999_999)
+        );
+        assert_eq!(num("18446744073709551615"), Number::Uint(u64::MAX));
+        assert_eq!(
+            num("18446744073709551616"),
+            Number::Float(18_446_744_073_709_551_616.0)
+        );
+        assert_eq!(num("-9223372036854775808"), Number::Int(i64::MIN));
+        assert_eq!(num("4.0"), Number::Float(4.0));
+        assert_eq!(num("1e2"), Number::Float(100.0));
     }
 
     #[test]

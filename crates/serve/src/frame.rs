@@ -30,9 +30,14 @@ pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 /// Frame header size: `u32` payload length + `u32` CRC-32, both LE.
 pub const HEADER_LEN: usize = 8;
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) lookup tables for slicing-by-8,
+/// built at compile time: `CRC_TABLES[0]` is the classic bytewise table,
+/// and `CRC_TABLES[k][b]` advances the CRC of byte `b` past `k` more
+/// zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -45,19 +50,46 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
-};
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
 
 /// The CRC-32 (IEEE) of `bytes` — the integrity word every frame
 /// carries, so corruption anywhere on the wire is detected before the
-/// payload reaches the JSON layer.
+/// payload reaches the JSON layer. Folds eight bytes per step through
+/// eight tables, then the tail one byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !bytes.iter().fold(!0u32, |crc, &b| {
-        (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize]
-    })
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
+    }
+    !crc
 }
 
 /// The typed payload inside an [`io::Error`] raised when a frame's CRC
@@ -326,6 +358,44 @@ mod tests {
         // The canonical check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// CRC-32/IEEE one bit at a time, straight from the polynomial.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xedb8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_a_bitwise_reference_at_every_length_and_offset() {
+        let data: Vec<u8> = (0..200u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bitwise(&data[..len]),
+                "len {len}"
+            );
+        }
+        // Unaligned sub-slices: every start within a word, lengths that
+        // straddle the eight-byte steps.
+        for start in 0..8 {
+            for len in [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100, 191] {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
+            }
+        }
     }
 
     #[test]

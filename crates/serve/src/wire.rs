@@ -23,7 +23,7 @@ use rcarb::backend::{
     SimulateResponse, SweepRequest, SweepResponse, SynthesizeRequest, SynthesizeResponse,
 };
 use rcarb_core::Error;
-use rcarb_json::{expect_field, FromJson, Json, JsonError, ToJson};
+use rcarb_json::{decode_fields, Decoder, FromJson, Json, JsonError, ToJson};
 
 /// One client request: a correlation id (echoed on the response), the
 /// requesting tenant, an optional deadline, and the operation.
@@ -172,8 +172,8 @@ rcarb_json::impl_json_struct!(WireError {
 });
 rcarb_json::impl_json_struct!(ResponseFrame { id, body });
 
-// RequestFrame's JSON shape is hand-rolled so `deadline_ms` can be
-// omitted or null (older clients never send it).
+// RequestFrame is not `impl_json_struct!`: `deadline_ms` may be omitted
+// as well as null (older clients never send it).
 impl ToJson for RequestFrame {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -186,17 +186,11 @@ impl ToJson for RequestFrame {
 }
 
 impl FromJson for RequestFrame {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let deadline_ms = match v.get("deadline_ms") {
-            None => None,
-            Some(field) => Option::<u64>::from_json(field)?,
-        };
-        Ok(Self {
-            id: FromJson::from_json(expect_field(v, "id")?)?,
-            tenant: FromJson::from_json(expect_field(v, "tenant")?)?,
-            deadline_ms,
-            body: FromJson::from_json(expect_field(v, "body")?)?,
-        })
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        let frame = decode_fields!(d, { id, tenant, deadline_ms = None, body } => {
+            Self { id, tenant, deadline_ms, body }
+        });
+        Ok(frame)
     }
 }
 
@@ -267,15 +261,6 @@ impl WireError {
     }
 }
 
-fn one_key<'a>(v: &'a Json, what: &str) -> Result<(&'a str, &'a Json), JsonError> {
-    match v.as_object() {
-        Some([(key, value)]) => Ok((key.as_str(), value)),
-        _ => Err(JsonError::shape(format!(
-            "expected a single-key {what} object or a bare variant string"
-        ))),
-    }
-}
-
 impl ToJson for RequestBody {
     fn to_json(&self) -> Json {
         match self {
@@ -290,22 +275,23 @@ impl ToJson for RequestBody {
 }
 
 impl FromJson for RequestBody {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Some(name) = v.as_str() {
-            return match name {
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        let unknown = |name: &str| JsonError::shape(format!("unknown request `{name}`"));
+        if d.peek() == Some(b'"') {
+            return match &*d.string()? {
                 "Ping" => Ok(RequestBody::Ping),
-                other => Err(JsonError::shape(format!("unknown request `{other}`"))),
+                other => Err(unknown(other)),
             };
         }
-        let (key, value) = one_key(v, "request")?;
-        match key {
-            "Synthesize" => Ok(RequestBody::Synthesize(FromJson::from_json(value)?)),
-            "Plan" => Ok(RequestBody::Plan(FromJson::from_json(value)?)),
-            "Analyze" => Ok(RequestBody::Analyze(FromJson::from_json(value)?)),
-            "Simulate" => Ok(RequestBody::Simulate(FromJson::from_json(value)?)),
-            "Sweep" => Ok(RequestBody::Sweep(FromJson::from_json(value)?)),
-            other => Err(JsonError::shape(format!("unknown request `{other}`"))),
-        }
+        let shape = "expected a single-key request object or a bare variant string";
+        d.variant(shape, shape, |d, tag| match tag {
+            "Synthesize" => FromJson::from_json(d).map(RequestBody::Synthesize),
+            "Plan" => FromJson::from_json(d).map(RequestBody::Plan),
+            "Analyze" => FromJson::from_json(d).map(RequestBody::Analyze),
+            "Simulate" => FromJson::from_json(d).map(RequestBody::Simulate),
+            "Sweep" => FromJson::from_json(d).map(RequestBody::Sweep),
+            other => Err(unknown(other)),
+        })
     }
 }
 
@@ -324,23 +310,24 @@ impl ToJson for ResponseBody {
 }
 
 impl FromJson for ResponseBody {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Some(name) = v.as_str() {
-            return match name {
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        let unknown = |name: &str| JsonError::shape(format!("unknown response `{name}`"));
+        if d.peek() == Some(b'"') {
+            return match &*d.string()? {
                 "Pong" => Ok(ResponseBody::Pong),
-                other => Err(JsonError::shape(format!("unknown response `{other}`"))),
+                other => Err(unknown(other)),
             };
         }
-        let (key, value) = one_key(v, "response")?;
-        match key {
-            "Synthesize" => Ok(ResponseBody::Synthesize(FromJson::from_json(value)?)),
-            "Plan" => Ok(ResponseBody::Plan(FromJson::from_json(value)?)),
-            "Analyze" => Ok(ResponseBody::Analyze(FromJson::from_json(value)?)),
-            "Simulate" => Ok(ResponseBody::Simulate(FromJson::from_json(value)?)),
-            "Sweep" => Ok(ResponseBody::Sweep(FromJson::from_json(value)?)),
-            "Error" => Ok(ResponseBody::Error(FromJson::from_json(value)?)),
-            other => Err(JsonError::shape(format!("unknown response `{other}`"))),
-        }
+        let shape = "expected a single-key response object or a bare variant string";
+        d.variant(shape, shape, |d, tag| match tag {
+            "Synthesize" => FromJson::from_json(d).map(ResponseBody::Synthesize),
+            "Plan" => FromJson::from_json(d).map(ResponseBody::Plan),
+            "Analyze" => FromJson::from_json(d).map(ResponseBody::Analyze),
+            "Simulate" => FromJson::from_json(d).map(ResponseBody::Simulate),
+            "Sweep" => FromJson::from_json(d).map(ResponseBody::Sweep),
+            "Error" => FromJson::from_json(d).map(ResponseBody::Error),
+            other => Err(unknown(other)),
+        })
     }
 }
 

@@ -325,6 +325,165 @@ fn slow_loris_peers_get_a_typed_error_and_a_hangup() {
     assert!(rcarb_serve::read_frame(&mut reader).unwrap().is_none());
 }
 
+/// Sends one raw payload on a fresh in-memory connection and returns the
+/// server's answer.
+fn exchange(server: &Server, payload: &[u8]) -> (Vec<u8>, rcarb_serve::PipeReader) {
+    let (mut reader, mut writer) = server.connect_in_memory().into_split();
+    rcarb_serve::write_frame(&mut writer, payload).unwrap();
+    let answer = rcarb_serve::read_frame(&mut reader)
+        .unwrap()
+        .expect("an answer");
+    (answer, reader)
+}
+
+/// The typed error a protocol-level rejection carries.
+fn protocol_rejection(answer: &[u8]) -> rcarb_serve::WireError {
+    let frame: rcarb_serve::ResponseFrame =
+        rcarb::json::from_str(std::str::from_utf8(answer).unwrap()).unwrap();
+    assert_eq!(frame.id, 0, "a rejected frame has no request id");
+    match frame.body {
+        ResponseBody::Error(e) => e,
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+}
+
+/// A 100,000-deep nest of arrays in a CRC-valid frame used to overflow
+/// the connection reader's stack inside the decoder and abort the whole
+/// process. The decoder's depth cap turns it into a typed `BadRequest`
+/// (whether the nest is the payload itself or sits under a key nobody
+/// reads), the connection is closed, and the server keeps serving.
+#[test]
+fn deeply_nested_requests_get_a_typed_error_and_the_server_survives() {
+    let server = Server::in_process(ServeConfig::default());
+    let deep = "[".repeat(100_000);
+    let frame = r#"{"id":1,"tenant":"t","body":"Ping","x":"#;
+    // The first bracket past the cap: 128 levels of arrays, or the
+    // frame's object and 127 arrays.
+    let cases = [
+        (deep.clone(), 128),
+        (format!("{frame}{deep}"), frame.len() + 127),
+    ];
+    for (payload, at) in cases {
+        let (answer, mut reader) = exchange(&server, payload.as_bytes());
+        let e = protocol_rejection(&answer);
+        assert_eq!(e.code, ErrorCode::BadRequest, "{e:?}");
+        assert!(!e.retryable);
+        assert_eq!(
+            e.message,
+            format!("bad request frame: invalid JSON: nesting deeper than 128 at byte {at}")
+        );
+        // The server hung up on the bad frame.
+        assert!(rcarb_serve::read_frame(&mut reader).unwrap().is_none());
+    }
+    let mut client = Client::in_memory(&server);
+    client.ping().unwrap();
+}
+
+/// Seeded single-byte mutations of valid request payloads, re-framed
+/// with a valid CRC so the frame layer passes them on. Each one is
+/// answered with exactly the bytes an in-process decode and dispatch
+/// produce, or — when it does not decode — with a typed `BadRequest`.
+/// Nothing panics, and the server accepts the next connection.
+#[test]
+fn mutated_payloads_are_answered_exactly_or_rejected_as_bad_requests() {
+    let graph = || {
+        let mut b = rcarb_taskgraph::builder::TaskGraphBuilder::new("hostile");
+        let m = b.segment("M", 64, 16);
+        for t in 0..2u64 {
+            b.task(
+                format!("T{t}"),
+                rcarb_taskgraph::program::Program::build(|p| {
+                    p.repeat(4, |p| {
+                        p.compute(3);
+                        let v = p.mem_read(m, rcarb_taskgraph::program::Expr::lit(t));
+                        p.mem_write(
+                            m,
+                            rcarb_taskgraph::program::Expr::lit(t),
+                            rcarb_taskgraph::program::Expr::var(v),
+                        );
+                    });
+                }),
+            );
+        }
+        b.finish().unwrap()
+    };
+    let bodies = [
+        RequestBody::Ping,
+        RequestBody::Synthesize(SynthesizeRequest::round_robin(4)),
+        RequestBody::Sweep(SweepRequest {
+            ns: vec![2, 3],
+            grade: "-3".to_owned(),
+        }),
+        RequestBody::Plan(PlanRequest {
+            graph: graph(),
+            board: rcarb_board::presets::duo_small(),
+        }),
+        RequestBody::Simulate(SimulateRequest {
+            graph: graph(),
+            board: rcarb_board::presets::duo_small(),
+            max_cycles: 2000,
+            options: rcarb::backend::SimulateOptions::default(),
+        }),
+    ];
+    let payloads: Vec<Vec<u8>> = bodies
+        .into_iter()
+        .enumerate()
+        .map(|(i, body)| {
+            rcarb::json::to_string(&rcarb_serve::RequestFrame {
+                id: 10 + i as u64,
+                tenant: "fuzz".to_owned(),
+                deadline_ms: None,
+                body,
+            })
+            .into_bytes()
+        })
+        .collect();
+    let backend = InProcessBackend::new();
+    let server = Server::in_process(ServeConfig::default());
+    // SplitMix64.
+    let mut state = 0x5eed_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let (mut answered, mut rejected) = (0, 0);
+    for k in 0..400 {
+        let mut payload = payloads[k % payloads.len()].clone();
+        let at = (next() % payload.len() as u64) as usize;
+        payload[at] = next() as u8;
+        let (answer, _reader) = exchange(&server, &payload);
+        match rcarb_serve::decode_request(&payload) {
+            Ok(frame) => {
+                let want = rcarb_serve::encode_response(&rcarb_serve::ResponseFrame {
+                    id: frame.id,
+                    body: rcarb_serve::dispatch(&backend, &frame.body),
+                });
+                assert_eq!(
+                    answer,
+                    want,
+                    "mutant {k} ({:?})",
+                    String::from_utf8_lossy(&payload)
+                );
+                answered += 1;
+            }
+            Err(_) => {
+                let e = protocol_rejection(&answer);
+                assert_eq!(e.code, ErrorCode::BadRequest, "mutant {k}: {e:?}");
+                rejected += 1;
+            }
+        }
+    }
+    assert!(
+        answered > 20 && rejected > 100,
+        "{answered} answered, {rejected} rejected"
+    );
+    let mut client = Client::in_memory(&server);
+    client.ping().unwrap();
+}
+
 /// An idle connection is NOT a slow-loris: read timeouts between frames
 /// just poll the drain flag, and the connection keeps working.
 #[test]

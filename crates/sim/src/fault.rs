@@ -34,7 +34,7 @@ use std::fmt;
 
 use rcarb_board::memory::BankId;
 use rcarb_core::rng::mix3;
-use rcarb_json::{expect_field, FromJson, Json, JsonError, ToJson};
+use rcarb_json::{decode_fields, Decoder, FromJson, Json, JsonError, ToJson};
 use rcarb_taskgraph::id::{ArbiterId, ChannelId, TaskId};
 
 /// Salt for the "does this draw fire?" decision of probabilistic faults.
@@ -486,21 +486,6 @@ impl ToJson for FaultTrace {
     }
 }
 
-impl ToJson for FaultReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("injected".to_owned(), self.injected.to_json()),
-            ("detected".to_owned(), self.detected.to_json()),
-            ("recovered".to_owned(), self.recovered.to_json()),
-            ("unrecovered".to_owned(), self.unrecovered.to_json()),
-            (
-                "traces".to_owned(),
-                Json::Arr(self.traces.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
 fn opt_json(v: Option<u64>) -> Json {
     match v {
         Some(c) => c.to_json(),
@@ -511,6 +496,13 @@ fn opt_json(v: Option<u64>) -> Json {
 rcarb_json::impl_json_struct!(FaultWindow { from, until });
 rcarb_json::impl_json_struct!(Fault { kind, window });
 rcarb_json::impl_json_struct!(FaultPlan { seed, faults });
+rcarb_json::impl_json_struct!(FaultReport {
+    injected,
+    detected,
+    recovered,
+    unrecovered,
+    traces,
+});
 
 impl ToJson for FaultKind {
     fn to_json(&self) -> Json {
@@ -564,68 +556,53 @@ impl ToJson for FaultKind {
 }
 
 impl FromJson for FaultKind {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| JsonError::shape("expected a FaultKind object"))?;
-        let (tag, body) = match pairs {
-            [(tag, body)] => (tag.as_str(), body),
-            _ => return Err(JsonError::shape("expected exactly one FaultKind tag")),
-        };
-        match tag {
-            "StuckRequest" => Ok(FaultKind::StuckRequest {
-                task: TaskId::from_json(expect_field(body, "task")?)?,
-                arbiter: ArbiterId::from_json(expect_field(body, "arbiter")?)?,
-                value: bool::from_json(expect_field(body, "value")?)?,
-            }),
-            "StuckGrant" => Ok(FaultKind::StuckGrant {
-                arbiter: ArbiterId::from_json(expect_field(body, "arbiter")?)?,
-                port: u64::from_json(expect_field(body, "port")?)? as usize,
-                value: bool::from_json(expect_field(body, "value")?)?,
-            }),
-            "GrantGlitch" => Ok(FaultKind::GrantGlitch {
-                arbiter: ArbiterId::from_json(expect_field(body, "arbiter")?)?,
-                port: u64::from_json(expect_field(body, "port")?)? as usize,
-            }),
-            "ChannelBitFlip" => Ok(FaultKind::ChannelBitFlip {
-                channel: ChannelId::from_json(expect_field(body, "channel")?)?,
-            }),
-            "BankReadError" => Ok(FaultKind::BankReadError {
-                bank: BankId::from_json(expect_field(body, "bank")?)?,
-                per_mille: u32::from_json(expect_field(body, "per_mille")?)?,
-            }),
-            "TaskHang" => Ok(FaultKind::TaskHang {
-                task: TaskId::from_json(expect_field(body, "task")?)?,
-            }),
-            other => Err(JsonError::shape(format!(
-                "unknown FaultKind variant `{other}`"
-            ))),
-        }
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        let not_one_tag = "expected exactly one FaultKind tag";
+        d.variant("expected a FaultKind object", not_one_tag, |d, tag| {
+            Ok(match tag {
+                "StuckRequest" => decode_fields!(d, { task, arbiter, value } => {
+                    FaultKind::StuckRequest { task, arbiter, value }
+                }),
+                "StuckGrant" => decode_fields!(d, { arbiter, port: u64, value } => {
+                    FaultKind::StuckGrant { arbiter, port: port as usize, value }
+                }),
+                "GrantGlitch" => decode_fields!(d, { arbiter, port: u64 } => {
+                    FaultKind::GrantGlitch { arbiter, port: port as usize }
+                }),
+                "ChannelBitFlip" => {
+                    decode_fields!(d, { channel } => FaultKind::ChannelBitFlip { channel })
+                }
+                "BankReadError" => decode_fields!(d, { bank, per_mille } => {
+                    FaultKind::BankReadError { bank, per_mille }
+                }),
+                "TaskHang" => decode_fields!(d, { task } => FaultKind::TaskHang { task }),
+                other => {
+                    return Err(JsonError::shape(format!(
+                        "unknown FaultKind variant `{other}`"
+                    )))
+                }
+            })
+        })
     }
 }
 
 impl FromJson for FaultTrace {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            index: u64::from_json(expect_field(v, "index")?)? as usize,
-            label: String::from_json(expect_field(v, "label")?)?,
-            injections: u64::from_json(expect_field(v, "injections")?)?,
-            first_injection: Option::from_json(expect_field(v, "first_injection")?)?,
-            detected_at: Option::from_json(expect_field(v, "detected_at")?)?,
-            recovered_at: Option::from_json(expect_field(v, "recovered_at")?)?,
-        })
-    }
-}
-
-impl FromJson for FaultReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            injected: u64::from_json(expect_field(v, "injected")?)?,
-            detected: u64::from_json(expect_field(v, "detected")?)?,
-            recovered: u64::from_json(expect_field(v, "recovered")?)?,
-            unrecovered: u64::from_json(expect_field(v, "unrecovered")?)?,
-            traces: Vec::from_json(expect_field(v, "traces")?)?,
-        })
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        Ok(decode_fields!(d, {
+            index: u64,
+            label,
+            injections,
+            first_injection,
+            detected_at,
+            recovered_at,
+        } => Self {
+            index: index as usize,
+            label,
+            injections,
+            first_injection,
+            detected_at,
+            recovered_at,
+        }))
     }
 }
 

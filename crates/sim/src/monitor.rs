@@ -4,8 +4,9 @@
 //! breaches, no-progress halts, detected data faults).
 
 use rcarb_board::memory::BankId;
-use rcarb_json::{expect_field, FromJson, Json, JsonError, ToJson};
+use rcarb_json::{Decoder, FromJson, Json, JsonError, ToJson};
 use rcarb_taskgraph::id::{ArbiterId, ChannelId, TaskId};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A property violation observed during simulation.
@@ -384,17 +385,39 @@ fn task_list(tasks: &[TaskId]) -> (String, Json) {
     )
 }
 
-fn index_field(v: &Json, name: &str) -> Result<u32, JsonError> {
-    let raw = u64::from_json(expect_field(v, name)?)?;
+/// A violation object's members as raw JSON text. Its `kind` decides
+/// which members matter and may come last, so each is decoded only once
+/// the kind is known — and only if the kind needs it.
+struct Members<'a>(Vec<(Cow<'a, str>, &'a str)>);
+
+impl<'a> Members<'a> {
+    fn read(d: &mut Decoder<'a>) -> Result<Self, JsonError> {
+        d.fields("kind")?;
+        let mut members = Vec::new();
+        while let Some(key) = d.next_key()? {
+            members.push((key, d.raw()?));
+        }
+        Ok(Self(members))
+    }
+
+    /// The first member named `name`, decoded.
+    fn get<T: FromJson>(&self, name: &str) -> Result<T, JsonError> {
+        let (_, raw) = self
+            .0
+            .iter()
+            .find(|(key, _)| *key == name)
+            .ok_or_else(|| JsonError::missing_field(name))?;
+        rcarb_json::from_str(raw)
+    }
+}
+
+fn index_field(v: &Members<'_>, name: &str) -> Result<u32, JsonError> {
+    let raw: u64 = v.get(name)?;
     u32::try_from(raw).map_err(|_| JsonError::shape(format!("{name} index out of range")))
 }
 
-fn u64_field(v: &Json, name: &str) -> Result<u64, JsonError> {
-    u64::from_json(expect_field(v, name)?)
-}
-
-fn tasks_field(v: &Json) -> Result<Vec<TaskId>, JsonError> {
-    Vec::<u64>::from_json(expect_field(v, "tasks")?)?
+fn tasks_field(v: &Members<'_>) -> Result<Vec<TaskId>, JsonError> {
+    v.get::<Vec<u64>>("tasks")?
         .into_iter()
         .map(|raw| {
             u32::try_from(raw)
@@ -405,68 +428,69 @@ fn tasks_field(v: &Json) -> Result<Vec<TaskId>, JsonError> {
 }
 
 impl FromJson for Violation {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let kind = String::from_json(expect_field(v, "kind")?)?;
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        let v = Members::read(d)?;
+        let kind: String = v.get("kind")?;
         match kind.as_str() {
             "BankConflict" => Ok(Violation::BankConflict {
-                cycle: u64_field(v, "cycle")?,
-                bank: BankId::new(index_field(v, "bank")?),
-                tasks: tasks_field(v)?,
+                cycle: v.get("cycle")?,
+                bank: BankId::new(index_field(&v, "bank")?),
+                tasks: tasks_field(&v)?,
             }),
             "RouteConflict" => Ok(Violation::RouteConflict {
-                cycle: u64_field(v, "cycle")?,
-                route: index_field(v, "route")? as usize,
-                tasks: tasks_field(v)?,
+                cycle: v.get("cycle")?,
+                route: index_field(&v, "route")? as usize,
+                tasks: tasks_field(&v)?,
             }),
             "AccessWithoutGrant" => Ok(Violation::AccessWithoutGrant {
-                cycle: u64_field(v, "cycle")?,
-                task: TaskId::new(index_field(v, "task")?),
-                arbiter: ArbiterId::new(index_field(v, "arbiter")?),
+                cycle: v.get("cycle")?,
+                task: TaskId::new(index_field(&v, "task")?),
+                arbiter: ArbiterId::new(index_field(&v, "arbiter")?),
             }),
             "MultipleGrants" => Ok(Violation::MultipleGrants {
-                cycle: u64_field(v, "cycle")?,
-                arbiter: ArbiterId::new(index_field(v, "arbiter")?),
-                grants: u64_field(v, "grants")?,
+                cycle: v.get("cycle")?,
+                arbiter: ArbiterId::new(index_field(&v, "arbiter")?),
+                grants: v.get("grants")?,
             }),
             "CosimMismatch" => Ok(Violation::CosimMismatch {
-                arbiter: ArbiterId::new(index_field(v, "arbiter")?),
-                cycles: u64_field(v, "cycles")?,
+                arbiter: ArbiterId::new(index_field(&v, "arbiter")?),
+                cycles: v.get("cycles")?,
             }),
             "FloatingSelectLine" => Ok(Violation::FloatingSelectLine {
-                cycle: u64_field(v, "cycle")?,
-                bank: BankId::new(index_field(v, "bank")?),
+                cycle: v.get("cycle")?,
+                bank: BankId::new(index_field(&v, "bank")?),
             }),
             "Starvation" => Ok(Violation::Starvation {
-                task: TaskId::new(index_field(v, "task")?),
-                arbiter: ArbiterId::new(index_field(v, "arbiter")?),
-                waited: u64_field(v, "waited")?,
+                task: TaskId::new(index_field(&v, "task")?),
+                arbiter: ArbiterId::new(index_field(&v, "arbiter")?),
+                waited: v.get("waited")?,
             }),
             "GrantTimeout" => Ok(Violation::GrantTimeout {
-                cycle: u64_field(v, "cycle")?,
-                task: TaskId::new(index_field(v, "task")?),
-                arbiter: ArbiterId::new(index_field(v, "arbiter")?),
-                waited: u64_field(v, "waited")?,
+                cycle: v.get("cycle")?,
+                task: TaskId::new(index_field(&v, "task")?),
+                arbiter: ArbiterId::new(index_field(&v, "arbiter")?),
+                waited: v.get("waited")?,
             }),
             "FairnessBreach" => Ok(Violation::FairnessBreach {
-                cycle: u64_field(v, "cycle")?,
-                task: TaskId::new(index_field(v, "task")?),
-                arbiter: ArbiterId::new(index_field(v, "arbiter")?),
-                waited: u64_field(v, "waited")?,
-                bound: u64_field(v, "bound")?,
+                cycle: v.get("cycle")?,
+                task: TaskId::new(index_field(&v, "task")?),
+                arbiter: ArbiterId::new(index_field(&v, "arbiter")?),
+                waited: v.get("waited")?,
+                bound: v.get("bound")?,
             }),
             "NoProgress" => Ok(Violation::NoProgress {
-                cycle: u64_field(v, "cycle")?,
-                stalled: u64_field(v, "stalled")?,
+                cycle: v.get("cycle")?,
+                stalled: v.get("stalled")?,
             }),
             "BankReadFault" => Ok(Violation::BankReadFault {
-                cycle: u64_field(v, "cycle")?,
-                bank: BankId::new(index_field(v, "bank")?),
-                task: TaskId::new(index_field(v, "task")?),
+                cycle: v.get("cycle")?,
+                bank: BankId::new(index_field(&v, "bank")?),
+                task: TaskId::new(index_field(&v, "task")?),
             }),
             "ChannelFault" => Ok(Violation::ChannelFault {
-                cycle: u64_field(v, "cycle")?,
-                channel: ChannelId::new(index_field(v, "channel")?),
-                bit: u32::from_json(expect_field(v, "bit")?)?,
+                cycle: v.get("cycle")?,
+                channel: ChannelId::new(index_field(&v, "channel")?),
+                bit: v.get("bit")?,
             }),
             other => Err(JsonError::shape(format!(
                 "unknown Violation kind `{other}`"

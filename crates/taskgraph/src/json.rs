@@ -3,9 +3,9 @@
 //! variants carry an array (`{"Bin": [op, lhs, rhs]}`), struct variants
 //! carry an object keyed by field name.
 
-use crate::id::{ArbiterId, ChannelId, SegmentId, VarId};
+use crate::id::VarId;
 use crate::program::{BinOp, Expr, Op};
-use rcarb_json::{expect_field, FromJson, Json, JsonError, ToJson};
+use rcarb_json::{decode_fields, Decoder, FromJson, Json, JsonError, ToJson};
 
 fn variant(tag: &str, body: Json) -> Json {
     Json::Obj(vec![(tag.to_owned(), body)])
@@ -15,15 +15,9 @@ fn fields(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-fn untag(v: &Json) -> Result<(&str, &Json), JsonError> {
-    let pairs = v
-        .as_object()
-        .ok_or_else(|| JsonError::shape("expected an externally tagged enum object"))?;
-    match pairs {
-        [(tag, body)] => Ok((tag.as_str(), body)),
-        _ => Err(JsonError::shape("expected exactly one enum variant tag")),
-    }
-}
+/// The shape errors of an externally tagged enum value.
+const NOT_OBJECT: &str = "expected an externally tagged enum object";
+const NOT_ONE_TAG: &str = "expected exactly one enum variant tag";
 
 impl ToJson for Expr {
     fn to_json(&self) -> Json {
@@ -39,21 +33,33 @@ impl ToJson for Expr {
 }
 
 impl FromJson for Expr {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, body) = untag(v)?;
-        match tag {
-            "Lit" => Ok(Expr::Lit(u64::from_json(body)?)),
-            "Var" => Ok(Expr::Var(VarId::from_json(body)?)),
-            "Bin" => match body.as_array() {
-                Some([op, a, b]) => Ok(Expr::Bin(
-                    BinOp::from_json(op)?,
-                    Box::new(Expr::from_json(a)?),
-                    Box::new(Expr::from_json(b)?),
-                )),
-                _ => Err(JsonError::shape("expected a [op, lhs, rhs] triple")),
-            },
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        d.variant(NOT_OBJECT, NOT_ONE_TAG, |d, tag| match tag {
+            "Lit" => u64::from_json(d).map(Expr::Lit),
+            "Var" => VarId::from_json(d).map(Expr::Var),
+            "Bin" => {
+                const TRIPLE: &str = "expected a [op, lhs, rhs] triple";
+                let element = |d: &mut Decoder<'_>| {
+                    if d.next_element()? {
+                        Ok(())
+                    } else {
+                        Err(JsonError::shape(TRIPLE))
+                    }
+                };
+                d.array(TRIPLE)?;
+                element(d)?;
+                let op = BinOp::from_json(d)?;
+                element(d)?;
+                let a = Expr::from_json(d)?;
+                element(d)?;
+                let b = Expr::from_json(d)?;
+                if d.next_element()? {
+                    return Err(JsonError::shape(TRIPLE));
+                }
+                Ok(Expr::Bin(op, Box::new(a), Box::new(b)))
+            }
             other => Err(JsonError::shape(format!("unknown Expr variant `{other}`"))),
-        }
+        })
     }
 }
 
@@ -140,65 +146,39 @@ impl ToJson for Op {
 }
 
 impl FromJson for Op {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, body) = untag(v)?;
-        match tag {
-            "Set" => Ok(Op::Set {
-                dst: VarId::from_json(expect_field(body, "dst")?)?,
-                value: Expr::from_json(expect_field(body, "value")?)?,
-            }),
-            "Compute" => Ok(Op::Compute {
-                cycles: u32::from_json(expect_field(body, "cycles")?)?,
-            }),
-            "MemRead" => Ok(Op::MemRead {
-                segment: SegmentId::from_json(expect_field(body, "segment")?)?,
-                addr: Expr::from_json(expect_field(body, "addr")?)?,
-                dst: VarId::from_json(expect_field(body, "dst")?)?,
-            }),
-            "MemWrite" => Ok(Op::MemWrite {
-                segment: SegmentId::from_json(expect_field(body, "segment")?)?,
-                addr: Expr::from_json(expect_field(body, "addr")?)?,
-                value: Expr::from_json(expect_field(body, "value")?)?,
-            }),
-            "Send" => Ok(Op::Send {
-                channel: ChannelId::from_json(expect_field(body, "channel")?)?,
-                value: Expr::from_json(expect_field(body, "value")?)?,
-            }),
-            "Recv" => Ok(Op::Recv {
-                channel: ChannelId::from_json(expect_field(body, "channel")?)?,
-                dst: VarId::from_json(expect_field(body, "dst")?)?,
-            }),
-            "Repeat" => Ok(Op::Repeat {
-                times: u32::from_json(expect_field(body, "times")?)?,
-                body: Vec::from_json(expect_field(body, "body")?)?,
-            }),
-            "IfNonZero" => Ok(Op::IfNonZero {
-                cond: Expr::from_json(expect_field(body, "cond")?)?,
-                then_ops: Vec::from_json(expect_field(body, "then_ops")?)?,
-                else_ops: Vec::from_json(expect_field(body, "else_ops")?)?,
-            }),
-            "ReqAssert" => Ok(Op::ReqAssert {
-                arbiter: ArbiterId::from_json(expect_field(body, "arbiter")?)?,
-            }),
-            "AwaitGrant" => Ok(Op::AwaitGrant {
-                arbiter: ArbiterId::from_json(expect_field(body, "arbiter")?)?,
-            }),
-            "AwaitGrantFor" => Ok(Op::AwaitGrantFor {
-                arbiter: ArbiterId::from_json(expect_field(body, "arbiter")?)?,
-                cycles: u32::from_json(expect_field(body, "cycles")?)?,
-                dst: VarId::from_json(expect_field(body, "dst")?)?,
-            }),
-            "ReqDeassert" => Ok(Op::ReqDeassert {
-                arbiter: ArbiterId::from_json(expect_field(body, "arbiter")?)?,
-            }),
-            other => Err(JsonError::shape(format!("unknown Op variant `{other}`"))),
-        }
+    fn from_json(d: &mut Decoder<'_>) -> Result<Self, JsonError> {
+        d.variant(NOT_OBJECT, NOT_ONE_TAG, |d, tag| {
+            Ok(match tag {
+                "Set" => decode_fields!(d, { dst, value } => Op::Set { dst, value }),
+                "Compute" => decode_fields!(d, { cycles } => Op::Compute { cycles }),
+                "MemRead" => decode_fields!(d, { segment, addr, dst } => {
+                    Op::MemRead { segment, addr, dst }
+                }),
+                "MemWrite" => decode_fields!(d, { segment, addr, value } => {
+                    Op::MemWrite { segment, addr, value }
+                }),
+                "Send" => decode_fields!(d, { channel, value } => Op::Send { channel, value }),
+                "Recv" => decode_fields!(d, { channel, dst } => Op::Recv { channel, dst }),
+                "Repeat" => decode_fields!(d, { times, body } => Op::Repeat { times, body }),
+                "IfNonZero" => decode_fields!(d, { cond, then_ops, else_ops } => {
+                    Op::IfNonZero { cond, then_ops, else_ops }
+                }),
+                "ReqAssert" => decode_fields!(d, { arbiter } => Op::ReqAssert { arbiter }),
+                "AwaitGrant" => decode_fields!(d, { arbiter } => Op::AwaitGrant { arbiter }),
+                "AwaitGrantFor" => decode_fields!(d, { arbiter, cycles, dst } => {
+                    Op::AwaitGrantFor { arbiter, cycles, dst }
+                }),
+                "ReqDeassert" => decode_fields!(d, { arbiter } => Op::ReqDeassert { arbiter }),
+                other => return Err(JsonError::shape(format!("unknown Op variant `{other}`"))),
+            })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::{ArbiterId, ChannelId, SegmentId};
     use crate::program::Program;
 
     #[test]
@@ -279,5 +259,21 @@ mod tests {
         ] {
             assert!(rcarb_json::from_str::<Op>(bad).is_err(), "accepted {bad}");
         }
+    }
+
+    /// The typed decoder recurses once per `Bin` level; the depth cap
+    /// bounds that recursion before it can exhaust a thread's stack.
+    #[test]
+    fn expressions_decode_up_to_the_nesting_cap() {
+        // Each `Bin` level is an object holding an array.
+        let nest = |levels: usize| {
+            (0..levels).fold(r#"{"Lit":1}"#.to_owned(), |inner, _| {
+                format!(r#"{{"Bin":["Add",{inner},{{"Lit":2}}]}}"#)
+            })
+        };
+        let deepest = nest((rcarb_json::MAX_DEPTH - 2) / 2);
+        assert!(rcarb_json::from_str::<Expr>(&deepest).is_ok());
+        let err = rcarb_json::from_str::<Expr>(&nest(rcarb_json::MAX_DEPTH / 2)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
     }
 }

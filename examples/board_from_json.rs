@@ -43,7 +43,7 @@ fn main() {
         bank["words"] = (words * 2).into();
     }
     doc["name"] = "Wildforce-XL".into();
-    let upgraded: Board = json::from_value(&doc).expect("edited board deserializes");
+    let upgraded: Board = json::from_str(&doc.to_string()).expect("edited board deserializes");
     println!(
         "upgraded board: {} — {} CLBs total, {} memory bits\n",
         upgraded.name(),
