@@ -1,8 +1,8 @@
 //! Cross-task deadlock detection over the resource-wait graph (RCA5xx).
 //!
-//! The lockset analysis records, per task, every program point where a
-//! grant is awaited while another arbiter is still held
-//! ([`WaitEdge`]). Those observations form a directed graph whose
+//! The lockset pass (run once per task by the starvation family)
+//! records every program point where a grant is awaited while another
+//! arbiter is still held ([`WaitEdge`]). Those observations form a directed graph whose
 //! nodes are arbiters: an edge `a → b` means *some task can sit on a
 //! grant wait for `b` while holding `a`*. A cycle in that graph —
 //! carried by tasks that may run concurrently (no dependency ordering)
@@ -22,11 +22,8 @@
 //! arbiter id so output is deterministic.
 
 use crate::diag::{DiagCode, Diagnostic, Witness};
-use crate::lockset::{collect_wait_edges, WaitEdge};
-use crate::AnalyzeConfig;
-use rcarb_core::channel::ChannelMergePlan;
+use crate::lockset::WaitEdge;
 use rcarb_core::insertion::ArbitrationPlan;
-use rcarb_core::memmap::MemoryBinding;
 use rcarb_taskgraph::id::ArbiterId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -80,14 +77,9 @@ fn dfs(
     }
 }
 
-/// Detects circular waits across tasks (RCA501/RCA502).
-pub fn check_deadlock(
-    plan: &ArbitrationPlan,
-    binding: &MemoryBinding,
-    merges: &ChannelMergePlan,
-    config: &AnalyzeConfig,
-) -> Vec<Diagnostic> {
-    let edges = collect_wait_edges(plan, binding, merges, config);
+/// Detects circular waits across tasks (RCA501/RCA502) in the wait
+/// edges the lockset pass observed, in task order.
+pub(crate) fn check_deadlock(plan: &ArbitrationPlan, edges: &[WaitEdge]) -> Vec<Diagnostic> {
     if edges.is_empty() {
         return Vec::new();
     }
@@ -98,7 +90,7 @@ pub fn check_deadlock(
     let mut adj: BTreeMap<ArbiterId, BTreeSet<ArbiterId>> = BTreeMap::new();
     let mut witness_edge: BTreeMap<(ArbiterId, ArbiterId), &WaitEdge> = BTreeMap::new();
     let mut all_bounded: BTreeMap<(ArbiterId, ArbiterId), bool> = BTreeMap::new();
-    for e in &edges {
+    for e in edges {
         adj.entry(e.holding).or_default().insert(e.awaiting);
         witness_edge.entry((e.holding, e.awaiting)).or_insert(e);
         // An edge is only "safe" when *every* observation of it is a
@@ -201,9 +193,13 @@ pub fn check_deadlock(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lockset::GuardMap;
+    use crate::starvation::check_starvation;
+    use crate::AnalyzeConfig;
     use rcarb_board::presets;
+    use rcarb_core::channel::ChannelMergePlan;
     use rcarb_core::insertion::{insert_arbiters, InsertionConfig};
-    use rcarb_core::memmap::bind_segments;
+    use rcarb_core::memmap::{bind_segments, MemoryBinding};
     use rcarb_taskgraph::builder::TaskGraphBuilder;
     use rcarb_taskgraph::id::VarId;
     use rcarb_taskgraph::program::{Expr, Op, Program};
@@ -293,7 +289,9 @@ mod tests {
         binding: &MemoryBinding,
         merges: &ChannelMergePlan,
     ) -> Vec<Diagnostic> {
-        check_deadlock(plan, binding, merges, &AnalyzeConfig::default())
+        let guards = GuardMap::new(plan, binding, merges);
+        let (_, edges) = check_starvation(plan, &guards, &AnalyzeConfig::default());
+        check_deadlock(plan, &edges)
     }
 
     #[test]

@@ -32,9 +32,7 @@
 use crate::diag::{DiagCode, Diagnostic, Witness};
 use crate::lockset::GuardMap;
 use crate::AnalyzeConfig;
-use rcarb_core::channel::ChannelMergePlan;
 use rcarb_core::insertion::ArbitrationPlan;
-use rcarb_core::memmap::MemoryBinding;
 use rcarb_taskgraph::id::{ArbiterId, TaskId};
 use rcarb_taskgraph::program::Op;
 use std::collections::BTreeMap;
@@ -117,14 +115,11 @@ fn walk(
 }
 
 /// Certifies or refutes the `(N-1)(M+2)` bound per contended arbiter.
-pub fn check_fairness(
+pub(crate) fn check_fairness(
     plan: &ArbitrationPlan,
-    binding: &MemoryBinding,
-    merges: &ChannelMergePlan,
+    guards: &GuardMap,
     config: &AnalyzeConfig,
 ) -> Vec<Diagnostic> {
-    let guards = GuardMap::new(plan, binding, merges);
-
     // Worst single-hold window per arbiter, with the task achieving it.
     let mut worst: BTreeMap<ArbiterId, (u64, TaskId)> = BTreeMap::new();
     for task in plan.graph.tasks() {
@@ -132,7 +127,7 @@ pub fn check_fairness(
         let mut max = BTreeMap::new();
         walk(
             task.program().ops(),
-            &guards,
+            guards,
             task.id(),
             &mut state,
             &mut max,
@@ -214,8 +209,9 @@ pub fn check_fairness(
 mod tests {
     use super::*;
     use rcarb_board::presets;
+    use rcarb_core::channel::ChannelMergePlan;
     use rcarb_core::insertion::{insert_arbiters, InsertionConfig};
-    use rcarb_core::memmap::bind_segments;
+    use rcarb_core::memmap::{bind_segments, MemoryBinding};
     use rcarb_taskgraph::builder::TaskGraphBuilder;
     use rcarb_taskgraph::graph::TaskGraph;
     use rcarb_taskgraph::program::{Expr, Program};
@@ -257,8 +253,7 @@ mod tests {
     fn run(plan: &ArbitrationPlan, binding: &MemoryBinding, m: u32) -> Vec<Diagnostic> {
         check_fairness(
             plan,
-            binding,
-            &ChannelMergePlan::default(),
+            &GuardMap::new(plan, binding, &ChannelMergePlan::default()),
             &AnalyzeConfig::default().with_max_burst(m),
         )
     }

@@ -33,8 +33,12 @@
 //! Hazard-claiming diagnostics carry a [`Witness`] — the decisive path
 //! and the runtime watchdog violation it predicts — which [`replay`]
 //! compiles into a directed simulation on both kernels to confirm the
-//! finding dynamically. Reports are [`AnalysisReport::normalize`]d, so
-//! output order is deterministic regardless of check scheduling.
+//! finding dynamically.
+//!
+//! [`analyze_plan`] runs the families one after another on the calling
+//! thread, with one lockset pass per task shared by the starvation and
+//! deadlock families, and returns an [`AnalysisReport::normalize`]d
+//! report, so output order depends only on the findings.
 //!
 //! ```
 //! use rcarb_analyze::{AnalyzeConfig, AnalyzePlan};
@@ -75,9 +79,11 @@ pub use lockset::WaitEdge;
 pub use replay::{replay_all, replay_diagnostic, ReplayOutcome};
 pub use report::AnalysisReport;
 
+use lockset::GuardMap;
 use rcarb_core::channel::ChannelMergePlan;
+use rcarb_core::characterize;
 use rcarb_core::generator::{ArbiterGenerator, ArbiterSpec};
-use rcarb_core::insertion::ArbitrationPlan;
+use rcarb_core::insertion::{ArbiterInstance, ArbitrationPlan};
 use rcarb_core::line::MemoryLinePlan;
 use rcarb_core::memmap::MemoryBinding;
 use rcarb_logic::encode::EncodingStyle;
@@ -92,22 +98,18 @@ pub struct AnalyzeConfig {
     /// Shared-line plan of the guarded memory banks (decides whether a
     /// double grant is a tri-state conflict or a resolved-line overlap).
     pub lines: MemoryLinePlan,
-    /// FSM encoding used when synthesizing arbiter netlists for linting.
+    /// FSM encoding of the arbiters whose state machines are explored.
     pub encoding: EncodingStyle,
-    /// Also synthesize and lint each arbiter's mapped netlist (slower;
-    /// the symbolic FSM checks run regardless).
-    pub lint_netlists: bool,
 }
 
 impl AnalyzeConfig {
     /// The paper's configuration: `M = 2`, write-on-high SRAM banks,
-    /// one-hot encoding, netlist lints on.
+    /// one-hot encoding.
     pub fn paper() -> Self {
         Self {
             max_burst: 2,
             lines: MemoryLinePlan::sram_write_high(),
             encoding: EncodingStyle::OneHot,
-            lint_netlists: true,
         }
     }
 
@@ -122,13 +124,6 @@ impl AnalyzeConfig {
         self.max_burst = m;
         self
     }
-
-    /// Enables or disables the per-arbiter netlist lints.
-    #[must_use]
-    pub fn with_netlist_lints(mut self, enabled: bool) -> Self {
-        self.lint_netlists = enabled;
-        self
-    }
 }
 
 impl Default for AnalyzeConfig {
@@ -137,95 +132,24 @@ impl Default for AnalyzeConfig {
     }
 }
 
-/// One independent unit of analysis work: an arbiter's FSM/netlist
-/// checks, or one of the whole-plan check families.
-#[derive(Debug, Clone, Copy)]
-enum CheckJob {
-    /// Families 1 + 4 for `plan.arbiters[i]`.
-    Arbiter(usize),
-    /// Family 2: elision soundness.
-    Elision,
-    /// Family 3: protocol shape and starvation windows.
-    Starvation,
-    /// Family 5: cross-task circular-wait detection.
-    Deadlock,
-    /// Family 6: static certification of the fairness bound.
-    Fairness,
-}
-
-/// The shared, read-only inputs every check job sees.
-struct CheckCtx {
-    plan: ArbitrationPlan,
-    binding: MemoryBinding,
-    merges: ChannelMergePlan,
-    config: AnalyzeConfig,
-}
-
-fn run_check(ctx: &CheckCtx, job: CheckJob) -> AnalysisReport {
-    let mut report = AnalysisReport::new();
-    match job {
-        CheckJob::Arbiter(i) => {
-            let arb = &ctx.plan.arbiters[i];
-            if arb.inputs == 0 || arb.inputs > 32 {
-                // Shape errors are reported by the starvation family;
-                // there is no FSM to explore.
-                return report;
-            }
-            let generated = ArbiterGenerator::new()
-                .generate(&ArbiterSpec::round_robin(arb.inputs).with_encoding(ctx.config.encoding));
-            let name = format!("{} ({})", arb.name(), arb.resource);
-            report.extend(contention::check_grant_fsm(
-                generated.fsm(),
-                &name,
-                &ctx.config.lines,
-            ));
-            report.extend(netlist::check_fsm(generated.fsm(), &name));
-            if ctx.config.lint_netlists {
-                let synth = generated.synthesize(&ToolModel::synplify());
-                report.extend(netlist::check_netlist(&synth.netlist, &name));
-            }
-        }
-        CheckJob::Elision => {
-            report.extend(elision::check_elision(&ctx.plan, &ctx.binding, &ctx.merges));
-        }
-        CheckJob::Starvation => {
-            report.extend(starvation::check_starvation(
-                &ctx.plan,
-                &ctx.binding,
-                &ctx.merges,
-                &ctx.config,
-            ));
-        }
-        CheckJob::Deadlock => {
-            report.extend(deadlock::check_deadlock(
-                &ctx.plan,
-                &ctx.binding,
-                &ctx.merges,
-                &ctx.config,
-            ));
-        }
-        CheckJob::Fairness => {
-            report.extend(fairness::check_fairness(
-                &ctx.plan,
-                &ctx.binding,
-                &ctx.merges,
-                &ctx.config,
-            ));
-        }
+/// Families 1 and 4 for one arbiter: its FSM's grant behaviour and FSM
+/// defects, then the lints of its Synplify netlist. Under the paper
+/// config that netlist is a synthesis-cache hit, because the insertion
+/// pass estimated the same arbiter.
+fn check_arbiter(arb: &ArbiterInstance, config: &AnalyzeConfig) -> Vec<Diagnostic> {
+    if !characterize::synplify_fits(arb.inputs) {
+        // The starvation family reports the shape (RCA306); there is
+        // no FSM to explore.
+        return Vec::new();
     }
-    report
-}
-
-fn check_jobs(plan: &ArbitrationPlan) -> Vec<CheckJob> {
-    (0..plan.arbiters.len())
-        .map(CheckJob::Arbiter)
-        .chain([
-            CheckJob::Elision,
-            CheckJob::Starvation,
-            CheckJob::Deadlock,
-            CheckJob::Fairness,
-        ])
-        .collect()
+    let generated = ArbiterGenerator::new()
+        .generate(&ArbiterSpec::round_robin(arb.inputs).with_encoding(config.encoding));
+    let name = format!("{} ({})", arb.name(), arb.resource);
+    let mut diags = contention::check_grant_fsm(generated.fsm(), &name, &config.lines);
+    diags.extend(netlist::check_fsm(generated.fsm(), &name));
+    let synth = generated.synthesize(&ToolModel::synplify());
+    diags.extend(netlist::check_netlist(&synth.netlist, &name));
+    diags
 }
 
 /// Analyzes a complete arbitrated design.
@@ -233,50 +157,27 @@ fn check_jobs(plan: &ArbitrationPlan) -> Vec<CheckJob> {
 /// `binding` and `merges` must be the same inputs the insertion pass ran
 /// with — they decide which resources are shared and by whom.
 ///
-/// Each check family — and within family 1/4 each arbiter — runs as an
-/// independent job on the workspace thread pool; the per-job reports are
-/// merged in check order, so the result is byte-identical to the
-/// sequential [`analyze_plan_seq`] reference.
+/// The families run in turn: each arbiter's FSM and netlist checks,
+/// then elision, starvation, deadlock and fairness. One lockset pass per
+/// task, over one guard map, feeds both the starvation findings and the
+/// deadlock detector's wait edges. The report is
+/// [`normalize`](AnalysisReport::normalize)d before it is returned.
 pub fn analyze_plan(
     plan: &ArbitrationPlan,
     binding: &MemoryBinding,
     merges: &ChannelMergePlan,
     config: &AnalyzeConfig,
 ) -> AnalysisReport {
-    let jobs = check_jobs(plan);
-    let ctx = std::sync::Arc::new(CheckCtx {
-        plan: plan.clone(),
-        binding: binding.clone(),
-        merges: merges.clone(),
-        config: config.clone(),
-    });
-    let reports = rcarb_exec::global_pool().parallel_map(jobs, move |job| run_check(&ctx, job));
     let mut report = AnalysisReport::new();
-    for r in reports {
-        report.merge(r);
+    for arb in &plan.arbiters {
+        report.extend(check_arbiter(arb, config));
     }
-    report.normalize();
-    report
-}
-
-/// The single-threaded reference analyzer, kept as the determinism
-/// baseline for [`analyze_plan`].
-pub fn analyze_plan_seq(
-    plan: &ArbitrationPlan,
-    binding: &MemoryBinding,
-    merges: &ChannelMergePlan,
-    config: &AnalyzeConfig,
-) -> AnalysisReport {
-    let ctx = CheckCtx {
-        plan: plan.clone(),
-        binding: binding.clone(),
-        merges: merges.clone(),
-        config: config.clone(),
-    };
-    let mut report = AnalysisReport::new();
-    for job in check_jobs(plan) {
-        report.merge(run_check(&ctx, job));
-    }
+    report.extend(elision::check_elision(plan, binding, merges));
+    let guards = GuardMap::new(plan, binding, merges);
+    let (starved, wait_edges) = starvation::check_starvation(plan, &guards, config);
+    report.extend(starved);
+    report.extend(deadlock::check_deadlock(plan, &wait_edges));
+    report.extend(fairness::check_fairness(plan, &guards, config));
     report.normalize();
     report
 }
@@ -370,29 +271,31 @@ mod tests {
     }
 
     #[test]
-    fn parallel_analysis_matches_sequential_exactly() {
-        let (plan, binding) = arbitrated_design();
-        let merges = ChannelMergePlan::default();
-        let config = AnalyzeConfig::default();
-        let par = analyze_plan(&plan, &binding, &merges, &config);
-        let seq = analyze_plan_seq(&plan, &binding, &merges, &config);
-        assert_eq!(par, seq);
-        assert_eq!(par.render_text(), seq.render_text());
-
-        // Also on a broken plan, where diagnostics actually fire.
-        let mut broken = plan;
-        broken.arbiters.clear();
-        let par = analyze_plan(&broken, &binding, &merges, &config);
-        let seq = analyze_plan_seq(&broken, &binding, &merges, &config);
-        assert!(!par.is_clean());
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn netlist_lints_can_be_disabled() {
-        let (plan, binding) = arbitrated_design();
-        let fast = AnalyzeConfig::default().with_netlist_lints(false);
-        let report = plan.analyze(&binding, &ChannelMergePlan::default(), &fast);
-        assert!(report.is_clean(), "{}", report.render_text());
+    fn arbiter_wider_than_the_synthesizer_is_rca306_and_skips_its_fsm_checks() {
+        // 22 inputs fit the FSM generator (1..=32) but not Synplify's
+        // one-hot netlist (3 * 22 > 64 cube variables).
+        let (mut plan, binding) = arbitrated_design();
+        plan.arbiters[0].inputs = 22;
+        let report = plan.analyze(
+            &binding,
+            &ChannelMergePlan::default(),
+            &AnalyzeConfig::default(),
+        );
+        let wide = report.with_code(DiagCode::ArbiterTooWide);
+        assert_eq!(wide.len(), 1, "{}", report.render_text());
+        assert!(wide[0].message.starts_with("22 request inputs"));
+        // No contention (RCA1xx) or FSM/netlist (RCA4xx) findings.
+        assert!(
+            report
+                .diagnostics()
+                .iter()
+                .all(|d| !d.code.as_str().starts_with("RCA1")
+                    && !d.code.as_str().starts_with("RCA4")),
+            "{}",
+            report.render_text()
+        );
+        assert!(characterize::synplify_fits(21));
+        assert!(!characterize::synplify_fits(0));
+        assert!(!characterize::synplify_fits(33));
     }
 }

@@ -643,20 +643,3 @@ fn report_op(
         }
     }
 }
-
-/// Runs the lockset pass over every task, keeping only the wait
-/// edges (the deadlock detector's input).
-pub(crate) fn collect_wait_edges(
-    plan: &ArbitrationPlan,
-    binding: &MemoryBinding,
-    merges: &ChannelMergePlan,
-    config: &AnalyzeConfig,
-) -> Vec<WaitEdge> {
-    let guards = GuardMap::new(plan, binding, merges);
-    let mut edges = Vec::new();
-    for task in plan.graph.tasks() {
-        let loc = format!("task {}", task.name());
-        edges.extend(analyze_task(plan, &guards, config, task.id(), &loc).wait_edges);
-    }
-    edges
-}

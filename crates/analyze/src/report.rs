@@ -34,12 +34,6 @@ impl AnalysisReport {
         self.diagnostics.append(&mut other.diagnostics);
     }
 
-    /// Appends another report's findings verbatim, preserving order —
-    /// the merge step of the parallel check fan-out.
-    pub fn merge(&mut self, mut other: AnalysisReport) {
-        self.diagnostics.append(&mut other.diagnostics);
-    }
-
     /// All findings, in the order the checks produced them.
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diagnostics
@@ -76,9 +70,10 @@ impl AnalysisReport {
 
     /// Sorts the findings into the canonical order — code, then
     /// location, then message — so report output is deterministic and
-    /// independent of check scheduling. The analyzer entry points call
-    /// this once after the parallel merge; diffing two reports (or
-    /// snapshotting one in CI) is then byte-stable.
+    /// independent of the order the check families ran in.
+    /// [`analyze_plan`](crate::analyze_plan) calls this once after the
+    /// last family; diffing two reports (or snapshotting one in CI) is
+    /// then byte-stable.
     pub fn normalize(&mut self) {
         self.diagnostics.sort_by(|a, b| {
             (a.code.as_str(), &a.location, &a.message).cmp(&(

@@ -12,39 +12,40 @@
 //! `crate::lockset` dataflow analysis — holds may legally span loops
 //! and branches as long as every path releases them, and bounded-wait
 //! retry protocols (whose grants are conditional on an outcome
-//! variable) analyze clean. Only the structural arbiter-shape checks
-//! (RCA306) live here.
+//! variable) analyze clean. This module runs that pass once per task
+//! and hands its resource-wait edges on to [`crate::deadlock`]; only the
+//! structural arbiter-shape checks (RCA306) are its own.
 
 use crate::diag::{DiagCode, Diagnostic};
-use crate::lockset::{analyze_task, GuardMap};
+use crate::lockset::{analyze_task, GuardMap, WaitEdge};
 use crate::AnalyzeConfig;
-use rcarb_core::channel::ChannelMergePlan;
+use rcarb_core::characterize::synplify_fits;
 use rcarb_core::insertion::ArbitrationPlan;
-use rcarb_core::memmap::MemoryBinding;
-
-/// The maximum task count the round-robin FSM generator synthesizes.
-const MAX_FSM_TASKS: usize = 32;
 
 /// Checks arbiter shapes and runs the lockset analysis over every
-/// transformed program.
-pub fn check_starvation(
+/// transformed program, once per task. Returns the findings plus the
+/// resource-wait edges the pass observed (the deadlock detector's
+/// input).
+pub(crate) fn check_starvation(
     plan: &ArbitrationPlan,
-    binding: &MemoryBinding,
-    merges: &ChannelMergePlan,
+    guards: &GuardMap,
     config: &AnalyzeConfig,
-) -> Vec<Diagnostic> {
+) -> (Vec<Diagnostic>, Vec<WaitEdge>) {
     let mut diags = Vec::new();
 
     for arb in &plan.arbiters {
         let loc = format!("arbiter {} ({})", arb.name(), arb.resource);
-        if arb.inputs == 0 || arb.inputs > MAX_FSM_TASKS {
+        // The netlist lint synthesizes each arbiter with Synplify, so an
+        // arbiter outside that range has no FSM or netlist to check.
+        if !synplify_fits(arb.inputs) {
             diags.push(
                 Diagnostic::new(
                     DiagCode::ArbiterTooWide,
                     loc.clone(),
                     format!(
-                        "{} request inputs cannot be synthesized (the FSM generator supports \
-                         1..={MAX_FSM_TASKS})",
+                        "{} request inputs cannot be synthesized (a round-robin arbiter needs at \
+                         least one input, and its one-hot state bits plus inputs must fit 64 \
+                         synthesis variables)",
                         arb.inputs
                     ),
                 )
@@ -63,20 +64,23 @@ pub fn check_starvation(
         }
     }
 
-    let guards = GuardMap::new(plan, binding, merges);
+    let mut wait_edges = Vec::new();
     for task in plan.graph.tasks() {
         let loc = format!("task {}", task.name());
-        diags.extend(analyze_task(plan, &guards, config, task.id(), &loc).diags);
+        let protocol = analyze_task(plan, guards, config, task.id(), &loc);
+        diags.extend(protocol.diags);
+        wait_edges.extend(protocol.wait_edges);
     }
-    diags
+    (diags, wait_edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rcarb_board::presets;
+    use rcarb_core::channel::ChannelMergePlan;
     use rcarb_core::insertion::{insert_arbiters, InsertionConfig};
-    use rcarb_core::memmap::bind_segments;
+    use rcarb_core::memmap::{bind_segments, MemoryBinding};
     use rcarb_core::transform::RetryPolicy;
     use rcarb_taskgraph::builder::TaskGraphBuilder;
     use rcarb_taskgraph::graph::TaskGraph;
@@ -116,12 +120,16 @@ mod tests {
     }
 
     fn run(plan: &ArbitrationPlan, binding: &MemoryBinding) -> Vec<Diagnostic> {
-        check_starvation(
-            plan,
-            binding,
-            &ChannelMergePlan::default(),
-            &AnalyzeConfig::default(),
-        )
+        run_with(plan, binding, &AnalyzeConfig::default())
+    }
+
+    fn run_with(
+        plan: &ArbitrationPlan,
+        binding: &MemoryBinding,
+        config: &AnalyzeConfig,
+    ) -> Vec<Diagnostic> {
+        let guards = GuardMap::new(plan, binding, &ChannelMergePlan::default());
+        check_starvation(plan, &guards, config).0
     }
 
     #[test]
@@ -256,10 +264,9 @@ mod tests {
             &ChannelMergePlan::default(),
             &InsertionConfig::paper().with_max_burst(4),
         );
-        let diags = check_starvation(
+        let diags = run_with(
             &wide,
             &binding2,
-            &ChannelMergePlan::default(),
             &AnalyzeConfig::default().with_max_burst(2),
         );
         assert!(
@@ -267,10 +274,9 @@ mod tests {
             "{diags:?}"
         );
         // The same plan is clean under its own window.
-        let ok = check_starvation(
+        let ok = run_with(
             &wide,
             &binding2,
-            &ChannelMergePlan::default(),
             &AnalyzeConfig::default().with_max_burst(4),
         );
         assert!(ok.is_empty(), "{ok:?}");

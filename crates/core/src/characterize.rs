@@ -195,10 +195,22 @@ impl Characterization {
     }
 }
 
+/// Whether an `n`-input round-robin arbiter can be generated and its
+/// Synplify netlist synthesized, as [`estimate_round_robin`] does (see
+/// [`ArbiterSpec::fits_synthesizer`]). Synplify forces one-hot, so this
+/// admits `1..=21`.
+pub fn synplify_fits(n: usize) -> bool {
+    ArbiterSpec::try_round_robin(n).is_ok_and(|spec| spec.fits_synthesizer(&ToolModel::synplify()))
+}
+
 /// Quick estimate used by the partitioner when no full table is at hand:
 /// the `(clbs, fmax_mhz)` of a single round-robin arbiter synthesized
 /// with the Synplify model. Once the synthesis cache holds the size, the
 /// estimate is one key lookup.
+///
+/// # Panics
+///
+/// Panics unless [`synplify_fits`]`(n)`.
 pub fn estimate_round_robin(n: usize, grade: SpeedGrade) -> (u32, f64) {
     let report = ArbiterGenerator::new()
         .with_grade(grade)

@@ -11,6 +11,7 @@
 use crate::channel::ChannelMergePlan;
 use crate::characterize;
 use crate::elision;
+use crate::error::Error;
 use crate::memmap::MemoryBinding;
 use crate::transform::{self, ResourceMap, RetryPolicy, TransformConfig, TransformStats};
 use rcarb_board::device::SpeedGrade;
@@ -187,12 +188,51 @@ impl ArbitrationPlan {
 /// `binding` decides which banks are contended; `merges` decides which
 /// physical channels are shared by multiple writer tasks. The returned
 /// plan owns a transformed copy of `graph`.
+///
+/// # Panics
+///
+/// Panics if a contended resource needs an arbiter wider than the
+/// synthesizer fits; [`try_insert_arbiters`] returns that as an error.
 pub fn insert_arbiters(
     graph: &TaskGraph,
     binding: &MemoryBinding,
     merges: &ChannelMergePlan,
     config: &InsertionConfig,
 ) -> ArbitrationPlan {
+    try_insert_arbiters(graph, binding, merges, config).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Pre-characterizes the round-robin arbiter guarding `resource`, after
+/// checking that its Synplify synthesis fits.
+fn estimate(
+    resource: ArbitratedResource,
+    inputs: usize,
+    grade: SpeedGrade,
+) -> Result<(u32, f64), Error> {
+    if !characterize::synplify_fits(inputs) {
+        return Err(Error::Request {
+            detail: format!(
+                "{resource} needs a {inputs}-input round-robin arbiter, wider than the \
+                 synthesizer fits (state bits plus inputs exceed 64 variables)"
+            ),
+        });
+    }
+    Ok(characterize::estimate_round_robin(inputs, grade))
+}
+
+/// [`insert_arbiters`], returning an error instead of panicking when an
+/// arbiter does not fit the synthesizer.
+///
+/// # Errors
+///
+/// Returns [`Error::Request`] naming the first resource whose arbiter
+/// is too wide, e.g. a bank with 22 or more concurrent accessors.
+pub fn try_insert_arbiters(
+    graph: &TaskGraph,
+    binding: &MemoryBinding,
+    merges: &ChannelMergePlan,
+    config: &InsertionConfig,
+) -> Result<ArbitrationPlan, Error> {
     let mut out_graph = graph.clone();
     let mut arbiters: Vec<ArbiterInstance> = Vec::new();
     let mut per_task: BTreeMap<TaskId, ResourceMap> = BTreeMap::new();
@@ -220,11 +260,11 @@ pub fn insert_arbiters(
                 }
             }
         }
-        let (clbs, fmax_mhz) =
-            characterize::estimate_round_robin(plan.arbiter_inputs, config.grade);
+        let resource = ArbitratedResource::Bank(bank);
+        let (clbs, fmax_mhz) = estimate(resource, plan.arbiter_inputs, config.grade)?;
         arbiters.push(ArbiterInstance {
             id,
-            resource: ArbitratedResource::Bank(bank),
+            resource,
             inputs: plan.arbiter_inputs,
             ports,
             bypass: plan.bypass,
@@ -252,11 +292,11 @@ pub fn insert_arbiters(
                 }
             }
         }
-        let (clbs, fmax_mhz) =
-            characterize::estimate_round_robin(plan.arbiter_inputs, config.grade);
+        let resource = ArbitratedResource::MergedChannel(mi);
+        let (clbs, fmax_mhz) = estimate(resource, plan.arbiter_inputs, config.grade)?;
         arbiters.push(ArbiterInstance {
             id,
-            resource: ArbitratedResource::MergedChannel(mi),
+            resource,
             inputs: plan.arbiter_inputs,
             ports,
             bypass: plan.bypass,
@@ -281,11 +321,11 @@ pub fn insert_arbiters(
         stats.retry_guard_evals += s.retry_guard_evals;
     }
 
-    ArbitrationPlan {
+    Ok(ArbitrationPlan {
         graph: out_graph,
         arbiters,
         stats,
-    }
+    })
 }
 
 /// Assigns ports: group members take ports `0..len`; temporally disjoint

@@ -118,35 +118,11 @@ pub fn run_fft_flow_on(
 impl FftFlow {
     /// Runs the design-rule static analyzer over every temporal
     /// partition, merging the findings into one report with
-    /// `partition #N:` location prefixes.
-    ///
-    /// Each partition is analyzed as an independent job on the workspace
-    /// thread pool, and the per-partition reports are absorbed in stage
-    /// order — the merged report is byte-identical to the sequential
-    /// [`analyze_seq`](Self::analyze_seq) reference.
+    /// `partition #N:` location prefixes, in stage order.
     pub fn analyze(&self, config: &AnalyzeConfig) -> AnalysisReport {
-        let stages = self.result.stages.clone();
-        let config = config.clone();
-        let stage_reports = rcarb_exec::global_pool().parallel_map(stages, move |stage| {
-            (
-                stage.index,
-                analyze_plan(&stage.plan, &stage.binding, &stage.merges, &config),
-            )
-        });
-        let mut report = AnalysisReport::new();
-        for (index, stage_report) in stage_reports {
-            report.absorb(stage_report, &format!("partition #{index}: "));
-        }
-        report
-    }
-
-    /// The single-threaded reference analyzer, kept as the determinism
-    /// baseline for [`analyze`](Self::analyze).
-    pub fn analyze_seq(&self, config: &AnalyzeConfig) -> AnalysisReport {
         let mut report = AnalysisReport::new();
         for stage in &self.result.stages {
-            let stage_report =
-                rcarb_analyze::analyze_plan_seq(&stage.plan, &stage.binding, &stage.merges, config);
+            let stage_report = analyze_plan(&stage.plan, &stage.binding, &stage.merges, config);
             report.absorb(stage_report, &format!("partition #{}: ", stage.index));
         }
         report
@@ -582,13 +558,6 @@ mod tests {
             assert_eq!(sim.output, seq.output);
             assert_eq!(sim.stage_cycles, seq.stage_cycles);
         }
-    }
-
-    #[test]
-    fn parallel_analysis_matches_sequential() {
-        let flow = run_fft_flow().unwrap();
-        let config = AnalyzeConfig::default();
-        assert_eq!(flow.analyze(&config), flow.analyze_seq(&config));
     }
 
     #[test]

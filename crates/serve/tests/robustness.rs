@@ -484,6 +484,73 @@ fn mutated_payloads_are_answered_exactly_or_rejected_as_bad_requests() {
     client.ping().unwrap();
 }
 
+/// A bank shared by 22 tasks needs a 22-input round-robin arbiter, and
+/// its one-hot Synplify netlist does not fit the synthesizer's 64 cube
+/// variables. Planning used to panic inside the arbiter estimate, which
+/// killed the only worker: that request and every later one went
+/// unanswered. Now Plan, Analyze and Simulate each get a non-retryable
+/// `BadRequest`, and the worker still answers a ping. The client's
+/// timeout turns a dead worker into a failure instead of a hang.
+#[test]
+fn designs_with_an_unsynthesizable_arbiter_get_a_bad_request_and_the_worker_survives() {
+    use rcarb_taskgraph::program::{Expr, Program};
+    // A short drain budget, so a server left with an unanswerable
+    // request still shuts down promptly when the test fails.
+    let server = Arc::new(Server::in_process(ServeConfig {
+        workers: 1,
+        drain_timeout: Duration::from_secs(1),
+        ..ServeConfig::default()
+    }));
+    let server_for_connect = Arc::clone(&server);
+    let mut client = RobustClient::new(
+        move || Ok(Client::in_memory(&server_for_connect)),
+        RetryPolicy::none(),
+    )
+    .with_timeout(Some(Duration::from_secs(10)));
+
+    let mut b = rcarb_taskgraph::builder::TaskGraphBuilder::new("wide-bank");
+    let m = b.segment("M", 64, 16);
+    for t in 0..22u64 {
+        b.task(
+            format!("T{t}"),
+            Program::build(|p| p.mem_write(m, Expr::lit(t), Expr::lit(1))),
+        );
+    }
+    let graph = b.finish().unwrap();
+    let board = rcarb_board::presets::duo_small();
+    let requests = [
+        RequestBody::Plan(PlanRequest {
+            graph: graph.clone(),
+            board: board.clone(),
+        }),
+        RequestBody::Analyze(AnalyzeRequest {
+            graph: graph.clone(),
+            board: board.clone(),
+            verified: false,
+        }),
+        RequestBody::Simulate(SimulateRequest {
+            graph,
+            board,
+            max_cycles: 10_000,
+            options: rcarb::backend::SimulateOptions::default(),
+        }),
+    ];
+    for body in requests {
+        match client.call(body).expect("an answer before the timeout") {
+            ResponseBody::Error(e) => {
+                assert_eq!(e.code, ErrorCode::BadRequest, "{e:?}");
+                assert!(!e.retryable);
+                assert!(e.message.contains("22-input"), "{}", e.message);
+            }
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        client.call(RequestBody::Ping).expect("the worker survives"),
+        ResponseBody::Pong
+    );
+}
+
 /// An idle connection is NOT a slow-loris: read timeouts between frames
 /// just poll the drain flag, and the connection keeps working.
 #[test]

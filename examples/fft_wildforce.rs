@@ -1,6 +1,6 @@
 //! The paper's Sec. 5 experiment end to end: the 4x4 2-D FFT taskgraph
 //! partitioned and synthesized for the Annapolis Wildforce board, with
-//! automatic arbiter insertion, parallel design-rule analysis, concurrent
+//! automatic arbiter insertion, design-rule analysis, concurrent
 //! cycle-accurate simulation of independent tiles, numeric verification
 //! against an exact FFT, and the hardware-vs-Pentium-150 runtime
 //! comparison — instrumented with a [`PerfReport`].
@@ -61,7 +61,7 @@ fn main() {
         );
     }
 
-    // Static analysis of all three partitions, fanned out on the pool.
+    // Static analysis of all three partitions.
     let analysis = perf.time("flow/analyze", || flow.analyze(&AnalyzeConfig::default()));
     assert!(analysis.is_clean(), "{}", analysis.render_text());
     println!(

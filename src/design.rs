@@ -30,7 +30,7 @@
 use rcarb_analyze::{analyze_plan, replay_all, AnalysisReport, AnalyzeConfig, ReplayOutcome};
 use rcarb_board::board::{Board, PeId};
 use rcarb_core::channel::{plan_merges, ChannelMergePlan};
-use rcarb_core::insertion::{insert_arbiters, ArbitrationPlan, InsertionConfig};
+use rcarb_core::insertion::{try_insert_arbiters, ArbitrationPlan, InsertionConfig};
 use rcarb_core::memmap::{bind_segments, MemoryBinding};
 use rcarb_core::Error;
 use rcarb_obs::{Obs, ObsConfig};
@@ -184,8 +184,10 @@ impl Design {
     /// # Errors
     ///
     /// Returns [`Error::Bind`] if the segments do not fit the board's
-    /// banks, or [`Error::Channel`] if the inter-PE channels exceed the
-    /// board's physical connectivity.
+    /// banks, [`Error::Channel`] if the inter-PE channels exceed the
+    /// board's physical connectivity, or [`Error::Request`] if a shared
+    /// resource has more concurrent accessors than a synthesizable
+    /// arbiter has inputs.
     ///
     /// # Panics
     ///
@@ -204,7 +206,7 @@ impl Design {
             })?,
             None => ChannelMergePlan::default(),
         };
-        let plan = insert_arbiters(&self.graph, &binding, &merges, &self.insertion);
+        let plan = try_insert_arbiters(&self.graph, &binding, &merges, &self.insertion)?;
         Ok(PlannedDesign {
             board: self.board,
             binding,
@@ -275,8 +277,7 @@ impl PlannedDesign {
         Ok((report, outcomes))
     }
 
-    /// Runs the six-family design-rule analyzer over the plan (the
-    /// checks fan out on the workspace thread pool).
+    /// Runs the six-family design-rule analyzer over the plan.
     pub fn analyze(&self, config: &AnalyzeConfig) -> AnalysisReport {
         let (report, _) = self
             .analyze_spec(&AnalyzeSpec::new(config.clone()))
@@ -465,6 +466,7 @@ impl PlannedDesign {
 mod tests {
     use super::*;
     use rcarb_board::presets;
+    use rcarb_core::insertion::insert_arbiters;
     use rcarb_sim::KernelKind;
     use rcarb_taskgraph::builder::TaskGraphBuilder;
     use rcarb_taskgraph::program::{Expr, Program};

@@ -60,17 +60,6 @@ fn parallel_fft_tile_simulation_is_byte_identical_to_sequential() {
 }
 
 #[test]
-fn parallel_fft_analysis_is_byte_identical_to_sequential() {
-    let _cache = cache_lock();
-    let flow = run_fft_flow().expect("flow partitions");
-    let config = AnalyzeConfig::default();
-    let par = flow.analyze(&config);
-    let seq = flow.analyze_seq(&config);
-    assert_eq!(par, seq);
-    assert_eq!(par.render_text(), seq.render_text());
-}
-
-#[test]
 fn synthesis_cache_hit_returns_an_identical_netlist() {
     let _cache = cache_lock();
     let spec = ArbiterSpec::round_robin(7).with_encoding(EncodingStyle::Compact);

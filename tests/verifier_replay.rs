@@ -322,7 +322,7 @@ proptest! {
         }
         let plan = insert_arbiters(&graph, &binding, &merges, &insertion);
 
-        let config = AnalyzeConfig::default().with_max_burst(m).with_netlist_lints(false);
+        let config = AnalyzeConfig::default().with_max_burst(m);
         let report = analyze_plan(&plan, &binding, &merges, &config);
         prop_assert!(report.is_clean(), "verifier rejected a transformed plan:\n{}", report.render_text());
 
