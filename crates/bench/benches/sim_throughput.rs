@@ -1,13 +1,16 @@
 //! Simulator throughput bench: cycles per second of the full system
-//! simulator under saturated four-way contention, with and without
-//! gate-level arbiter co-simulation. Not a paper figure — it bounds how
-//! large an experiment the harness can afford.
+//! simulator under saturated four-way contention, on both kernels (the
+//! legacy reference that executes every cycle and the batched
+//! production kernel), with and without gate-level arbiter
+//! co-simulation. Not a paper figure — it bounds how large an
+//! experiment the harness can afford, and its kernel axis reproduces the
+//! batched kernel's speed-up over legacy (experiment A9).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rcarb_core::channel::ChannelMergePlan;
 use rcarb_core::insertion::{insert_arbiters, InsertionConfig};
 use rcarb_core::memmap::bind_segments;
-use rcarb_sim::config::SimConfig;
+use rcarb_sim::config::{KernelKind, SimConfig};
 use rcarb_sim::engine::SystemBuilder;
 use rcarb_taskgraph::builder::TaskGraphBuilder;
 use rcarb_taskgraph::program::{Expr, Program};
@@ -37,32 +40,30 @@ fn bench(c: &mut Criterion) {
     );
 
     let mut group = c.benchmark_group("sim_throughput");
-    for (label, cosim) in [("behavioural", false), ("with_cosim", true)] {
-        // Cycle count is deterministic; measure it once for throughput.
-        let cycles = {
-            let mut sys = SystemBuilder::from_plan(&plan, &binding, &ChannelMergePlan::default())
-                .with_config(SimConfig::new().with_cosim(cosim))
-                .try_build(&board)
-                .unwrap();
-            sys.run(1_000_000).cycles
-        };
-        group.throughput(Throughput::Elements(cycles));
-        group.bench_with_input(
-            BenchmarkId::new("saturated_4way", label),
-            &cosim,
-            |b, &cs| {
-                b.iter(|| {
-                    let mut sys =
-                        SystemBuilder::from_plan(&plan, &binding, &ChannelMergePlan::default())
-                            .with_config(SimConfig::new().with_cosim(cs))
-                            .try_build(&board)
-                            .unwrap();
-                    let report = sys.run(1_000_000);
-                    debug_assert!(report.clean());
-                    black_box(report.cycles)
-                });
-            },
-        );
+    for kernel in [KernelKind::Legacy, KernelKind::BatchedSoa] {
+        for (label, cosim) in [("behavioural", false), ("with_cosim", true)] {
+            let config = SimConfig::new().with_cosim(cosim).with_kernel(kernel);
+            let run = || {
+                let mut sys =
+                    SystemBuilder::from_plan(&plan, &binding, &ChannelMergePlan::default())
+                        .with_config(config)
+                        .try_build(&board)
+                        .unwrap();
+                sys.run(1_000_000)
+            };
+            // Cycle count is deterministic; measure it once for throughput.
+            group.throughput(Throughput::Elements(run().cycles));
+            group.bench_function(
+                BenchmarkId::new(format!("saturated_4way/{kernel:?}"), label),
+                |b| {
+                    b.iter(|| {
+                        let report = run();
+                        debug_assert!(report.clean());
+                        black_box(report.cycles)
+                    });
+                },
+            );
+        }
     }
     group.finish();
 }

@@ -16,7 +16,6 @@ use rcarb_analyze::{analyze_plan, AnalysisReport, AnalyzeConfig};
 use rcarb_board::board::{Board, PeId};
 use rcarb_board::presets;
 use rcarb_core::Error;
-use rcarb_exec::PerfReport;
 use rcarb_obs::Obs;
 use rcarb_partition::flow::{run_flow, FlowConfig, FlowError, FlowResult};
 use rcarb_sim::config::SimConfig;
@@ -26,7 +25,6 @@ use rcarb_sim::scheduler::KernelStats;
 use rcarb_sim::{FaultPlan, FaultReport};
 use rcarb_taskgraph::graph::TaskGraph;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// The utilization knob that reproduces the paper's three-stage split
 /// with the declared task area hints.
@@ -177,7 +175,9 @@ pub fn simulate_block(flow: &FftFlow, tile: [[i64; 4]; 4]) -> BlockSim {
 ///
 /// Panics if any partition's simulation reports a violation.
 pub fn simulate_block_with(flow: &FftFlow, tile: [[i64; 4]; 4], config: SimConfig) -> BlockSim {
-    simulate_block_impl(flow, tile, config, None, None)
+    run_stages(flow, tile, config, None, None)
+        .expect("the planned partitions build and load")
+        .sim
 }
 
 /// [`simulate_block_with`] under an observability session: every
@@ -195,95 +195,9 @@ pub fn simulate_block_observed(
     config: SimConfig,
     obs: &Obs,
 ) -> BlockSim {
-    simulate_block_impl(flow, tile, config, None, Some(obs))
-}
-
-/// [`simulate_block_with`] plus wall-clock stage timings: returns the
-/// block result alongside a [`PerfReport`] with one `sim/partition{i}`
-/// stage per temporal partition.
-///
-/// # Panics
-///
-/// Panics if any partition's simulation reports a violation.
-pub fn simulate_block_timed(
-    flow: &FftFlow,
-    tile: [[i64; 4]; 4],
-    config: SimConfig,
-) -> (BlockSim, PerfReport) {
-    let mut perf = PerfReport::new();
-    let sim = simulate_block_impl(flow, tile, config, Some(&mut perf), None);
-    (sim, perf)
-}
-
-fn simulate_block_impl(
-    flow: &FftFlow,
-    tile: [[i64; 4]; 4],
-    config: SimConfig,
-    mut perf: Option<&mut PerfReport>,
-    obs: Option<&Obs>,
-) -> BlockSim {
-    let _block_span = obs.map(|o| o.span("fft/block"));
-    // Cross-stage memory contents, keyed by segment name.
-    let mut memory: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    for (i, row) in tile.iter().enumerate() {
-        memory.insert(
-            format!("MI{}", i + 1),
-            row.iter().map(|&v| v as u64).collect(),
-        );
-    }
-    let mut stage_cycles = Vec::new();
-    let mut stage_kernel = Vec::new();
-    for stage in &flow.result.stages {
-        let started = Instant::now();
-        let _stage_span = obs.map(|o| o.span(&format!("fft/partition{}", stage.index)));
-        let mut builder = SystemBuilder::from_plan(&stage.plan, &stage.binding, &stage.merges)
-            .with_config(config);
-        if let Some(o) = obs {
-            builder = builder.with_obs(o.clone());
-        }
-        let mut sys = builder.try_build(&flow.board).unwrap();
-        let sub = &stage.plan.graph;
-        for seg in sub.segments() {
-            if let Some(data) = memory.get(seg.name()) {
-                sys.try_load_segment(seg.id(), data).unwrap();
-            }
-        }
-        let report = sys.run(1_000_000);
-        assert!(
-            report.clean(),
-            "partition #{} violated: {:?}",
-            stage.index,
-            report.violations
-        );
-        stage_cycles.push(report.cycles);
-        stage_kernel.push(sys.kernel_stats());
-        for seg in sub.segments() {
-            memory.insert(
-                seg.name().to_owned(),
-                sys.try_read_segment(seg.id(), seg.words() as usize)
-                    .unwrap(),
-            );
-        }
-        if let Some(perf) = perf.as_deref_mut() {
-            perf.add_stage(format!("sim/partition{}", stage.index), started.elapsed());
-        }
-    }
-    // Host combine: Out[k][j] = Gr[k][j] + i * Gi[k][j].
-    let mut output = [[Complex::default(); 4]; 4];
-    for j in 0..4 {
-        let mo = &memory[&format!("MO{}", j + 1)];
-        let moi = &memory[&format!("MOI{}", j + 1)];
-        for k in 0..4 {
-            let gr = Complex::new(mo[2 * k] as i64, mo[2 * k + 1] as i64);
-            let gi = Complex::new(moi[2 * k] as i64, moi[2 * k + 1] as i64);
-            output[k][j] = gr.add(gi.mul_i());
-        }
-    }
-    BlockSim {
-        stage_cycles,
-        stage_kernel,
-        output,
-    }
+    run_stages(flow, tile, config, Some(obs), None)
+        .expect("the planned partitions build and load")
+        .sim
 }
 
 /// The outcome of a fault-mode block simulation: the block result, the
@@ -331,6 +245,26 @@ pub fn simulate_block_faulted(
             ),
         });
     }
+    run_stages(flow, tile, config, None, Some((stage_index, plan)))
+}
+
+/// The one stage loop behind every block simulation: seeds the tile
+/// into `MI1`..`MI4`, runs the temporal partitions in order carrying
+/// segment contents across them by name (the host's job on the real
+/// board), arms `fault` — a stage index and its plan — on that one
+/// partition, and combines the output planes on the host.
+///
+/// # Panics
+///
+/// Panics if a partition without the fault plan reports a violation.
+fn run_stages(
+    flow: &FftFlow,
+    tile: [[i64; 4]; 4],
+    config: SimConfig,
+    obs: Option<&Obs>,
+    fault: Option<(usize, &FaultPlan)>,
+) -> Result<FaultedBlockSim, Error> {
+    let _block_span = obs.map(|o| o.span("fft/block"));
     let mut memory: BTreeMap<String, Vec<u64>> = BTreeMap::new();
     for (i, row) in tile.iter().enumerate() {
         memory.insert(
@@ -344,10 +278,14 @@ pub fn simulate_block_faulted(
     let mut violations = Vec::new();
     let mut completed = true;
     for stage in &flow.result.stages {
-        let armed = stage.index == stage_index;
+        let _stage_span = obs.map(|o| o.span(&format!("fft/partition{}", stage.index)));
+        let armed = fault.filter(|&(index, _)| index == stage.index);
         let mut builder = SystemBuilder::from_plan(&stage.plan, &stage.binding, &stage.merges)
             .with_config(config);
-        if armed {
+        if let Some(o) = obs {
+            builder = builder.with_obs(o.clone());
+        }
+        if let Some((_, plan)) = armed {
             builder = builder.with_faults(plan.clone());
         }
         let mut sys = builder.try_build(&flow.board)?;
@@ -358,13 +296,13 @@ pub fn simulate_block_faulted(
             }
         }
         let report = sys.run(1_000_000);
-        if armed {
+        if armed.is_some() {
             faults = sys.fault_report();
             violations = report.violations.clone();
         } else {
             assert!(
                 report.clean(),
-                "fault-free partition #{} violated: {:?}",
+                "partition #{} violated: {:?}",
                 stage.index,
                 report.violations
             );
@@ -379,6 +317,7 @@ pub fn simulate_block_faulted(
             );
         }
     }
+    // Host combine: Out[k][j] = Gr[k][j] + i * Gi[k][j].
     let mut output = [[Complex::default(); 4]; 4];
     for j in 0..4 {
         let mo = &memory[&format!("MO{}", j + 1)];
@@ -606,21 +545,5 @@ mod tests {
         assert_eq!(snap.counter("sim/runs"), flow.result.stages.len() as u64);
         assert_eq!(snap.counter("sim/cycles_total"), plain.total_cycles());
         rcarb_obs::chrome::validate_trace(&obs.chrome_trace()).expect("valid trace");
-    }
-
-    #[test]
-    fn timed_block_reports_per_partition_stages() {
-        let flow = run_fft_flow().unwrap();
-        let tile = [[3; 4]; 4];
-        let (timed, perf) = simulate_block_timed(&flow, tile, SimConfig::new());
-        assert_eq!(timed.output, simulate_block(&flow, tile).output);
-        for stage in &flow.result.stages {
-            assert!(
-                perf.stage(&format!("sim/partition{}", stage.index))
-                    .is_some(),
-                "missing timing for partition #{}",
-                stage.index
-            );
-        }
     }
 }

@@ -32,8 +32,8 @@ pub mod swmodel;
 pub mod taskgraph;
 
 pub use flow::{
-    run_fft_flow, run_fft_flow_on, run_fft_flow_with, simulate_block, simulate_block_timed,
-    simulate_block_with, BlockSim, FftFlow,
+    run_fft_flow, run_fft_flow_on, run_fft_flow_with, simulate_block, simulate_block_with,
+    BlockSim, FftFlow,
 };
 pub use reference::Complex;
 pub use taskgraph::{build_fft_taskgraph, FftNames};

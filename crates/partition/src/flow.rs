@@ -10,7 +10,7 @@ use crate::spatial::{self, SpatialError, SpatialPartition};
 use crate::temporal::{self, TemporalConfig, TemporalError, TemporalPartition};
 use rcarb_board::board::{Board, PeId};
 use rcarb_core::channel::{plan_merges, ChannelMergePlan, ChannelPlanError};
-use rcarb_core::insertion::{insert_arbiters, ArbitrationPlan, InsertionConfig};
+use rcarb_core::insertion::{try_insert_arbiters, ArbitrationPlan, InsertionConfig};
 use rcarb_core::memmap::{bind_segments, BindError, MemoryBinding};
 use rcarb_taskgraph::builder::TaskGraphBuilder;
 use rcarb_taskgraph::graph::TaskGraph;
@@ -148,6 +148,9 @@ pub enum FlowError {
     Bind(BindError),
     /// Channel merging failed.
     Channel(ChannelPlanError),
+    /// Arbiter insertion failed, e.g. a bank with more concurrent
+    /// accessors than the synthesizer fits in one arbiter.
+    Insertion(rcarb_core::Error),
     /// A channel connects tasks scheduled into different stages.
     ChannelSpansStages {
         /// The offending channel (original id).
@@ -162,6 +165,7 @@ impl fmt::Display for FlowError {
             FlowError::Spatial(e) => write!(f, "spatial partitioning: {e}"),
             FlowError::Bind(e) => write!(f, "memory binding: {e}"),
             FlowError::Channel(e) => write!(f, "channel merging: {e}"),
+            FlowError::Insertion(e) => write!(f, "arbiter insertion: {e}"),
             FlowError::ChannelSpansStages { channel } => {
                 write!(f, "channel {channel} spans temporal stages")
             }
@@ -192,6 +196,12 @@ impl From<BindError> for FlowError {
 impl From<ChannelPlanError> for FlowError {
     fn from(e: ChannelPlanError) -> Self {
         FlowError::Channel(e)
+    }
+}
+
+impl From<rcarb_core::Error> for FlowError {
+    fn from(e: rcarb_core::Error) -> Self {
+        FlowError::Insertion(e)
     }
 }
 
@@ -240,7 +250,7 @@ pub fn run_flow(
         spatial::refine_with_memory(sub, board, &binding, &mut sp, 8);
         let binding = bind_segments(sub.segments(), board, &|s| prefer(&sp, s))?;
         let merges = plan_merges(sub, board, &|t| sp.pe_of(t))?;
-        let plan = insert_arbiters(sub, &binding, &merges, &config.insertion);
+        let plan = try_insert_arbiters(sub, &binding, &merges, &config.insertion)?;
         stages.push(StageResult {
             index,
             original_tasks: stage_tasks.clone(),
@@ -496,5 +506,36 @@ mod tests {
         let board = presets::wildforce();
         let err = run_flow(&graph, &board, &FlowConfig::paper()).unwrap_err();
         assert_eq!(err, FlowError::ChannelSpansStages { channel: c });
+    }
+
+    /// `tasks` tasks, each making one write to one shared segment: one
+    /// bank with `tasks` concurrent accessors.
+    fn shared_segment_design(tasks: usize) -> TaskGraph {
+        let mut b = TaskGraphBuilder::new("shared");
+        let m = b.segment("M", 64, 16);
+        for i in 0..tasks {
+            b.task(
+                format!("T{i}"),
+                Program::build(move |p| p.mem_write(m, Expr::lit(i as u64), Expr::lit(1))),
+            );
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn an_arbiter_too_wide_to_synthesize_is_a_flow_error() {
+        for board in [presets::wildforce(), presets::quad_large()] {
+            let err = run_flow(&shared_segment_design(22), &board, &FlowConfig::paper())
+                .expect_err("22 accessors exceed the synthesizer");
+            assert!(
+                matches!(err, FlowError::Insertion(rcarb_core::Error::Request { .. })),
+                "{}: {err}",
+                board.name()
+            );
+            assert!(err.to_string().starts_with("arbiter insertion: "), "{err}");
+            let planned = run_flow(&shared_segment_design(21), &board, &FlowConfig::paper())
+                .expect("21 accessors fit");
+            assert_eq!(planned.arbiter_sizes(), vec![vec![21]], "{}", board.name());
+        }
     }
 }

@@ -1,19 +1,6 @@
-//! Run-report summaries: fairness, overhead and kernel-efficiency
-//! metrics.
+//! Run-report summaries: fairness and overhead metrics.
 
 use crate::engine::RunReport;
-use crate::scheduler::KernelStats;
-
-/// Effective simulation speedup of the batched kernel over the
-/// legacy always-execute loop, assuming equal per-executed-cycle cost:
-/// `total_cycles / executed_cycles`. Returns 1.0 for an empty run (and
-/// exactly 1.0 for a legacy run, which never skips).
-pub fn kernel_speedup(stats: &KernelStats) -> f64 {
-    if stats.executed_cycles == 0 {
-        return 1.0;
-    }
-    stats.total_cycles() as f64 / stats.executed_cycles as f64
-}
 
 /// Jain's fairness index over a set of per-task quantities: 1.0 is
 /// perfectly fair, `1/n` maximally unfair.
@@ -73,43 +60,6 @@ impl RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_speedup_tracks_the_skip_share() {
-        assert_eq!(kernel_speedup(&KernelStats::default()), 1.0);
-        let legacy = KernelStats {
-            executed_cycles: 500,
-            skipped_cycles: 0,
-            skips: 0,
-        };
-        assert_eq!(kernel_speedup(&legacy), 1.0);
-        let batched = KernelStats {
-            executed_cycles: 100,
-            skipped_cycles: 900,
-            skips: 12,
-        };
-        assert!((kernel_speedup(&batched) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kernel_speedup_degenerate_runs_stay_finite() {
-        // Nothing executed but cycles skipped (a run that was entirely
-        // provably inert): the ratio would be infinite, so the metric
-        // pins to the no-information value instead of dividing by zero.
-        let all_skipped = KernelStats {
-            executed_cycles: 0,
-            skipped_cycles: 750,
-            skips: 1,
-        };
-        assert_eq!(kernel_speedup(&all_skipped), 1.0);
-        // A single executed cycle with no skips is exactly break-even.
-        let one = KernelStats {
-            executed_cycles: 1,
-            skipped_cycles: 0,
-            skips: 0,
-        };
-        assert_eq!(kernel_speedup(&one), 1.0);
-    }
 
     #[test]
     fn jain_bounds() {

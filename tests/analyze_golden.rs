@@ -7,8 +7,9 @@
 //!
 //! - the FFT Wildforce flow, every temporal partition, with and without
 //!   Sec. 5 elision;
-//! - the `bench_sweep` analyze grid: `n` tasks bursting on one shared
-//!   bank for n = 2, 4, 8 under each FSM encoding;
+//! - a contention grid: `n` tasks bursting on duo_small's one shared
+//!   bank, so one arbiter with `n` clients, for n = 2, 4, 8 under each
+//!   FSM encoding (one-hot, compact, Gray);
 //! - the design mutations of `tests/analyze.rs` (dropped arbiters,
 //!   stripped releases, cross-order locks, fairness refutation and
 //!   unprovability, a shorted channel);
@@ -104,8 +105,9 @@ fn strip_releases(ops: &[Op]) -> Vec<Op> {
         .collect()
 }
 
-/// `n` tasks writing four words each into one shared segment (the
-/// `bench_sweep` verifier grid).
+/// `n` tasks writing four words each into one shared segment: one
+/// arbiter with `n` clients, the dimension the lockset, deadlock and
+/// fairness passes scale in.
 fn burst_graph(n: usize) -> TaskGraph {
     let mut b = TaskGraphBuilder::new(format!("analyze_n{n}"));
     let m = b.segment("M", 256, 16);
@@ -292,7 +294,7 @@ fn reports() -> Vec<(String, AnalysisReport)> {
         out.push((format!("fft elide={elide}"), flow.analyze(&paper)));
     }
 
-    // The bench_sweep analyze grid.
+    // The contention grid: n clients on one arbiter, every encoding.
     for n in [2, 4, 8] {
         let case = Case::new(
             &burst_graph(n),

@@ -335,6 +335,75 @@ fn fairness_watchdog_flags_starvation_under_a_camping_request() {
     );
 }
 
+/// Two tasks each writing one shared bank `iters` times: enough traffic
+/// that a camping request line visibly starves the other task.
+fn hog_and_meek_graph(iters: u32) -> TaskGraph {
+    let mut b = TaskGraphBuilder::new("chaos_sweep");
+    let m = b.segment("M", 64, 16);
+    b.task(
+        "hog",
+        Program::build(move |p| {
+            p.repeat(iters, |p| p.mem_write(m, Expr::lit(0), Expr::lit(1)));
+        }),
+    );
+    b.task(
+        "meek",
+        Program::build(move |p| {
+            p.repeat(iters, |p| p.mem_write(m, Expr::lit(1), Expr::lit(2)));
+        }),
+    );
+    b.finish().expect("valid graph")
+}
+
+/// A seeded sweep of a camping stuck-request (which defeats the Fig. 8
+/// deassert protocol) plus a transient task hang, with watchdogs and
+/// request scrubbing on: every seed completes, both kernels observe the
+/// identical run and fault lifecycle, and every detected fault is
+/// recovered. The totals over the sweep are pinned.
+#[test]
+fn seeded_chaos_sweep_recovers_identically_on_both_kernels() {
+    let graph = hog_and_meek_graph(50);
+    let config = SimConfig::new()
+        .with_trace(true)
+        .with_watchdog(
+            WatchdogConfig::none()
+                .with_grant_timeout(32)
+                .with_progress_bound(4096),
+        )
+        .with_recovery(RecoveryPolicy::none().with_scrub_requests(true));
+    let insertion = InsertionConfig::paper();
+    let (mut detected, mut recovered, mut worst_latency) = (0, 0, 0);
+    for seed in 0..8u64 {
+        let plan = FaultPlan::seeded(seed)
+            .with_stuck_request(
+                TaskId::new(0),
+                ArbiterId::new(0),
+                true,
+                FaultWindow::new(seed * 3, seed * 3 + 60),
+            )
+            .with_task_hang(TaskId::new(1), FaultWindow::new(10 + seed, 20 + seed));
+        let batched = observe(&graph, &insertion, config, Some(&plan), 1_000_000);
+        let legacy = observe(
+            &graph,
+            &insertion,
+            config.with_kernel(KernelKind::Legacy),
+            Some(&plan),
+            1_000_000,
+        );
+        assert_eq!(batched, legacy, "seed {seed}: the kernels diverged");
+        assert!(
+            batched.0.completed,
+            "seed {seed}: recovery must restore progress"
+        );
+        detected += batched.1.detected;
+        recovered += batched.1.recovered;
+        worst_latency = worst_latency.max(batched.1.worst_detection_latency().unwrap_or(0));
+    }
+    assert!(detected > 0, "the sweep must detect at least one fault");
+    assert_eq!(detected, recovered, "every detected fault is recoverable");
+    assert_eq!((detected, worst_latency), (8, 43), "sweep totals changed");
+}
+
 // ---------------------------------------------------------------------
 // Recovery: quarantine, re-route, retry
 // ---------------------------------------------------------------------

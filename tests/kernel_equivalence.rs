@@ -8,16 +8,18 @@
 //! tracing on — byte-identical VCD output. The legacy kernel never
 //! skips; the batched kernel accounts every cycle as executed or
 //! skipped, and its skip decisions ([`KernelStats`]) on the directed
-//! designs are pinned in [`GOLDEN_STATS`].
+//! designs and the sparse, dense, contended and FFT-block workloads are
+//! pinned in [`GOLDEN_STATS`].
 
 use proptest::prelude::*;
 use rcarb::arb::channel::ChannelMergePlan;
 use rcarb::arb::insertion::{insert_arbiters, InsertionConfig};
 use rcarb::arb::memmap::bind_segments;
 use rcarb::arb::policy::PolicyKind;
+use rcarb::board::board::Board;
 use rcarb::board::presets;
 use rcarb::sim::config::SimConfig;
-use rcarb::sim::engine::{RunReport, SystemBuilder};
+use rcarb::sim::engine::{RunReport, System, SystemBuilder};
 use rcarb::sim::{
     FaultPlan, FaultReport, FaultWindow, KernelKind, KernelStats, RecoveryPolicy, WatchdogConfig,
 };
@@ -25,6 +27,8 @@ use rcarb::taskgraph::builder::TaskGraphBuilder;
 use rcarb::taskgraph::graph::TaskGraph;
 use rcarb::taskgraph::id::{ArbiterId, ChannelId, TaskId};
 use rcarb::taskgraph::program::{Expr, Program};
+use rcarb::taskgraph::segment::MemorySegment;
+use std::collections::BTreeMap;
 
 /// Both kernels, in oracle-first order.
 const KERNELS: [KernelKind; 2] = [KernelKind::Legacy, KernelKind::BatchedSoa];
@@ -38,7 +42,8 @@ const fn stats(executed_cycles: u64, skipped_cycles: u64, skips: u64) -> KernelS
     }
 }
 
-/// The batched kernel's skip decisions on every directed design below.
+/// The batched kernel's skip decisions on every directed design and
+/// workload below.
 /// A changed row means the kernel now executes or skips different
 /// cycles; re-record it only once the reports still match legacy and
 /// the new decisions are understood.
@@ -58,6 +63,10 @@ const GOLDEN_STATS: &[(&str, KernelStats)] = &[
     ("channel_bit_flip_window_end", stats(10, 35, 1)),
     ("bank_read_error_window_end", stats(16, 31, 2)),
     ("task_hang_window_end", stats(20, 33, 2)),
+    ("sparse", stats(550, 9606, 50)),
+    ("dense", stats(10000, 0, 0)),
+    ("contended", stats(19201, 0, 0)),
+    ("fft_block", stats(183, 2, 1)),
 ];
 
 /// Asserts the batched kernel's skip accounting on directed design
@@ -106,22 +115,23 @@ fn random_design(num_tasks: usize, patterns: &[Vec<u8>]) -> TaskGraph {
 /// and every segment's final contents.
 type Observation = (RunReport, Option<String>, Vec<Vec<u64>>, KernelStats);
 
-/// Builds and runs `graph` on the given kernel, observing everything.
+/// Builds and runs `graph` on `board` with the given kernel, observing
+/// everything.
 fn observe(
     graph: &TaskGraph,
+    board: &Board,
     arbitrated: bool,
     kind: PolicyKind,
     m: u32,
     kernel: KernelKind,
 ) -> Observation {
-    let board = presets::duo_small();
-    let binding = bind_segments(graph.segments(), &board, &|_| None).expect("binds");
+    let binding = bind_segments(graph.segments(), board, &|_| None).expect("binds");
     let merges = ChannelMergePlan::default();
     let config = SimConfig::new()
         .with_policy(kind)
         .with_trace(true)
         .with_kernel(kernel);
-    let mut sys = if arbitrated {
+    let sys = if arbitrated {
         let plan = insert_arbiters(
             graph,
             &binding,
@@ -135,12 +145,17 @@ fn observe(
         SystemBuilder::unarbitrated(graph, &binding, &merges)
     }
     .with_config(config)
-    .try_build(&board)
+    .try_build(board)
     .unwrap();
+    run_observed(sys, graph.segments())
+}
+
+/// Runs `sys` to completion (or a million cycles) and observes the
+/// report, the VCD and the final contents of `segments`.
+fn run_observed(mut sys: System, segments: &[MemorySegment]) -> Observation {
     let report = sys.run(1_000_000);
     let vcd = sys.vcd();
-    let memory = graph
-        .segments()
+    let memory = segments
         .iter()
         .map(|s| sys.try_read_segment(s.id(), s.words() as usize).unwrap())
         .collect();
@@ -172,11 +187,13 @@ fn assert_equivalent(legacy: &Observation, batched: &Observation) {
 /// returning the batched observation for scenario-specific checks.
 fn assert_kernels_agree(
     graph: &TaskGraph,
+    board: &Board,
     arbitrated: bool,
     kind: PolicyKind,
     m: u32,
 ) -> Observation {
-    let [legacy, batched] = KERNELS.map(|kernel| observe(graph, arbitrated, kind, m, kernel));
+    let [legacy, batched] =
+        KERNELS.map(|kernel| observe(graph, board, arbitrated, kind, m, kernel));
     assert_equivalent(&legacy, &batched);
     batched
 }
@@ -198,7 +215,7 @@ proptest! {
     ) {
         let graph = random_design(num_tasks, &seed_patterns);
         let kind = PolicyKind::ALL[kind_idx];
-        assert_kernels_agree(&graph, true, kind, m);
+        assert_kernels_agree(&graph, &presets::duo_small(), true, kind, m);
     }
 
     /// Unarbitrated random designs (bank conflicts and all): the
@@ -212,7 +229,7 @@ proptest! {
         ),
     ) {
         let graph = random_design(num_tasks, &seed_patterns);
-        assert_kernels_agree(&graph, false, PolicyKind::RoundRobin, 1);
+        assert_kernels_agree(&graph, &presets::duo_small(), false, PolicyKind::RoundRobin, 1);
     }
 }
 
@@ -244,7 +261,13 @@ fn kernels_agree_on_channel_waits() {
     );
     let _ = b.channel("c", 16, producer, consumer);
     let graph = b.finish().expect("valid");
-    let batched = assert_kernels_agree(&graph, false, PolicyKind::RoundRobin, 1);
+    let batched = assert_kernels_agree(
+        &graph,
+        &presets::duo_small(),
+        false,
+        PolicyKind::RoundRobin,
+        1,
+    );
     assert!(batched.0.completed, "producer/consumer must finish");
     // The consumer waits out most of the producer's computes; the
     // batched kernel must actually skip a meaningful share of them.
@@ -693,4 +716,110 @@ fn kernels_agree_when_a_bank_read_error_window_ends() {
 fn kernels_agree_when_a_task_hang_ends() {
     let plan = FaultPlan::seeded(1).with_task_hang(TaskId::new(0), FaultWindow::new(2, 8));
     assert_agree_at_window_end("task_hang_window_end", &window_end_graph(), &plan);
+}
+
+/// Sparse workload: four tasks on duo_small's one shared bank, each
+/// alternating a long compute with a single write, so on almost every
+/// cycle every task is asleep or queued on the arbiter and the batched
+/// kernel skips the bulk of the run.
+fn sparse_graph(iters: u32) -> TaskGraph {
+    let mut b = TaskGraphBuilder::new("kernel_sparse");
+    let segs: Vec<_> = (0..4).map(|i| b.segment(format!("S{i}"), 64, 16)).collect();
+    for (i, &seg) in segs.iter().enumerate() {
+        b.task(
+            format!("T{i}"),
+            Program::build(|p| {
+                p.repeat(iters, |p| {
+                    p.compute(200);
+                    p.mem_write(seg, Expr::lit(i as u64), Expr::lit(1));
+                });
+            }),
+        );
+    }
+    b.finish().expect("sparse graph is well-formed")
+}
+
+/// `tasks` tasks each looping a read-modify-write of word `i` of its own
+/// segment: on Wildforce's private banks nothing ever sleeps (the dense
+/// workload); packed into duo_small's one shared bank every access
+/// queues behind a `tasks`-input arbiter (the contended workload).
+fn read_modify_write_graph(tasks: usize, iters: u32) -> TaskGraph {
+    let mut b = TaskGraphBuilder::new("kernel_read_modify_write");
+    let segs: Vec<_> = (0..tasks)
+        .map(|i| b.segment(format!("D{i}"), 64, 16))
+        .collect();
+    for (i, &seg) in segs.iter().enumerate() {
+        b.task(
+            format!("T{i}"),
+            Program::build(|p| {
+                p.repeat(iters, |p| {
+                    let v = p.mem_read(seg, Expr::lit(i as u64));
+                    p.mem_write(
+                        seg,
+                        Expr::lit(i as u64),
+                        Expr::add(Expr::var(v), Expr::lit(1)),
+                    );
+                });
+            }),
+        );
+    }
+    b.finish().expect("read-modify-write graph is well-formed")
+}
+
+/// The sparse, dense and contended workloads, each arbitrated under the
+/// paper's insertion: reports, VCD and memory match legacy, every run
+/// finishes, and the batched skip decisions are pinned.
+#[test]
+fn kernels_agree_on_sparse_dense_and_contended_workloads() {
+    let duo = presets::duo_small();
+    let wildforce = presets::wildforce();
+    for (name, graph, board) in [
+        ("sparse", sparse_graph(50), &duo),
+        ("dense", read_modify_write_graph(4, 5_000), &wildforce),
+        ("contended", read_modify_write_graph(16, 400), &duo),
+    ] {
+        let batched = assert_kernels_agree(&graph, board, true, PolicyKind::RoundRobin, 2);
+        assert!(batched.0.completed, "{name}: the workload must finish");
+        assert_golden_stats(name, batched.3);
+    }
+}
+
+/// One tile through the paper's three FFT partitions on Wildforce, the
+/// host carrying segment contents between partitions by name: each
+/// partition's report, VCD and memory match legacy, and the batched
+/// skip decisions summed over the partitions are pinned.
+#[test]
+fn kernels_agree_on_an_fft_block() {
+    let flow = rcarb::fft::run_fft_flow().expect("fft flow plans");
+    let mut memory: BTreeMap<String, Vec<u64>> = (0..4u64)
+        .map(|r| (format!("MI{}", r + 1), (1..=4).map(|c| r * 4 + c).collect()))
+        .collect();
+    let mut total = KernelStats::default();
+    for stage in &flow.result.stages {
+        let segments = stage.plan.graph.segments();
+        let [legacy, batched] = KERNELS.map(|kernel| {
+            let mut sys = SystemBuilder::from_plan(&stage.plan, &stage.binding, &stage.merges)
+                .with_config(SimConfig::new().with_trace(true).with_kernel(kernel))
+                .try_build(&flow.board)
+                .unwrap();
+            for seg in segments {
+                if let Some(data) = memory.get(seg.name()) {
+                    sys.try_load_segment(seg.id(), data).unwrap();
+                }
+            }
+            run_observed(sys, segments)
+        });
+        assert_equivalent(&legacy, &batched);
+        assert!(
+            batched.0.clean() && batched.0.completed,
+            "partition #{}: {:?}",
+            stage.index,
+            batched.0.violations
+        );
+        total.absorb(batched.3);
+        for (seg, data) in segments.iter().zip(batched.2) {
+            memory.insert(seg.name().to_owned(), data);
+        }
+    }
+    assert_golden_stats("fft_block", total);
 }
