@@ -24,6 +24,7 @@
 use crate::diag::{DiagCode, Diagnostic, Witness};
 use crate::lockset::WaitEdge;
 use rcarb_core::insertion::ArbitrationPlan;
+use rcarb_taskgraph::concurrency::ConcurrencyRelation;
 use rcarb_taskgraph::id::ArbiterId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -79,7 +80,12 @@ fn dfs(
 
 /// Detects circular waits across tasks (RCA501/RCA502) in the wait
 /// edges the lockset pass observed, in task order.
-pub(crate) fn check_deadlock(plan: &ArbitrationPlan, edges: &[WaitEdge]) -> Vec<Diagnostic> {
+/// `order` is the concurrency relation of `plan.graph`.
+pub(crate) fn check_deadlock(
+    plan: &ArbitrationPlan,
+    edges: &[WaitEdge],
+    order: &ConcurrencyRelation,
+) -> Vec<Diagnostic> {
     if edges.is_empty() {
         return Vec::new();
     }
@@ -126,7 +132,7 @@ pub(crate) fn check_deadlock(plan: &ArbitrationPlan, edges: &[WaitEdge]) -> Vec<
         let concurrent = tasks.iter().enumerate().all(|(i, &a)| {
             tasks[i + 1..]
                 .iter()
-                .all(|&b| !plan.graph.are_ordered(a, b))
+                .all(|&b| order.may_run_concurrently(a, b))
         });
         if !concurrent {
             continue;
@@ -291,7 +297,7 @@ mod tests {
     ) -> Vec<Diagnostic> {
         let guards = GuardMap::new(plan, binding, merges);
         let (_, edges) = check_starvation(plan, &guards, &AnalyzeConfig::default());
-        check_deadlock(plan, &edges)
+        check_deadlock(plan, &edges, &ConcurrencyRelation::compute(&plan.graph))
     }
 
     #[test]

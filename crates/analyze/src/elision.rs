@@ -18,12 +18,15 @@
 //! ([`Cfg::live_ops`](rcarb_taskgraph::cfg::Cfg::live_ops)): an access
 //! sitting in a statically dead branch (a literal-`0` condition or a
 //! zero-trip loop) can never execute, so it neither makes an elision
-//! unsound nor forces two tasks onto separate arbiter ports.
+//! unsound nor forces two tasks onto separate arbiter ports. Each
+//! program's live ops are walked once; every "ordered?" question is
+//! answered by the one [`ConcurrencyRelation`] the caller computed.
 
 use crate::diag::{DiagCode, Diagnostic};
 use rcarb_core::channel::ChannelMergePlan;
 use rcarb_core::insertion::{ArbitratedResource, ArbitrationPlan};
 use rcarb_core::memmap::MemoryBinding;
+use rcarb_taskgraph::concurrency::ConcurrencyRelation;
 use rcarb_taskgraph::graph::TaskGraph;
 use rcarb_taskgraph::id::{ChannelId, SegmentId, TaskId};
 use rcarb_taskgraph::program::Op;
@@ -62,10 +65,12 @@ impl LiveAccess {
         }
     }
 
-    fn touches_segment(&self, t: TaskId, s: SegmentId) -> bool {
-        self.segments
-            .get(t.index())
-            .is_some_and(|set| set.contains(&s))
+    /// The tasks with a live access to any of `segments`, in id order.
+    fn accessors_of(&self, segments: &[SegmentId]) -> Vec<TaskId> {
+        (0..self.segments.len())
+            .filter(|&t| segments.iter().any(|s| self.segments[t].contains(s)))
+            .map(|t| TaskId::new(t as u32))
+            .collect()
     }
 
     fn sends_on(&self, t: TaskId, c: ChannelId) -> bool {
@@ -84,11 +89,11 @@ fn task_label(graph: &TaskGraph, t: TaskId) -> String {
 }
 
 /// Every unordered pair among `tasks`, as `(a, b)` with `a < b`.
-fn unordered_pairs(graph: &TaskGraph, tasks: &[TaskId]) -> Vec<(TaskId, TaskId)> {
+fn unordered_pairs(order: &ConcurrencyRelation, tasks: &[TaskId]) -> Vec<(TaskId, TaskId)> {
     let mut out = Vec::new();
     for (i, &a) in tasks.iter().enumerate() {
         for &b in &tasks[i + 1..] {
-            if !graph.are_ordered(a, b) {
+            if order.may_run_concurrently(a, b) {
                 out.push((a, b));
             }
         }
@@ -96,11 +101,13 @@ fn unordered_pairs(graph: &TaskGraph, tasks: &[TaskId]) -> Vec<(TaskId, TaskId)>
     out
 }
 
-/// Checks elision soundness over the whole plan.
+/// Checks elision soundness over the whole plan. `order` is the
+/// concurrency relation of `plan.graph`.
 pub fn check_elision(
     plan: &ArbitrationPlan,
     binding: &MemoryBinding,
     merges: &ChannelMergePlan,
+    order: &ConcurrencyRelation,
 ) -> Vec<Diagnostic> {
     let graph = &plan.graph;
     let live = LiveAccess::new(graph);
@@ -110,17 +117,7 @@ pub fn check_elision(
     // live (CFG-reachable) accesses count — see the module doc.
     let mut resources: Vec<(ArbitratedResource, String, Vec<TaskId>)> = Vec::new();
     for bank in binding.used_banks() {
-        let mut accessors: Vec<TaskId> = Vec::new();
-        for s in binding.segments_in(bank) {
-            accessors.extend(
-                graph
-                    .accessors_of_segment(s)
-                    .into_iter()
-                    .filter(|&t| live.touches_segment(t, s)),
-            );
-        }
-        accessors.sort();
-        accessors.dedup();
+        let accessors = live.accessors_of(&binding.segments_in(bank));
         resources.push((
             ArbitratedResource::Bank(bank),
             format!("bank {bank}"),
@@ -152,7 +149,7 @@ pub fn check_elision(
         }
         match plan.arbiter_for(resource) {
             None => {
-                for (a, b) in unordered_pairs(graph, &accessors) {
+                for (a, b) in unordered_pairs(order, &accessors) {
                     out.push(
                         Diagnostic::new(
                             DiagCode::UnsoundElision,
@@ -176,7 +173,7 @@ pub fn check_elision(
                 // A bypass whose accesses are all statically dead is inert.
                 for &bp in arb.bypass.iter().filter(|b| accessors.contains(b)) {
                     for &other in &accessors {
-                        if other != bp && !graph.are_ordered(bp, other) {
+                        if other != bp && order.may_run_concurrently(bp, other) {
                             out.push(
                                 Diagnostic::new(
                                     DiagCode::UnorderedBypass,
@@ -202,7 +199,7 @@ pub fn check_elision(
                         .copied()
                         .filter(|t| accessors.contains(t))
                         .collect();
-                    for (a, b) in unordered_pairs(graph, &live_port) {
+                    for (a, b) in unordered_pairs(order, &live_port) {
                         out.push(
                             Diagnostic::new(
                                 DiagCode::SharedPortUnordered,
@@ -236,6 +233,11 @@ mod tests {
     use rcarb_taskgraph::builder::TaskGraphBuilder;
     use rcarb_taskgraph::program::{Expr, Program};
 
+    fn elide_check(plan: &ArbitrationPlan, binding: &MemoryBinding) -> Vec<Diagnostic> {
+        let order = ConcurrencyRelation::compute(&plan.graph);
+        check_elision(plan, binding, &ChannelMergePlan::default(), &order)
+    }
+
     /// Two unordered tasks writing segments that share duo_small's bank.
     fn contended() -> (ArbitrationPlan, MemoryBinding) {
         let mut b = TaskGraphBuilder::new("contended");
@@ -265,7 +267,7 @@ mod tests {
     fn arbitrated_contention_is_sound() {
         let (plan, binding) = contended();
         assert_eq!(plan.arbiter_sizes(), vec![2]);
-        let diags = check_elision(&plan, &binding, &ChannelMergePlan::default());
+        let diags = elide_check(&plan, &binding);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -273,7 +275,7 @@ mod tests {
     fn dropping_the_arbiter_is_rca201() {
         let (mut plan, binding) = contended();
         plan.arbiters.clear();
-        let diags = check_elision(&plan, &binding, &ChannelMergePlan::default());
+        let diags = elide_check(&plan, &binding);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, DiagCode::UnsoundElision);
         assert!(diags[0].message.contains("T1"));
@@ -305,7 +307,7 @@ mod tests {
             &InsertionConfig::paper().with_elision(true),
         );
         assert!(plan.arbiters.is_empty(), "elision should fire");
-        let diags = check_elision(&plan, &binding, &ChannelMergePlan::default());
+        let diags = elide_check(&plan, &binding);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -343,7 +345,7 @@ mod tests {
         // The (conservative) insertion pass still arbitrates; drop the
         // arbiter to model an elision decision made on live accesses.
         plan.arbiters.clear();
-        let diags = check_elision(&plan, &binding, &ChannelMergePlan::default());
+        let diags = elide_check(&plan, &binding);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -355,7 +357,7 @@ mod tests {
         let arb = &mut plan.arbiters[0];
         arb.ports.iter_mut().for_each(|p| p.retain(|&t| t != t2));
         arb.bypass.push(t2);
-        let diags = check_elision(&plan, &binding, &ChannelMergePlan::default());
+        let diags = elide_check(&plan, &binding);
         assert!(diags.iter().any(|d| d.code == DiagCode::UnorderedBypass));
     }
 
@@ -365,7 +367,7 @@ mod tests {
         // Squeeze both tasks onto port 0.
         let all: Vec<TaskId> = plan.arbiters[0].ports.iter().flatten().copied().collect();
         plan.arbiters[0].ports = vec![all, Vec::new()];
-        let diags = check_elision(&plan, &binding, &ChannelMergePlan::default());
+        let diags = elide_check(&plan, &binding);
         assert!(diags
             .iter()
             .any(|d| d.code == DiagCode::SharedPortUnordered));

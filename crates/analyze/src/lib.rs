@@ -36,9 +36,13 @@
 //! finding dynamically.
 //!
 //! [`analyze_plan`] runs the families one after another on the calling
-//! thread, with one lockset pass per task shared by the starvation and
-//! deadlock families, and returns an [`AnalysisReport::normalize`]d
-//! report, so output order depends only on the findings.
+//! thread and returns an [`AnalysisReport::normalize`]d report, so
+//! output order depends only on the findings. It derives each fact
+//! once: one lockset pass per task shared by the starvation and
+//! deadlock families, one concurrency relation for every ordering
+//! question, and one memoized verdict per arbiter shape (width,
+//! encoding, line plan) for families 1 and 4, counted by
+//! [`verdict_cache_stats`].
 //!
 //! ```
 //! use rcarb_analyze::{AnalyzeConfig, AnalyzePlan};
@@ -86,8 +90,13 @@ use rcarb_core::generator::{ArbiterGenerator, ArbiterSpec};
 use rcarb_core::insertion::{ArbiterInstance, ArbitrationPlan};
 use rcarb_core::line::MemoryLinePlan;
 use rcarb_core::memmap::MemoryBinding;
+use rcarb_exec::{Cache, CacheStats};
 use rcarb_logic::encode::EncodingStyle;
+use rcarb_logic::fsm::Fsm;
+use rcarb_logic::netlist::Netlist;
 use rcarb_logic::tools::ToolModel;
+use rcarb_taskgraph::concurrency::ConcurrencyRelation;
+use std::sync::{Arc, OnceLock};
 
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,24 +141,89 @@ impl Default for AnalyzeConfig {
     }
 }
 
-/// Families 1 and 4 for one arbiter: its FSM's grant behaviour and FSM
-/// defects, then the lints of its Synplify netlist. Under the paper
-/// config that netlist is a synthesis-cache hit, because the insertion
-/// pass estimated the same arbiter.
+/// What decides an arbiter's family 1 and 4 findings: its width, the
+/// FSM encoding and the shared-line plan. The round-robin FSM and its
+/// Synplify netlist are pure functions of this key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct VerdictKey {
+    inputs: usize,
+    encoding: EncodingStyle,
+    lines: MemoryLinePlan,
+}
+
+/// The process-wide memo of arbiter verdicts. Its keys are bounded by
+/// the synthesizer (N ≤ 21) times three encodings times the line plans,
+/// so it never evicts.
+fn verdict_cache() -> &'static Cache<VerdictKey, Arc<[Diagnostic]>> {
+    static CACHE: OnceLock<Cache<VerdictKey, Arc<[Diagnostic]>>> = OnceLock::new();
+    CACHE.get_or_init(Cache::new)
+}
+
+/// Hit/miss statistics of the process-wide arbiter-verdict memo that
+/// [`analyze_plan`] consults once per arbiter.
+pub fn verdict_cache_stats() -> CacheStats {
+    verdict_cache().stats()
+}
+
+/// Drops every memoized arbiter verdict (counters are preserved), so a
+/// test can count the misses of a cold analysis.
+pub fn reset_verdict_cache() {
+    verdict_cache().clear();
+}
+
+/// Families 1 and 4 for one arbiter named `name`: its FSM's grant
+/// behaviour and FSM defects, then the lints of its netlist.
+fn shape_checks(fsm: &Fsm, nl: &Netlist, name: &str, lines: &MemoryLinePlan) -> Vec<Diagnostic> {
+    let mut diags = contention::check_grant_fsm(fsm, name, lines);
+    diags.extend(netlist::check_fsm(fsm, name));
+    diags.extend(netlist::check_netlist(nl, name));
+    diags
+}
+
+/// The checks of one arbiter shape, with every location rendered under
+/// the empty name. Its Synplify netlist is a synthesis-cache hit under
+/// the paper config, because the insertion pass estimated the same
+/// arbiter.
+fn arbiter_verdict(key: &VerdictKey) -> Vec<Diagnostic> {
+    let generated = ArbiterGenerator::new()
+        .generate(&ArbiterSpec::round_robin(key.inputs).with_encoding(key.encoding));
+    let synth = generated.synthesize(&ToolModel::synplify());
+    shape_checks(generated.fsm(), &synth.netlist, "", &key.lines)
+}
+
+/// Fills `name` into a location rendered under the empty name. The
+/// checks place the name right after their `arbiter`, `fsm` or
+/// `netlist` prefix word, and nowhere else.
+fn named(diag: &Diagnostic, name: &str) -> Diagnostic {
+    let (prefix, rest) = diag
+        .location
+        .split_once(' ')
+        .expect("arbiter locations start with a prefix word");
+    Diagnostic {
+        location: format!("{prefix} {name}{rest}"),
+        ..diag.clone()
+    }
+}
+
+/// Families 1 and 4 for one arbiter: its shape's memoized verdict,
+/// named after the arbiter and the resource it guards.
 fn check_arbiter(arb: &ArbiterInstance, config: &AnalyzeConfig) -> Vec<Diagnostic> {
     if !characterize::synplify_fits(arb.inputs) {
         // The starvation family reports the shape (RCA306); there is
         // no FSM to explore.
         return Vec::new();
     }
-    let generated = ArbiterGenerator::new()
-        .generate(&ArbiterSpec::round_robin(arb.inputs).with_encoding(config.encoding));
+    let key = VerdictKey {
+        inputs: arb.inputs,
+        encoding: config.encoding,
+        lines: config.lines,
+    };
+    let verdict = verdict_cache().get_or_insert_with(&key, || arbiter_verdict(&key).into());
+    if verdict.is_empty() {
+        return Vec::new();
+    }
     let name = format!("{} ({})", arb.name(), arb.resource);
-    let mut diags = contention::check_grant_fsm(generated.fsm(), &name, &config.lines);
-    diags.extend(netlist::check_fsm(generated.fsm(), &name));
-    let synth = generated.synthesize(&ToolModel::synplify());
-    diags.extend(netlist::check_netlist(&synth.netlist, &name));
-    diags
+    verdict.iter().map(|d| named(d, &name)).collect()
 }
 
 /// Analyzes a complete arbitrated design.
@@ -158,10 +232,19 @@ fn check_arbiter(arb: &ArbiterInstance, config: &AnalyzeConfig) -> Vec<Diagnosti
 /// with — they decide which resources are shared and by whom.
 ///
 /// The families run in turn: each arbiter's FSM and netlist checks,
-/// then elision, starvation, deadlock and fairness. One lockset pass per
-/// task, over one guard map, feeds both the starvation findings and the
-/// deadlock detector's wait edges. The report is
-/// [`normalize`](AnalysisReport::normalize)d before it is returned.
+/// then elision, starvation, deadlock and fairness. Each per-design fact
+/// is derived once:
+///
+/// - an arbiter's FSM and netlist findings depend only on its width, the
+///   encoding and the line plan, so they are computed once per shape and
+///   process (see [`verdict_cache_stats`]) and named per arbiter;
+/// - one [`ConcurrencyRelation`] answers every "are these tasks ordered?"
+///   question of the elision and deadlock families;
+/// - one lockset pass per task, over one guard map, feeds both the
+///   starvation findings and the deadlock detector's wait edges.
+///
+/// The report is [`normalize`](AnalysisReport::normalize)d before it is
+/// returned.
 pub fn analyze_plan(
     plan: &ArbitrationPlan,
     binding: &MemoryBinding,
@@ -172,11 +255,12 @@ pub fn analyze_plan(
     for arb in &plan.arbiters {
         report.extend(check_arbiter(arb, config));
     }
-    report.extend(elision::check_elision(plan, binding, merges));
+    let order = ConcurrencyRelation::compute(&plan.graph);
+    report.extend(elision::check_elision(plan, binding, merges, &order));
     let guards = GuardMap::new(plan, binding, merges);
     let (starved, wait_edges) = starvation::check_starvation(plan, &guards, config);
     report.extend(starved);
-    report.extend(deadlock::check_deadlock(plan, &wait_edges));
+    report.extend(deadlock::check_deadlock(plan, &wait_edges, &order));
     report.extend(fairness::check_fairness(plan, &guards, config));
     report.normalize();
     report
@@ -211,6 +295,10 @@ mod tests {
     use rcarb_board::presets;
     use rcarb_core::insertion::{insert_arbiters, InsertionConfig};
     use rcarb_core::memmap::bind_segments;
+    use rcarb_core::rr::round_robin_fsm;
+    use rcarb_logic::cube::Cube;
+    use rcarb_logic::fsm::Transition;
+    use rcarb_logic::netlist::NetRef;
     use rcarb_taskgraph::builder::TaskGraphBuilder;
     use rcarb_taskgraph::program::{Expr, Program};
 
@@ -268,6 +356,42 @@ mod tests {
         assert!(report.has_code(DiagCode::UnsoundElision));
         // The transformed programs now reference a vanished arbiter.
         assert!(report.has_code(DiagCode::UnknownArbiter));
+    }
+
+    #[test]
+    fn a_verdict_named_after_the_fact_equals_the_checks_run_under_that_name() {
+        // The Fig. 5 FSM for N = 3, broken: an unreachable state without
+        // transitions, and a double grant on every request pattern of
+        // the reset state. A netlist with a floating LUT, a constant LUT
+        // and a register stuck at its placeholder D input.
+        let mut fsm = round_robin_fsm(3);
+        let _orphan = fsm.add_state("ORPHAN");
+        let reset = fsm.reset_state();
+        fsm.add_transition(Transition {
+            from: reset,
+            guard: Cube::universe(),
+            to: reset,
+            outputs: 0b011,
+        });
+        let mut nl = Netlist::new(2);
+        let _dead = nl.add_node(vec![NetRef::Input(0)], 0b10);
+        let c = nl.add_node(vec![NetRef::Input(0), NetRef::Input(1)], 0b1111);
+        nl.push_output(c);
+        let _r = nl.add_reg(false);
+        let lines = MemoryLinePlan::default();
+
+        let verdict = shape_checks(&fsm, &nl, "", &lines);
+        for prefix in ["arbiter ", "fsm ", "netlist "] {
+            assert!(
+                verdict.iter().any(|d| d.location.starts_with(prefix)),
+                "no `{prefix}` finding in {verdict:?}"
+            );
+        }
+        assert!(verdict.iter().any(|d| d.code.as_str().starts_with("RCA1")));
+        for name in ["Arb3 (bank B0)", "Arb3 (merged channel #1)"] {
+            let filled: Vec<Diagnostic> = verdict.iter().map(|d| named(d, name)).collect();
+            assert_eq!(filled, shape_checks(&fsm, &nl, name, &lines), "{name}");
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! group — temporally disjoint groups can reuse the same ports.
 
 use rcarb_taskgraph::concurrency::ConcurrencyRelation;
-use rcarb_taskgraph::graph::TaskGraph;
 use rcarb_taskgraph::id::TaskId;
 
 /// The elision decision for one shared resource.
@@ -38,11 +37,13 @@ impl ElisionPlan {
 
 /// Plans elision for one resource accessed by `accessors`.
 ///
-/// With `enabled == false` the paper's baseline behaviour is reproduced:
+/// With `order == None` the paper's baseline behaviour is reproduced:
 /// every accessor is arbitrated and the arbiter takes one input per
 /// accessor (this is what produced the over-wide 6-input arbiter of
-/// Fig. 11). With `enabled == true`, ordered tasks drop out.
-pub fn plan_elision(graph: &TaskGraph, accessors: &[TaskId], enabled: bool) -> ElisionPlan {
+/// Fig. 11). With `Some(order)`, the graph's concurrency relation, tasks
+/// it orders drop out. The insertion pass computes that relation once
+/// and passes it for every shared resource.
+pub fn plan_elision(accessors: &[TaskId], order: Option<&ConcurrencyRelation>) -> ElisionPlan {
     let mut sorted = accessors.to_vec();
     sorted.sort();
     sorted.dedup();
@@ -54,16 +55,15 @@ pub fn plan_elision(graph: &TaskGraph, accessors: &[TaskId], enabled: bool) -> E
             arbiter_inputs: 0,
         };
     }
-    if !enabled {
+    let Some(order) = order else {
         return ElisionPlan {
             groups: vec![sorted.clone()],
             arbiter_inputs: sorted.len(),
             arbitrated: sorted,
             bypass: Vec::new(),
         };
-    }
-    let rel = ConcurrencyRelation::compute(graph);
-    let groups = rel.contention_groups(&sorted);
+    };
+    let groups = order.contention_groups(&sorted);
     let mut arbitrated = Vec::new();
     let mut bypass = Vec::new();
     let mut largest = 0usize;
@@ -89,6 +89,7 @@ pub fn plan_elision(graph: &TaskGraph, accessors: &[TaskId], enabled: bool) -> E
 mod tests {
     use super::*;
     use rcarb_taskgraph::builder::TaskGraphBuilder;
+    use rcarb_taskgraph::graph::TaskGraph;
     use rcarb_taskgraph::program::Program;
 
     /// The FFT TP#0 shape: F1..F4 concurrent, then g1r,g2r concurrent,
@@ -113,8 +114,8 @@ mod tests {
 
     #[test]
     fn disabled_elision_reproduces_the_papers_arb6() {
-        let (g, accessors) = fft_tp0();
-        let plan = plan_elision(&g, &accessors, false);
+        let (_, accessors) = fft_tp0();
+        let plan = plan_elision(&accessors, None);
         assert_eq!(plan.arbiter_inputs, 6);
         assert_eq!(plan.arbitrated.len(), 6);
         assert!(plan.bypass.is_empty());
@@ -123,7 +124,7 @@ mod tests {
     #[test]
     fn enabled_elision_shrinks_to_the_f_group() {
         let (g, accessors) = fft_tp0();
-        let plan = plan_elision(&g, &accessors, true);
+        let plan = plan_elision(&accessors, Some(&ConcurrencyRelation::compute(&g)));
         // Two groups: {F1..F4} and {g1r, g2r}; the arbiter is sized by the
         // larger and shared across both (they never overlap in time).
         assert_eq!(plan.groups.len(), 2);
@@ -141,7 +142,7 @@ mod tests {
         b.control_dep(t0, t1);
         b.control_dep(t1, t2);
         let g = b.finish().unwrap();
-        let plan = plan_elision(&g, &[t0, t1, t2], true);
+        let plan = plan_elision(&[t0, t1, t2], Some(&ConcurrencyRelation::compute(&g)));
         assert!(plan.elided());
         assert_eq!(plan.bypass, vec![t0, t1, t2]);
         assert!(plan.arbitrated.is_empty());
@@ -152,8 +153,9 @@ mod tests {
         let mut b = TaskGraphBuilder::new("solo");
         let t0 = b.task("a", Program::empty());
         let g = b.finish().unwrap();
-        for enabled in [false, true] {
-            let plan = plan_elision(&g, &[t0], enabled);
+        let rel = ConcurrencyRelation::compute(&g);
+        for order in [None, Some(&rel)] {
+            let plan = plan_elision(&[t0], order);
             assert!(plan.elided());
             assert_eq!(plan.bypass, vec![t0]);
         }
@@ -164,8 +166,8 @@ mod tests {
         let mut b = TaskGraphBuilder::new("dup");
         let t0 = b.task("a", Program::empty());
         let t1 = b.task("b", Program::empty());
-        let g = b.finish().unwrap();
-        let plan = plan_elision(&g, &[t0, t1, t0], false);
+        b.finish().unwrap();
+        let plan = plan_elision(&[t0, t1, t0], None);
         assert_eq!(plan.arbiter_inputs, 2);
     }
 }

@@ -17,9 +17,10 @@ use crate::transform::{self, ResourceMap, RetryPolicy, TransformConfig, Transfor
 use rcarb_board::device::SpeedGrade;
 use rcarb_board::memory::BankId;
 use rcarb_logic::encode::EncodingStyle;
+use rcarb_taskgraph::concurrency::ConcurrencyRelation;
 use rcarb_taskgraph::graph::TaskGraph;
-use rcarb_taskgraph::id::{ArbiterId, TaskId};
-use std::collections::BTreeMap;
+use rcarb_taskgraph::id::{ArbiterId, SegmentId, TaskId};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// What a generated arbiter guards.
@@ -236,17 +237,29 @@ pub fn try_insert_arbiters(
     let mut out_graph = graph.clone();
     let mut arbiters: Vec<ArbiterInstance> = Vec::new();
     let mut per_task: BTreeMap<TaskId, ResourceMap> = BTreeMap::new();
+    // Each program is walked once, for the segments it reads or writes;
+    // `accessed[t]` answers both "who accesses this bank" and "which of
+    // its segments does this task guard".
+    let accessed: Vec<BTreeSet<SegmentId>> = graph
+        .tasks()
+        .iter()
+        .map(|t| t.program().segments_accessed())
+        .collect();
+    // Elision consults one concurrency relation for every resource.
+    let order = config
+        .elide_by_dependency
+        .then(|| ConcurrencyRelation::compute(graph));
 
     // Memory banks hosting segments with concurrent accessors.
     for bank in binding.used_banks() {
         let segments = binding.segments_in(bank);
-        let mut accessors: Vec<TaskId> = Vec::new();
-        for &s in &segments {
-            accessors.extend(graph.accessors_of_segment(s));
-        }
-        accessors.sort();
-        accessors.dedup();
-        let plan = elision::plan_elision(graph, &accessors, config.elide_by_dependency);
+        let accessors: Vec<TaskId> = graph
+            .tasks()
+            .iter()
+            .map(|t| t.id())
+            .filter(|t| segments.iter().any(|s| accessed[t.index()].contains(s)))
+            .collect();
+        let plan = elision::plan_elision(&accessors, order.as_ref());
         if plan.elided() {
             continue;
         }
@@ -255,7 +268,7 @@ pub fn try_insert_arbiters(
         for &task in &plan.arbitrated {
             let map = per_task.entry(task).or_default();
             for &s in &segments {
-                if graph.task(task).program().segments_accessed().contains(&s) {
+                if accessed[task.index()].contains(&s) {
                     map.guard_segment(s, id);
                 }
             }
@@ -278,7 +291,7 @@ pub fn try_insert_arbiters(
         if !merge.needs_arbiter() {
             continue;
         }
-        let plan = elision::plan_elision(graph, &merge.writers, config.elide_by_dependency);
+        let plan = elision::plan_elision(&merge.writers, order.as_ref());
         if plan.elided() {
             continue;
         }

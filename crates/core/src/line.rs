@@ -71,7 +71,7 @@ impl fmt::Display for SharedLineKind {
 
 /// The line plan of one shared physical memory bank: which resolution each
 /// line group uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoryLinePlan {
     /// Address lines.
     pub address: SharedLineKind,

@@ -20,8 +20,15 @@
 //! To print the reports (for example to re-record them after a
 //! deliberate change to a diagnostic): `cargo test --test analyze_golden
 //! -- --ignored --nocapture`.
+//!
+//! The analyzer memoizes each arbiter shape's FSM and netlist verdict
+//! process-wide; two tests here pin that memo's hit and miss counts.
+//! Every test takes [`cache_lock`], so no other analysis moves the
+//! counters while they are read.
 
-use rcarb::analyze::{analyze_plan, AnalysisReport, AnalyzeConfig};
+use rcarb::analyze::{
+    analyze_plan, reset_verdict_cache, verdict_cache_stats, AnalysisReport, AnalyzeConfig,
+};
 use rcarb::arb::channel::{plan_merges, ChannelMergePlan};
 use rcarb::arb::insertion::{
     insert_arbiters, ArbitratedResource, ArbitrationPlan, InsertionConfig,
@@ -36,8 +43,24 @@ use rcarb::taskgraph::builder::TaskGraphBuilder;
 use rcarb::taskgraph::graph::TaskGraph;
 use rcarb::taskgraph::id::{TaskId, VarId};
 use rcarb::taskgraph::program::{Expr, Op, Program};
+use std::sync::{Mutex, MutexGuard};
 
 const EXPECTED: &str = include_str!("data/analyze_golden.txt");
+
+/// Serializes the tests of this binary: the verdict memo and its
+/// counters are process-wide.
+fn cache_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// `(hits, misses)` added to the verdict memo by `analyze`.
+fn lookups_during(analyze: impl FnOnce()) -> (u64, u64) {
+    let before = verdict_cache_stats();
+    analyze();
+    let after = verdict_cache_stats();
+    (after.hits - before.hits, after.misses - before.misses)
+}
 
 /// One analyzed design: its plan and the inputs the analyzer needs.
 struct Case {
@@ -284,17 +307,9 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Every golden case's name and report, in file order.
-fn reports() -> Vec<(String, AnalysisReport)> {
-    let paper = AnalyzeConfig::default();
+/// The contention grid: n clients on one arbiter, every encoding.
+fn grid_reports() -> Vec<(String, AnalysisReport)> {
     let mut out = Vec::new();
-
-    for elide in [false, true] {
-        let flow = run_fft_flow_with(elide).expect("the FFT flow partitions");
-        out.push((format!("fft elide={elide}"), flow.analyze(&paper)));
-    }
-
-    // The contention grid: n clients on one arbiter, every encoding.
     for n in [2, 4, 8] {
         let case = Case::new(
             &burst_graph(n),
@@ -313,6 +328,20 @@ fn reports() -> Vec<(String, AnalysisReport)> {
             out.push((format!("grid n{n}_{label}"), case.analyze(&config)));
         }
     }
+    out
+}
+
+/// Every golden case's name and report, in file order.
+fn reports() -> Vec<(String, AnalysisReport)> {
+    let paper = AnalyzeConfig::default();
+    let mut out = Vec::new();
+
+    for elide in [false, true] {
+        let flow = run_fft_flow_with(elide).expect("the FFT flow partitions");
+        out.push((format!("fft elide={elide}"), flow.analyze(&paper)));
+    }
+
+    out.extend(grid_reports());
 
     // Mutations of the FFT's partition #0 (arbiters N = 6 and 2).
     let flow = run_fft_flow_with(false).expect("flow");
@@ -444,6 +473,7 @@ fn actual() -> String {
 
 #[test]
 fn analysis_reports_match_the_recorded_golden() {
+    let _cache = cache_lock();
     let actual = actual();
     if actual == EXPECTED {
         return;
@@ -462,6 +492,7 @@ fn analysis_reports_match_the_recorded_golden() {
 
 #[test]
 fn the_golden_covers_clean_and_failing_designs() {
+    let _cache = cache_lock();
     let reports = reports();
     let failing = reports.iter().filter(|(_, r)| !r.is_clean()).count();
     let clean = reports.len() - failing;
@@ -472,7 +503,39 @@ fn the_golden_covers_clean_and_failing_designs() {
 }
 
 #[test]
+fn a_second_fft_analysis_is_one_memo_hit_per_arbiter() {
+    let _cache = cache_lock();
+    let paper = AnalyzeConfig::default();
+    for elide in [false, true] {
+        let flow = run_fft_flow_with(elide).expect("the FFT flow partitions");
+        let arbiters: usize = flow
+            .result
+            .stages
+            .iter()
+            .map(|s| s.plan.arbiters.len())
+            .sum();
+        assert!(arbiters > 0);
+        let first = flow.analyze(&paper);
+        let (hits, misses) = lookups_during(|| assert_eq!(flow.analyze(&paper), first));
+        assert_eq!((hits, misses), (arbiters as u64, 0), "elide={elide}");
+    }
+}
+
+#[test]
+fn the_contention_grid_misses_once_per_shape() {
+    let _cache = cache_lock();
+    reset_verdict_cache();
+    // Nine shapes: N = 2, 4, 8 under three encodings, one arbiter each.
+    let cold = lookups_during(|| drop(grid_reports()));
+    assert_eq!(cold, (0, 9));
+    let warm = lookups_during(|| drop(grid_reports()));
+    assert_eq!(warm, (9, 0));
+    assert_eq!(verdict_cache_stats().entries, 9);
+}
+
+#[test]
 #[ignore = "prints the reports for recording"]
 fn print_reports() {
+    let _cache = cache_lock();
     print!("{}", actual());
 }

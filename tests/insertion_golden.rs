@@ -26,7 +26,7 @@
 use rcarb::arb::channel::{plan_merges, ChannelMergePlan};
 use rcarb::arb::insertion::{try_insert_arbiters, ArbitrationPlan, InsertionConfig};
 use rcarb::arb::memmap::bind_segments;
-use rcarb::board::board::{Board, PeId};
+use rcarb::board::board::PeId;
 use rcarb::board::presets;
 use rcarb::fft::flow::{run_fft_flow_on, FFT_UTILIZATION};
 use rcarb::fft::taskgraph::build_fft_taskgraph;
@@ -108,10 +108,10 @@ fn shared_channel(ordered: bool) -> TaskGraph {
 /// The golden file's text.
 fn actual() -> String {
     let (graph, _) = build_fft_taskgraph();
-    let boards: [(&str, fn() -> Board); 3] = [
-        ("wildforce", presets::wildforce),
-        ("duo_small", presets::duo_small),
-        ("quad_large", presets::quad_large),
+    let boards = [
+        ("wildforce", presets::wildforce()),
+        ("duo_small", presets::duo_small()),
+        ("quad_large", presets::quad_large()),
     ];
     let mut out = String::new();
     let mut seen = Seen::new();
@@ -120,7 +120,7 @@ fn actual() -> String {
             let config = InsertionConfig::paper().with_elision(elide);
             let case = format!("{label} elide={elide} served");
             let _ = writeln!(out, "== {case} ==");
-            let planned = bind_segments(graph.segments(), &board(), &|_| None)
+            let planned = bind_segments(graph.segments(), &board, &|_| None)
                 .map_err(|e| e.to_string())
                 .and_then(|binding| {
                     try_insert_arbiters(&graph, &binding, &ChannelMergePlan::default(), &config)
@@ -134,7 +134,7 @@ fn actual() -> String {
             }
 
             let _ = writeln!(out, "== {label} elide={elide} flow ==");
-            match run_fft_flow_on(board(), FFT_UTILIZATION, elide) {
+            match run_fft_flow_on(board.clone(), FFT_UTILIZATION, elide) {
                 Ok(flow) => {
                     for stage in &flow.result.stages {
                         let _ = writeln!(out, "-- partition #{} --", stage.index);
