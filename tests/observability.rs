@@ -16,9 +16,10 @@
 
 use proptest::prelude::*;
 use rcarb::obs::chrome::validate_trace;
-use rcarb::obs::MetricsSnapshot;
+use rcarb::obs::{MetricValue, MetricsSnapshot};
 use rcarb::prelude::*;
 use rcarb::sim::KernelKind;
+use rcarb::taskgraph::id::{ArbiterId, ChannelId};
 
 /// Two tasks colliding in duo_small's shared bank — the quickstart
 /// shape, guaranteed to instantiate an arbiter.
@@ -224,4 +225,139 @@ fn pool_counters_are_thread_count_insensitive() {
     assert_eq!(single.executed, multi.executed);
     assert_eq!(single.queue_depth, 0);
     assert_eq!(multi.queue_depth, 0);
+}
+
+/// Every `kernel/*` counter of one observed batched-kernel run of
+/// `graph` on duo_small, in name order.
+fn kernel_counters(
+    graph: &TaskGraph,
+    config: SimConfig,
+    plan: Option<FaultPlan>,
+) -> Vec<(String, u64)> {
+    let board = presets::duo_small();
+    let binding = bind_segments(graph.segments(), &board, &|_| None).expect("binds");
+    let merges = ChannelMergePlan::default();
+    let plan_ = insert_arbiters(graph, &binding, &merges, &InsertionConfig::paper());
+    let obs = ObsConfig::on().session().unwrap();
+    let mut builder = SystemBuilder::from_plan(&plan_, &binding, &merges)
+        .with_config(config.with_kernel(KernelKind::BatchedSoa))
+        .with_obs(obs.clone());
+    if let Some(p) = plan {
+        builder = builder.with_faults(p);
+    }
+    let mut sys = builder.try_build(&board).unwrap();
+    let report = sys.run(100_000);
+    assert!(report.completed);
+    obs.snapshot()
+        .0
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("kernel/"))
+        .map(|(name, v)| match v {
+            MetricValue::Counter(n) => (name, n),
+            other => panic!("{name} is not a counter: {other:?}"),
+        })
+        .collect()
+}
+
+fn pinned(rows: &[(&str, u64)]) -> Vec<(String, u64)> {
+    rows.iter().map(|&(n, v)| (n.to_owned(), v)).collect()
+}
+
+/// Three tasks on duo_small's shared bank with long computes between
+/// accesses, the first also sending its last read to a fourth task
+/// over a channel: the arbiter's grant stays steady while its holder
+/// computes, and the receiver sits in `Recv`, so the batched kernel
+/// skips with tasks blocked on a grant and on data.
+fn long_compute_contended_graph() -> TaskGraph {
+    let mut b = TaskGraphBuilder::new("obs_skips");
+    let segs: Vec<_> = (0..3).map(|i| b.segment(format!("M{i}"), 64, 16)).collect();
+    let out = b.segment("OUT", 4, 16);
+    let c = ChannelId::new(0);
+    let tasks: Vec<_> = segs
+        .iter()
+        .enumerate()
+        .map(|(i, &seg)| {
+            b.task(
+                format!("T{i}"),
+                Program::build(move |p| {
+                    p.repeat(4, |p| {
+                        p.mem_write(seg, Expr::lit(0), Expr::lit(i as u64));
+                        p.mem_write(seg, Expr::lit(1), Expr::lit(i as u64));
+                        p.compute(20 + 7 * i as u32);
+                    });
+                    let v = p.mem_read(seg, Expr::lit(1));
+                    if i == 0 {
+                        p.send(c, Expr::var(v));
+                    }
+                }),
+            )
+        })
+        .collect();
+    let sink = b.task(
+        "sink",
+        Program::build(move |p| {
+            let v = p.recv(c);
+            p.compute(5);
+            p.mem_write(out, Expr::lit(0), Expr::var(v));
+        }),
+    );
+    let _ = b.channel("c", 16, tasks[0], sink);
+    b.finish().unwrap()
+}
+
+/// The batched kernel's private execute/skip/wake accounting, pinned
+/// exactly on a contended design: the wake and skip decisions behind
+/// these counters are kernel-internal, so no report comparison sees a
+/// change in them.
+#[test]
+fn kernel_counters_are_pinned_on_a_contended_design() {
+    let got = kernel_counters(&long_compute_contended_graph(), SimConfig::new(), None);
+    assert_eq!(
+        got,
+        pinned(&[
+            ("kernel/executed_cycles", 79),
+            ("kernel/skipped_cycles", 82),
+            ("kernel/skips", 11),
+            ("kernel/wakes/arbiters", 79),
+            ("kernel/wakes/banks", 28),
+            ("kernel/wakes/routes", 1),
+            ("kernel/wakes/task/T0", 56),
+            ("kernel/wakes/task/T1", 74),
+            ("kernel/wakes/task/T2", 79),
+            ("kernel/wakes/task/sink", 63),
+        ])
+    );
+}
+
+/// The same pin with a fault plan live: skips are clamped to the fault
+/// windows and every task steps each cycle (no deferred waits).
+#[test]
+fn kernel_counters_are_pinned_under_a_fault_plan() {
+    let plan = FaultPlan::seeded(7)
+        .with_stuck_request(
+            TaskId::new(0),
+            ArbiterId::new(0),
+            false,
+            FaultWindow::new(5, 60),
+        )
+        .with_task_hang(TaskId::new(1), FaultWindow::new(30, 50));
+    let config = SimConfig::new()
+        .with_watchdog(WatchdogConfig::none().with_grant_timeout(40))
+        .with_recovery(RecoveryPolicy::none().with_scrub_requests(true));
+    let got = kernel_counters(&long_compute_contended_graph(), config, Some(plan));
+    assert_eq!(
+        got,
+        pinned(&[
+            ("kernel/executed_cycles", 112),
+            ("kernel/skipped_cycles", 51),
+            ("kernel/skips", 7),
+            ("kernel/wakes/arbiters", 112),
+            ("kernel/wakes/banks", 28),
+            ("kernel/wakes/routes", 1),
+            ("kernel/wakes/task/T0", 96),
+            ("kernel/wakes/task/T1", 107),
+            ("kernel/wakes/task/T2", 112),
+            ("kernel/wakes/task/sink", 102),
+        ])
+    );
 }
