@@ -223,7 +223,14 @@ pub fn run_flow(
         let all_sub_tasks: Vec<TaskId> = (0..sub.tasks().len() as u32).map(TaskId::new).collect();
         let mut sp = spatial::partition(sub, board, &all_sub_tasks)?;
         // Memory affinity: explicit pin by name, else the PE hosting the
-        // majority of the segment's accessors.
+        // majority of the segment's accessors. Each program is walked
+        // once for its segments; every accessor list is in task order.
+        let mut accessors: Vec<Vec<TaskId>> = vec![Vec::new(); sub.segments().len()];
+        for t in sub.tasks() {
+            for s in t.program().segments_accessed() {
+                accessors[s.index()].push(t.id());
+            }
+        }
         let affinity = &config.memory_affinity;
         let stage_affinity = &config.stage_affinity;
         let prefer = |sp: &SpatialPartition, s: SegmentId| -> Option<PeId> {
@@ -235,7 +242,7 @@ pub fn run_flow(
                 return Some(pe);
             }
             let mut counts: BTreeMap<PeId, usize> = BTreeMap::new();
-            for t in sub.accessors_of_segment(s) {
+            for &t in &accessors[s.index()] {
                 *counts.entry(sp.pe_of(t)).or_insert(0) += 1;
             }
             counts

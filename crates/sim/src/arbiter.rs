@@ -1,5 +1,6 @@
 //! Behavioural arbiters with optional netlist co-simulation.
 
+use crate::component::TaskComponent;
 use rcarb_core::generator::{ArbiterGenerator, ArbiterSpec};
 use rcarb_core::policy::{self, Policy, PolicyKind};
 use rcarb_logic::tools::{SynthReport, ToolModel};
@@ -14,6 +15,10 @@ use std::sync::Arc;
 /// also run through the tool-synthesized gate-level netlist and the grant
 /// words are compared — a continuous equivalence check between the Fig. 5
 /// specification and the mapped hardware.
+///
+/// The arbiter also remembers the request/grant pair of its last
+/// executed cycle, which is what lets the batched kernel prove it
+/// steady and skip cycles over it.
 #[derive(Debug)]
 pub struct ArbiterSim {
     id: ArbiterId,
@@ -23,6 +28,10 @@ pub struct ArbiterSim {
     grants_issued: u64,
     port_grants: Vec<u64>,
     mismatches: u64,
+    /// The request word sampled in the last executed cycle.
+    last_word: u64,
+    /// The grant word issued in the last executed cycle.
+    last_grant: u64,
 }
 
 #[derive(Debug)]
@@ -49,6 +58,8 @@ impl ArbiterSim {
             grants_issued: 0,
             port_grants: vec![0; n],
             mismatches: 0,
+            last_word: 0,
+            last_grant: 0,
         }
     }
 
@@ -130,6 +141,12 @@ impl ArbiterSim {
         word
     }
 
+    /// The request word the given task request lines assemble on this
+    /// arbiter's ports.
+    pub(crate) fn compute_word(&self, tasks: &[TaskComponent]) -> u64 {
+        self.request_word(&|task: TaskId| tasks[task.index()].requesting(self.id))
+    }
+
     /// The grant fixed point under a held request word, if any: the
     /// policy's [`next_grant`](Policy::next_grant) promise, suppressed
     /// while co-simulation is on (the netlist state must advance in
@@ -142,7 +159,10 @@ impl ArbiterSim {
         self.policy.next_grant(word)
     }
 
-    /// Advances one cycle from an already-assembled request word.
+    /// Advances one cycle from an already-assembled (possibly
+    /// fault-perturbed) request word. What the arbiter *sampled* is what
+    /// steadiness is judged against, so that word is what gets
+    /// remembered.
     pub fn step_word(&mut self, word: u64) -> u64 {
         // In debug builds, hold the behavioural policy to any fixed
         // point it promised — the legacy kernel thereby cross-checks
@@ -158,7 +178,7 @@ impl ArbiterSim {
                 self.id
             );
         }
-        self.note_step(grants);
+        self.note_step(word, grants);
         if let Some(cosim) = &mut self.cosim {
             let bits: Vec<bool> = (0..self.ports.len()).map(|i| word >> i & 1 != 0).collect();
             let hw = cosim.synth.netlist.step(&mut cosim.state, &bits);
@@ -173,15 +193,39 @@ impl ArbiterSim {
         grants
     }
 
-    /// Applies one live step's counter accounting for the given grant
-    /// word. The batched kernel calls this directly when a lane's FSM
-    /// was stepped in the flat word-level arrays instead of through
-    /// [`step_word`](Self::step_word).
-    pub(crate) fn note_step(&mut self, grants: u64) {
+    /// Records one live step of `word` to `grants`: the grant counters
+    /// and the request/grant pair steadiness is judged against. The
+    /// batched kernel calls this directly when a lane's FSM was stepped
+    /// in the flat word-level arrays instead of through
+    /// [`step_word`](Self::step_word); the boxed policy's state is then
+    /// stale, and nothing consults it.
+    pub(crate) fn note_step(&mut self, word: u64, grants: u64) {
         if grants != 0 {
             self.grants_issued += 1;
             self.port_grants[grants.trailing_zeros() as usize] += 1;
         }
+        self.last_word = word;
+        self.last_grant = grants;
+    }
+
+    /// Whether the arbiter is provably inert under `word`, the request
+    /// word assembled *after* this cycle's task execution (the word the
+    /// arbiter would sample next cycle), given `promise`, the grant
+    /// fixed point of whichever FSM holds the live state (the policy's
+    /// [`steady_grant`](Self::steady_grant) or a batched lane's):
+    ///
+    /// - the word equals the one sampled in the executed cycle (no
+    ///   request edge is pending, so the VCD request signals hold), and
+    /// - the promised fixed point is the executed cycle's grant (so the
+    ///   grant signals hold and no FSM state moves), and
+    /// - at most one port is granted (a multi-grant word must execute so
+    ///   the `MultipleGrants` violation is recorded per cycle).
+    ///
+    /// `promise` is asked only once the word is known to hold.
+    pub(crate) fn steady_for(&self, word: u64, promise: impl FnOnce(u64) -> Option<u64>) -> bool {
+        word == self.last_word
+            && promise(word) == Some(self.last_grant)
+            && self.last_grant.count_ones() <= 1
     }
 
     /// Returns the grant for a specific task given this cycle's grant
@@ -191,15 +235,13 @@ impl ArbiterSim {
     }
 
     /// Bulk-accounts `cycles` skipped cycles during which the arbiter
-    /// provably kept issuing `grant` (a [`steady_grant`] fixed point):
-    /// the counters advance exactly as `cycles` live steps would have
-    /// advanced them, without touching policy state.
-    ///
-    /// [`steady_grant`]: Self::steady_grant
-    pub(crate) fn record_steady_grants(&mut self, grant: u64, cycles: u64) {
-        if grant != 0 {
+    /// was [steady](Self::steady_for), so it kept issuing its last
+    /// grant: the counters advance exactly as `cycles` live steps would
+    /// have advanced them, without touching policy state.
+    pub(crate) fn skip(&mut self, cycles: u64) {
+        if self.last_grant != 0 {
             self.grants_issued += cycles;
-            self.port_grants[grant.trailing_zeros() as usize] += cycles;
+            self.port_grants[self.last_grant.trailing_zeros() as usize] += cycles;
         }
     }
 }

@@ -17,9 +17,15 @@ pub enum RegisterPlacement {
 }
 
 /// The registers of one merged (or private) physical route.
+///
+/// A shared route (merged channels) reports simultaneous-drive
+/// conflicts as protocol violations; a private per-channel route
+/// absorbs them silently.
 #[derive(Debug, Clone)]
 pub struct RouteState {
     placement: RegisterPlacement,
+    /// Whether the route is shared (its conflicts are violations).
+    shared: bool,
     /// Logical channels multiplexed onto this route.
     logicals: Vec<ChannelId>,
     /// Receiver-side registers, one per logical channel.
@@ -58,17 +64,31 @@ pub enum RouteOutcome {
 }
 
 impl RouteState {
-    /// Creates the state for a route carrying `logicals`.
+    /// Creates the state for a private route carrying `logicals`.
     pub fn new(logicals: Vec<ChannelId>, placement: RegisterPlacement) -> Self {
         let n = logicals.len();
         Self {
             placement,
+            shared: false,
             logicals,
             receiver_regs: vec![None; n],
             source_reg: None,
             transfers: 0,
             conflicts: 0,
         }
+    }
+
+    /// Creates the state for a shared route merging `logicals`.
+    pub(crate) fn shared(logicals: Vec<ChannelId>, placement: RegisterPlacement) -> Self {
+        Self {
+            shared: true,
+            ..Self::new(logicals, placement)
+        }
+    }
+
+    /// Whether conflicts on this route are protocol violations.
+    pub(crate) fn is_shared(&self) -> bool {
+        self.shared
     }
 
     /// The logical channels on this route.

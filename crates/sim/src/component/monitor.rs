@@ -5,7 +5,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::{Component, Wake};
 use crate::config::WatchdogConfig;
 use crate::monitor::{StarvationTracker, Violation};
 use rcarb_taskgraph::id::{ArbiterId, TaskId};
@@ -180,22 +179,6 @@ impl MonitorComponent {
     pub fn global_worst(&self) -> u64 {
         self.starvation.global_worst()
     }
-}
-
-impl Component for MonitorComponent {
-    fn label(&self) -> String {
-        "monitor".to_owned()
-    }
-
-    /// The monitor only reacts to what other components report.
-    fn wake(&self, _now: u64) -> Wake {
-        Wake::Idle
-    }
-
-    /// Bulk waiting ticks are applied explicitly by the engine (it
-    /// knows which tasks sat blocked on which arbiter); nothing else
-    /// accrues with time.
-    fn skip(&mut self, _cycles: u64) {}
 }
 
 #[cfg(test)]

@@ -22,15 +22,14 @@
 //!   *same* instruction semantics as the legacy kernel by
 //!   construction.
 //!
-//! Everything here is bookkeeping over the very same component state the
-//! legacy kernel uses; `tests/kernel_equivalence.rs` holds the two to
+//! Everything here is bookkeeping over the very same task, arbiter, bank
+//! and route state the legacy kernel uses; `tests/kernel_equivalence.rs` holds the two to
 //! byte-identical reports, VCD and memory.
 
-use super::arbiter::ArbiterComponent;
 use super::monitor::MonitorComponent;
-use super::route::RouteComponent;
 use super::task::{CycleEnv, TaskComponent};
-use crate::channel::RouteSend;
+use crate::arbiter::ArbiterSim;
+use crate::channel::{RouteSend, RouteState};
 use crate::fault::FaultController;
 use crate::memory::BankAccess;
 use crate::scheduler::WakeList;
@@ -68,7 +67,7 @@ pub(crate) struct ReqMatrix {
 impl ReqMatrix {
     /// Builds the matrix from the arbiters' port maps and the tasks'
     /// current request lines.
-    pub(crate) fn new(arbiters: &[ArbiterComponent], tasks: &[TaskComponent]) -> Self {
+    pub(crate) fn new(arbiters: &[ArbiterSim], tasks: &[TaskComponent]) -> Self {
         let n_tasks = tasks.len();
         let mut task_port = vec![0u16; arbiters.len() * n_tasks];
         let mut port_base = Vec::with_capacity(arbiters.len());
@@ -155,7 +154,7 @@ pub(crate) struct FsmLanes {
 
 impl FsmLanes {
     /// One fresh `F0` lane per arbiter.
-    pub(crate) fn new(arbiters: &[ArbiterComponent]) -> Self {
+    pub(crate) fn new(arbiters: &[ArbiterSim]) -> Self {
         let nports: Vec<u8> = arbiters
             .iter()
             .map(|a| {
@@ -239,7 +238,7 @@ fn low_mask(n: usize) -> u64 {
 
 /// Reused per-cycle traffic buffers.
 ///
-/// The dispatch kernels allocate fresh `BTreeMap`s and `Vec`s every
+/// The legacy kernel allocates fresh `BTreeMap`s and `Vec`s every
 /// cycle; the arena keeps one buffer per bank slot / route / arbiter
 /// alive across the whole run and tracks which were touched, so a cycle
 /// costs clears of *touched* buffers only and no allocation at steady
@@ -319,7 +318,7 @@ impl CycleArena {
     }
 
     /// Sorts the touched bank slots into `BankId` order (the order the
-    /// dispatch kernels' `BTreeMap` iterates, which the violation
+    /// legacy kernel's `BTreeMap` iterates, which the violation
     /// sequence depends on). Quarantine can append a spare bank whose
     /// id is out of slot order, so slot order is not id order.
     pub(crate) fn sort_touched_banks(&mut self, ids: &[BankId]) {
@@ -327,8 +326,8 @@ impl CycleArena {
             .sort_unstable_by_key(|&s| ids[s as usize]);
     }
 
-    /// Sorts the touched routes into index order (the dispatch
-    /// kernels' map order).
+    /// Sorts the touched routes into index order (the legacy
+    /// kernel's map order).
     pub(crate) fn sort_touched_routes(&mut self) {
         self.touched_routes.sort_unstable();
     }
@@ -350,10 +349,10 @@ impl CycleArena {
     }
 
     /// This cycle's accesses on a bank slot, in the `Option<&Vec>`
-    /// shape [`BankComponent::check_select`] consumes (`None` when the
+    /// shape [`BankModel::check_select`] consumes (`None` when the
     /// slot saw no traffic, like a map miss).
     ///
-    /// [`BankComponent::check_select`]: super::BankComponent::check_select
+    /// [`BankModel::check_select`]: crate::memory::BankModel::check_select
     pub(crate) fn accesses_of(&self, slot: u32) -> Option<&Vec<BankAccess>> {
         let v = &self.bank_accesses[slot as usize];
         (!v.is_empty()).then_some(v)
@@ -380,7 +379,7 @@ impl CycleArena {
 }
 
 /// Flat index-addressed lookup tables for the hot per-instruction
-/// questions the dispatch kernels answer with `BTreeMap` walks:
+/// questions the legacy kernel answers with `BTreeMap` walks:
 /// segment placement, access guards, channel routing and bank slots.
 /// Rebuilt (cheaply, and rarely) after a quarantine or re-route
 /// mutates the binding or routing.
@@ -501,7 +500,7 @@ impl DenseTables {
 }
 
 /// The batched kernel's whole SoA state: matrix, lanes, arena, tables
-/// and the wake-list, owned by the engine alongside the components.
+/// and the wake-list, owned by the engine alongside the units it mirrors.
 #[derive(Debug)]
 pub(crate) struct BatchedState {
     /// Incremental request words.
@@ -521,7 +520,7 @@ pub(crate) struct BatchedState {
     /// stall/starvation/wake accounting before the task next executes,
     /// before recovery may mutate task state, and before the run
     /// report is built — so every observable total is byte-identical
-    /// to the dispatch kernels'.
+    /// to the legacy kernel's.
     pub(crate) deferred_waits: Vec<u64>,
 }
 
@@ -529,7 +528,7 @@ impl BatchedState {
     /// Builds the SoA mirror of a freshly constructed system.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        arbiters: &[ArbiterComponent],
+        arbiters: &[ArbiterSim],
         tasks: &[TaskComponent],
         bank_ids: &[BankId],
         n_routes: usize,
@@ -542,8 +541,8 @@ impl BatchedState {
     ) -> Self {
         // The arena and grant slices are indexed by arbiter *position*;
         // the interpreter looks grants up by `ArbiterId::index()`. The
-        // dispatch kernels already require the two to coincide (their
-        // component lookups index by id), so pin the invariant here.
+        // legacy kernel already requires the two to coincide (its
+        // arbiter lookups index by id), so pin the invariant here.
         debug_assert!(
             arbiters
                 .iter()
@@ -581,7 +580,7 @@ impl BatchedState {
     }
 }
 
-/// The batched kernel's [`CycleEnv`]: same answers as the dispatch
+/// The batched kernel's [`CycleEnv`]: same answers as the legacy
 /// [`ExecCtx`](super::ExecCtx), sourced from the flat tables and the
 /// arena instead of the per-cycle maps.
 pub(crate) struct BatchedEnv<'a> {
@@ -589,9 +588,9 @@ pub(crate) struct BatchedEnv<'a> {
     pub(crate) cycle: u64,
     /// All arbiters (for validation-time port checks only; grants and
     /// ports resolve through the matrix).
-    pub(crate) arbiters: &'a [ArbiterComponent],
+    pub(crate) arbiters: &'a [ArbiterSim],
     /// All channel routes.
-    pub(crate) routes: &'a [RouteComponent],
+    pub(crate) routes: &'a [RouteState],
     /// The violation/starvation monitor.
     pub(crate) monitor: &'a mut MonitorComponent,
     /// This cycle's traffic arena (grants already written).
@@ -647,8 +646,8 @@ impl CycleEnv for BatchedEnv<'_> {
 
     fn push_access(&mut self, bank: BankId, access: BankAccess) {
         // Placements are validated in `try_build`, so the slot exists;
-        // degrade to a dropped access otherwise, like the dispatch
-        // kernels' map miss.
+        // degrade to a dropped access otherwise, like the legacy
+        // kernel's map miss.
         if let Some(slot) = self.tables.bank_slot(bank) {
             self.arena.push_access(slot, access);
         }

@@ -1,18 +1,17 @@
 //! The task component: one task controller's datapath, program counter
 //! and request lines.
 //!
-//! This is the former `TaskExec` of the monolithic engine, promoted to
-//! a [`Component`]: it still executes exactly one *costed* instruction
-//! per cycle (free loop bookkeeping around it), but it now also tracks
-//! *why* it stopped each cycle — ready, mid-compute, awaiting a grant,
-//! awaiting channel data — which is what lets the batched kernel prove
-//! it inert and skip cycles without executing them.
+//! A task executes exactly one *costed* instruction per cycle (free
+//! loop bookkeeping around it), and tracks *why* it stopped each cycle
+//! — ready, mid-compute, awaiting a grant, awaiting channel data —
+//! which is what lets the batched kernel prove it inert
+//! ([`TaskComponent::wake`]) and skip cycles without executing them
+//! ([`TaskComponent::skip`]).
 
-use super::arbiter::ArbiterComponent;
 use super::monitor::MonitorComponent;
-use super::route::RouteComponent;
-use super::{Component, Wake};
-use crate::channel::RouteSend;
+use super::Wake;
+use crate::arbiter::ArbiterSim;
+use crate::channel::{RouteSend, RouteState};
 use crate::compile::{FlatProgram, Instr};
 use crate::fault::FaultController;
 use crate::memory::BankAccess;
@@ -51,8 +50,8 @@ enum Block {
 /// Tasks read this cycle's grant words and route registers, and collect
 /// their memory and channel traffic for the bank/route resolution
 /// phases. [`TaskComponent::step_cycle`] is generic over this trait and
-/// monomorphizes once per environment — the dispatch [`ExecCtx`] (fresh
-/// per-cycle maps, the legacy kernel) and the batched kernel's
+/// monomorphizes once per environment — the legacy kernel's [`ExecCtx`]
+/// (fresh per-cycle maps) and the batched kernel's
 /// arena-backed SoA environment — so every kernel executes the *same*
 /// instruction semantics by construction.
 pub trait CycleEnv {
@@ -91,8 +90,8 @@ pub trait CycleEnv {
     fn push_send(&mut self, channel: ChannelId, send: RouteSend);
 
     /// Observes a request-line edge (`was` -> `now`) on `arbiter`. The
-    /// dispatch kernels reassemble request words from the lines every
-    /// cycle and ignore this; the batched kernel maintains its request
+    /// legacy kernel reassembles request words from the lines every
+    /// cycle and ignores this; the batched kernel maintains its request
     /// matrix incrementally from exactly these edges.
     fn note_request(&mut self, arbiter: ArbiterId, task: TaskId, was: bool, now: bool);
 
@@ -159,9 +158,8 @@ pub trait CycleEnv {
     }
 }
 
-/// The engine-owned dispatch environment: per-cycle `BTreeMap` traffic
-/// and map-walk lookups, exactly as the legacy kernel has always
-/// worked. The batched kernel's SoA environment lives in
+/// The legacy kernel's environment: per-cycle `BTreeMap` traffic
+/// and map-walk lookups. The batched kernel's SoA environment lives in
 /// `super::soa`.
 pub struct ExecCtx<'a> {
     /// The executing cycle.
@@ -169,9 +167,9 @@ pub struct ExecCtx<'a> {
     /// This cycle's grant word per arbiter.
     pub grants: &'a BTreeMap<ArbiterId, u64>,
     /// All arbiters (for port lookups).
-    pub arbiters: &'a [ArbiterComponent],
+    pub arbiters: &'a [ArbiterSim],
     /// All channel routes (for `Recv` register reads).
-    pub routes: &'a [RouteComponent],
+    pub routes: &'a [RouteState],
     /// Route index of every logical channel.
     pub route_of_channel: &'a BTreeMap<ChannelId, usize>,
     /// The memory binding (segment -> bank placement).
@@ -686,14 +684,11 @@ impl TaskComponent {
             }
         }
     }
-}
 
-impl Component for TaskComponent {
-    fn label(&self) -> String {
-        format!("task {}", self.id)
-    }
-
-    fn wake(&self, now: u64) -> Wake {
+    /// The task's wake condition as of cycle `now` (the next cycle to
+    /// execute), derived from its own state alone and erring on the
+    /// side of [`Wake::Active`].
+    pub fn wake(&self, now: u64) -> Wake {
         match self.status {
             // A not-started task is woken by its predecessors finishing
             // (the engine checks release readiness separately); a done
@@ -724,7 +719,10 @@ impl Component for TaskComponent {
         }
     }
 
-    fn skip(&mut self, cycles: u64) {
+    /// Bulk-applies `cycles` skipped cycles: the stall and busy counts
+    /// and countdowns those cycles would have advanced. Called only when
+    /// every unit of the system proved itself inert across the gap.
+    pub fn skip(&mut self, cycles: u64) {
         if self.status != TaskStatus::Running {
             return;
         }

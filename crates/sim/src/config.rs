@@ -96,13 +96,16 @@ impl Default for WatchdogConfig {
 
 /// Which simulation kernel executes the run.
 ///
-/// Both kernels share one cycle semantics — phase order, component
+/// Both kernels share one cycle semantics — phase order, unit step
 /// code and violation ordering are identical — and are proven
 /// report/VCD/memory-identical by `tests/kernel_equivalence.rs`. They
 /// differ only in *how* they reach the next interesting cycle:
+/// [`Legacy`](Self::Legacy) executes every cycle, while
+/// [`BatchedSoa`](Self::BatchedSoa) skips the cycles every task,
+/// arbiter and bank proves inert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// Execute every cycle, component by component. The slowest and
+    /// Execute every cycle. The slowest and
     /// simplest kernel, kept as the differential oracle the production
     /// kernel is measured and verified against.
     Legacy,

@@ -1,4 +1,4 @@
-//! The simulation kernel: orchestration of the component layer.
+//! The simulation kernel: orchestration of the simulated units.
 //!
 //! # Cycle semantics
 //!
@@ -17,39 +17,36 @@
 //!
 //! # Two kernels, one cycle
 //!
-//! The heavy lifting lives in [`crate::component`]: tasks, arbiters,
-//! banks, routes, the monitor and the tracer are self-contained units
-//! driven through the phase order above. Two kernels share that cycle
-//! semantics and differ only in how they reach the next interesting
-//! cycle ([`KernelKind`]):
+//! Each simulated unit is one type: tasks ([`TaskComponent`]), arbiters
+//! ([`ArbiterSim`]), banks ([`BankModel`]), routes ([`RouteState`]),
+//! plus the [`MonitorComponent`] and the [`TracerComponent`]. Both
+//! kernels drive them through the phase order above and differ only in
+//! how they reach the next interesting cycle ([`KernelKind`]):
 //!
 //! - the **legacy** cycle-scanning loop executes every cycle
-//!   unconditionally, component by component — the differential oracle;
+//!   unconditionally — the differential oracle;
 //! - the **batched SoA** kernel (the default, and the one production
-//!   kernel) consults the [`Scheduler`] after every executed cycle:
-//!   when every component proves itself inert (tasks sleeping in
-//!   multi-cycle computes or blocked on steady arbiters, no pending
-//!   release, no floating select line, no fault window live or just
-//!   closed), the clock jumps straight to the next wake and the gap is
-//!   bulk-accounted through [`Component::skip`]. Dense cycles execute
-//!   through flat structure-of-arrays state (`crate::component::soa`):
-//!   request words live in `u64` bitset lanes maintained from
-//!   request-line edges, round-robin FSMs step as word-level
-//!   parallel-prefix operations, and per-cycle traffic travels in
-//!   reused arenas instead of fresh `BTreeMap`s.
+//!   kernel) asks the [`Scheduler`] after every executed cycle whether
+//!   every unit is inert (tasks sleeping in multi-cycle computes or
+//!   blocked on steady arbiters, no pending release, no floating select
+//!   line, no fault window live or just closed). If so, the clock jumps
+//!   straight to the next wake and the gap is bulk-accounted on the
+//!   tasks and arbiters ([`TaskComponent::skip`], `ArbiterSim::skip`).
+//!   Dense cycles execute through flat structure-of-arrays state
+//!   (`crate::component::soa`): request words live in `u64` bitset
+//!   lanes maintained from request-line edges, round-robin FSMs step as
+//!   word-level parallel-prefix operations, and per-cycle traffic
+//!   travels in reused arenas instead of fresh `BTreeMap`s.
 //!
 //! `tests/kernel_equivalence.rs` holds the two to identical
 //! [`RunReport`]s, identical VCD output and identical memory.
-//!
-//! [`Component::skip`]: crate::component::Component::skip
 
 use crate::arbiter::ArbiterSim;
 use crate::channel::{RegisterPlacement, RouteOutcome, RouteSend, RouteState};
 use crate::compile::{FlatProgram, Instr};
 use crate::component::soa::{BatchedEnv, BatchedState, DenseTables};
 use crate::component::{
-    ArbiterComponent, BankComponent, Component, ExecCtx, MonitorComponent, RouteComponent,
-    TaskComponent, TaskStatus, TracerComponent, Wake,
+    ExecCtx, MonitorComponent, TaskComponent, TaskStatus, TracerComponent, Wake,
 };
 use crate::config::{KernelKind, SimConfig, WatchdogConfig};
 use crate::fault::{
@@ -57,7 +54,7 @@ use crate::fault::{
 };
 use crate::memory::{BankAccess, BankModel, BankOutcome};
 use crate::monitor::Violation;
-use crate::scheduler::{CompId, KernelStats, Scheduler};
+use crate::scheduler::{KernelStats, Scheduler};
 use rcarb_board::board::Board;
 use rcarb_board::memory::BankId;
 use rcarb_core::channel::ChannelMergePlan;
@@ -236,16 +233,11 @@ impl SystemBuilder {
                 return Err(rcarb_core::Error::UnknownBank { bank: b, segment });
             }
         }
-        let mut banks: BTreeMap<BankId, BankComponent> = self
+        let mut banks: BTreeMap<BankId, BankModel> = self
             .binding
             .used_banks()
             .into_iter()
-            .map(|b| {
-                (
-                    b,
-                    BankComponent::new(BankModel::new(b, board.bank(b).words())),
-                )
-            })
+            .map(|b| (b, BankModel::new(b, board.bank(b).words())))
             .collect();
         // Routes: one per merged channel, plus a private route per
         // unmerged logical channel.
@@ -253,9 +245,9 @@ impl SystemBuilder {
         let mut route_of_channel: BTreeMap<ChannelId, usize> = BTreeMap::new();
         for merge in self.merges.merges() {
             let idx = routes.len();
-            routes.push(RouteComponent::new(
-                RouteState::new(merge.logicals.clone(), self.config.register_placement),
-                true,
+            routes.push(RouteState::shared(
+                merge.logicals.clone(),
+                self.config.register_placement,
             ));
             for &c in &merge.logicals {
                 route_of_channel.insert(c, idx);
@@ -264,10 +256,7 @@ impl SystemBuilder {
         for c in self.graph.channels() {
             route_of_channel.entry(c.id()).or_insert_with(|| {
                 let idx = routes.len();
-                routes.push(RouteComponent::new(
-                    RouteState::new(vec![c.id()], RegisterPlacement::Receiver),
-                    false,
-                ));
+                routes.push(RouteState::new(vec![c.id()], RegisterPlacement::Receiver));
                 idx
             });
         }
@@ -349,7 +338,7 @@ impl SystemBuilder {
                     }
                 }
             }
-            arbiters.push(ArbiterComponent::new(sim));
+            arbiters.push(sim);
         }
         // Shared-bank protocol clients drive the Fig. 4 select line; an
         // arbitrated bank that hosts no placement still takes part in
@@ -364,7 +353,7 @@ impl SystemBuilder {
                     .unwrap_or(0);
                 banks
                     .entry(bank)
-                    .or_insert_with(|| BankComponent::new(BankModel::new(bank, words)))
+                    .or_insert_with(|| BankModel::new(bank, words))
                     .set_clients(inst.arbitrated_tasks(), self.config.select_line);
             }
         }
@@ -527,20 +516,20 @@ impl SystemBuilder {
     }
 }
 
-/// The modelled banks as a slab: components at stable slots (the dense
+/// The modelled banks as a slab: models at stable slots (the dense
 /// indices the batched kernel's arena is addressed by), plus an ordered
 /// id-to-slot index preserving the `BTreeMap` iteration order the
 /// legacy kernel's violation sequences depend on. Quarantine appends
 /// a spare bank at a fresh slot without disturbing existing ones.
 #[derive(Debug)]
 struct BankSet {
-    comps: Vec<BankComponent>,
+    comps: Vec<BankModel>,
     ids: Vec<BankId>,
     index: BTreeMap<BankId, usize>,
 }
 
 impl BankSet {
-    fn from_map(map: BTreeMap<BankId, BankComponent>) -> Self {
+    fn from_map(map: BTreeMap<BankId, BankModel>) -> Self {
         let mut set = Self {
             comps: Vec::new(),
             ids: Vec::new(),
@@ -552,7 +541,7 @@ impl BankSet {
         set
     }
 
-    fn insert(&mut self, id: BankId, comp: BankComponent) {
+    fn insert(&mut self, id: BankId, comp: BankModel) {
         debug_assert!(!self.index.contains_key(&id), "bank {id} already modelled");
         self.index.insert(id, self.comps.len());
         self.ids.push(id);
@@ -568,25 +557,20 @@ impl BankSet {
         &self.ids
     }
 
-    fn get(&self, id: BankId) -> Option<&BankComponent> {
+    fn get(&self, id: BankId) -> Option<&BankModel> {
         self.index.get(&id).map(|&s| &self.comps[s])
     }
 
-    fn get_mut(&mut self, id: BankId) -> Option<&mut BankComponent> {
+    fn get_mut(&mut self, id: BankId) -> Option<&mut BankModel> {
         self.index.get(&id).map(|&s| &mut self.comps[s])
     }
 
-    fn slot_mut(&mut self, slot: u32) -> &mut BankComponent {
+    fn slot_mut(&mut self, slot: u32) -> &mut BankModel {
         &mut self.comps[slot as usize]
     }
 
-    /// The components in id order (the legacy kernel's map order).
-    fn values_ordered(&self) -> impl Iterator<Item = &BankComponent> {
-        self.index.values().map(|&s| &self.comps[s])
-    }
-
     /// Visits every bank mutably in id order, with its slot and id.
-    fn for_each_ordered_mut(&mut self, mut f: impl FnMut(u32, BankId, &mut BankComponent)) {
+    fn for_each_ordered_mut(&mut self, mut f: impl FnMut(u32, BankId, &mut BankModel)) {
         let Self { comps, index, .. } = self;
         for (&id, &slot) in index.iter() {
             f(slot as u32, id, &mut comps[slot]);
@@ -594,9 +578,9 @@ impl BankSet {
     }
 }
 
-/// Per-component execution counters, kept only when an observability
+/// Per-unit execution counters, kept only when an observability
 /// session is attached (the runtime analogue of the scheduler's wake
-/// list: how many cycles each component actually stepped).
+/// list: how many cycles each unit actually stepped).
 #[derive(Debug)]
 struct WakeCounters {
     /// Executed steps per task, indexed like `System::tasks`.
@@ -693,9 +677,9 @@ pub struct System {
     binding: MemoryBinding,
     tasks: Vec<TaskComponent>,
     banks: BankSet,
-    routes: Vec<RouteComponent>,
+    routes: Vec<RouteState>,
     route_of_channel: BTreeMap<ChannelId, usize>,
-    arbiters: Vec<ArbiterComponent>,
+    arbiters: Vec<ArbiterSim>,
     segment_guards: BTreeMap<(TaskId, SegmentId), ArbiterId>,
     channel_guards: BTreeMap<(TaskId, ChannelId), ArbiterId>,
     starvation_bound: u64,
@@ -729,7 +713,7 @@ pub struct System {
     spare_banks: Vec<(BankId, u32)>,
     /// The attached observability session, when one was configured.
     obs: Option<Obs>,
-    /// Per-component execution counters; `Some` exactly when `obs` is.
+    /// Per-unit execution counters; `Some` exactly when `obs` is.
     wakes: Option<WakeCounters>,
 }
 
@@ -997,8 +981,8 @@ impl System {
         }
     }
 
-    /// The kernel's cycle accounting so far: cycles stepped component by
-    /// component versus cycles proven inert and skipped. The legacy
+    /// The kernel's cycle accounting so far: cycles executed versus
+    /// cycles proven inert and skipped. The legacy
     /// kernel reports zero skips; the report itself stays
     /// kernel-independent.
     pub fn kernel_stats(&self) -> KernelStats {
@@ -1044,7 +1028,7 @@ impl System {
     }
 
     /// Updates the progress watchdog's bookkeeping after executed or
-    /// skipped cycles. Component state evolves uniformly across a
+    /// skipped cycles. Task state evolves uniformly across a
     /// skipped span (a sleeping task's busy count grows every cycle of
     /// it), so "signature changed over the span" implies the span's
     /// *last* cycle made progress — exactly what the legacy kernel
@@ -1196,7 +1180,7 @@ impl System {
             return false;
         };
         let (spare, words) = self.spare_banks.remove(pos);
-        let mut fresh = BankComponent::new(BankModel::new(spare, words));
+        let mut fresh = BankModel::new(spare, words);
         let segments = self.binding.segments_in(bank);
         {
             let old = self.banks.get_mut(bank).expect("checked above");
@@ -1234,10 +1218,7 @@ impl System {
     /// the migrated channel escapes them.
     fn reroute_channel(&mut self, channel: ChannelId, cycle: u64) {
         let idx = self.routes.len();
-        let mut fresh = RouteComponent::new(
-            RouteState::new(vec![channel], RegisterPlacement::Receiver),
-            false,
-        );
+        let mut fresh = RouteState::new(vec![channel], RegisterPlacement::Receiver);
         if let Some(&old) = self.route_of_channel.get(&channel) {
             if let Some(v) = self.routes[old].read(channel) {
                 fresh.preload(channel, v);
@@ -1250,9 +1231,8 @@ impl System {
         }
     }
 
-    /// Executes one cycle through the shared phase order, component by
-    /// component: the legacy kernel runs exactly this code for every
-    /// cycle.
+    /// Executes one cycle through the shared phase order: the legacy
+    /// kernel runs exactly this code for every cycle.
     fn step_cycle(&mut self) {
         let cycle = self.cycle;
         // 1. Release newly runnable tasks.
@@ -1275,21 +1255,23 @@ impl System {
         // on the wire (what the tasks, tracer and multi-grant check
         // see), leaving the arbiter's own bookkeeping on the raw grant.
         let mut grants: BTreeMap<ArbiterId, u64> = BTreeMap::new();
-        let mut request_words: BTreeMap<ArbiterId, u64> = BTreeMap::new();
         {
             let Self {
                 tasks,
                 arbiters,
                 monitor,
+                tracer,
                 faults,
                 ..
             } = self;
+            // The traced words, in arbiter order, only when tracing.
+            let mut traced = tracer.as_ref().map(|_| (Vec::new(), Vec::new()));
             for a in arbiters.iter_mut() {
                 let mut word = a.compute_word(tasks);
                 if let Some(fc) = faults.as_mut() {
                     word = fc.perturb_requests(a.id(), cycle, word, |t| a.port_of(t));
                 }
-                let mut grant = a.step_with_word(word);
+                let mut grant = a.step_word(word);
                 if let Some(fc) = faults.as_mut() {
                     grant = fc.perturb_grant(a.id(), cycle, grant);
                 }
@@ -1300,12 +1282,15 @@ impl System {
                         grants: grant,
                     });
                 }
-                request_words.insert(a.id(), word);
+                if let Some((words, granted)) = traced.as_mut() {
+                    words.push(word);
+                    granted.push(grant);
+                }
                 grants.insert(a.id(), grant);
             }
-        }
-        if let Some(tracer) = &mut self.tracer {
-            tracer.sample_cycle(cycle, &self.arbiters, &request_words, &grants);
+            if let (Some(tracer), Some((words, granted))) = (tracer.as_mut(), traced) {
+                tracer.sample_cycle(cycle, &words, &granted);
+            }
         }
         // 3. Tasks execute.
         let mut bank_accesses: BTreeMap<BankId, Vec<BankAccess>> = BTreeMap::new();
@@ -1365,7 +1350,7 @@ impl System {
                 let Some(b) = banks.get_mut(*bank) else {
                     continue;
                 };
-                match b.resolve(accesses) {
+                match b.cycle(accesses) {
                     BankOutcome::Conflict { tasks: offenders } => {
                         monitor.push(Violation::BankConflict {
                             cycle,
@@ -1417,9 +1402,9 @@ impl System {
                 }
             }
             for (route, sends) in &route_sends {
-                let outcome = routes[*route].resolve(sends);
+                let outcome = routes[*route].cycle(sends);
                 if let RouteOutcome::Conflict { tasks: offenders } = outcome {
-                    if routes[*route].shared() {
+                    if routes[*route].is_shared() {
                         monitor.push(Violation::RouteConflict {
                             cycle,
                             route: *route,
@@ -1496,10 +1481,10 @@ impl System {
             let mut grant = match lanes.as_mut() {
                 Some(l) => {
                     let g = l.step(i, word);
-                    a.note_batch_step(word, g);
+                    a.note_step(word, g);
                     g
                 }
-                None => a.step_with_word(word),
+                None => a.step_word(word),
             };
             if let Some(fc) = faults.as_mut() {
                 grant = fc.perturb_grant(a.id(), cycle, grant);
@@ -1515,7 +1500,7 @@ impl System {
             arena.grants[i] = grant;
         }
         if let Some(tracer) = tracer.as_mut() {
-            tracer.sample_cycle_words(cycle, arbiters, &arena.request_words, &arena.grants);
+            tracer.sample_cycle(cycle, &arena.request_words, &arena.grants);
         }
         // 3. Tasks execute — only the ones in the running list, through
         // the SoA environment. With faults absent and every per-cycle
@@ -1585,7 +1570,7 @@ impl System {
         for &slot in arena.touched_banks() {
             let bank = banks.ids()[slot as usize];
             let b = banks.slot_mut(slot);
-            match b.resolve(arena.accesses(slot)) {
+            match b.cycle(arena.accesses(slot)) {
                 BankOutcome::Conflict { tasks: offenders } => {
                     monitor.push(Violation::BankConflict {
                         cycle,
@@ -1630,9 +1615,9 @@ impl System {
             });
         }
         arena.for_each_route(|r, sends| {
-            let outcome = routes[r as usize].resolve(sends);
+            let outcome = routes[r as usize].cycle(sends);
             if let RouteOutcome::Conflict { tasks: offenders } = outcome {
-                if routes[r as usize].shared() {
+                if routes[r as usize].is_shared() {
                     monitor.push(Violation::RouteConflict {
                         cycle,
                         route: r as usize,
@@ -1653,10 +1638,10 @@ impl System {
     }
 
     /// The batched kernel's post-cycle wake refresh: re-registers every
-    /// component's wake condition with the scheduler, returning as soon
-    /// as anything must run next cycle. It asks the dense running and
+    /// unit's wake condition with the scheduler, returning as soon as
+    /// anything must run next cycle. It asks the dense running and
     /// pending lists and the incremental request matrix rather than
-    /// scanning every component. The skip decision (quiescent or not,
+    /// scanning every task. The skip decision (quiescent or not,
     /// earliest timer) is order-independent, so visiting running tasks
     /// before pending ones needs no interleaved index scan.
     fn refresh_batched(&mut self) {
@@ -1678,10 +1663,10 @@ impl System {
             let t = &tasks[i];
             match t.wake(now) {
                 Wake::Active => {
-                    scheduler.mark_active(CompId::Task(i));
+                    scheduler.mark_active();
                     return;
                 }
-                Wake::Timer(c) => scheduler.wake_at(c, CompId::Task(i)),
+                Wake::Timer(c) => scheduler.wake_at(c),
                 Wake::Idle => {
                     // A blocked Recv wakes when data lands in its route
                     // register. (A blocked AwaitGrant is covered by the
@@ -1693,7 +1678,7 @@ impl System {
                             .and_then(|r| routes[r as usize].read(ch))
                             .is_some();
                         if data_ready {
-                            scheduler.mark_active(CompId::Task(i));
+                            scheduler.mark_active();
                             return;
                         }
                     }
@@ -1707,7 +1692,7 @@ impl System {
                 .iter()
                 .all(|p| tasks[p.index()].status() == TaskStatus::Done);
             if ready {
-                scheduler.mark_active(CompId::Task(i));
+                scheduler.mark_active();
                 return;
             }
         }
@@ -1719,28 +1704,21 @@ impl System {
             let word = soa.matrix.word(i);
             debug_assert_eq!(word, a.compute_word(tasks), "request matrix out of sync");
             let steady = match &soa.lanes {
-                Some(l) => {
-                    word == a.last_word()
-                        && l.next_grant(i, word) == Some(a.last_grant())
-                        && a.last_grant().count_ones() <= 1
-                }
-                None => a.steady_for(word),
+                Some(l) => a.steady_for(word, |w| l.next_grant(i, w)),
+                None => a.steady_for(word, |w| a.steady_grant(w)),
             };
             if !steady {
-                scheduler.mark_active(CompId::Arbiter(i));
+                scheduler.mark_active();
                 return;
             }
         }
-        for (i, b) in banks.values_ordered().enumerate() {
-            if b.wake(now) == Wake::Active {
-                scheduler.mark_active(CompId::Bank(i));
-                return;
-            }
+        if banks.comps.iter().any(BankModel::idle_may_float) {
+            scheduler.mark_active();
         }
     }
 
-    /// Bulk-applies `cycles` proven-inert cycles: per-component skip
-    /// accounting plus the starvation ticks blocked tasks would have
+    /// Bulk-applies `cycles` proven-inert cycles: per-task and
+    /// per-arbiter skip accounting plus the starvation ticks blocked tasks would have
     /// accrued, then jumps the clock. Watchdog crossings inside the
     /// span are merged into executed-cycle order (cycle, then task,
     /// then timeout-before-fairness) so the batched kernel logs the

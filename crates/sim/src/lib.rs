@@ -11,29 +11,31 @@
 //! - [`compile`] — flattening of taskgraph programs into an executable
 //!   instruction stream (loops and branches become jumps);
 //! - [`memory`] — single-ported bank models that detect simultaneous-
-//!   access conflicts (the hazard of Fig. 2);
+//!   access conflicts (the hazard of Fig. 2) and check a shared bank's
+//!   Fig. 4 select-line discipline;
 //! - [`channel`] — receiving-end channel registers (Fig. 3 / Table 1),
 //!   with a deliberately wrong source-register mode to demonstrate *why*
 //!   the registers must sit at the receivers;
 //! - [`arbiter`] — behavioural arbiters with optional synthesized-netlist
 //!   co-simulation (every grant cross-checked against the mapped
-//!   hardware);
+//!   hardware), which also prove themselves steady so the batched
+//!   kernel can skip cycles over them;
 //! - [`monitor`] — mutual-exclusion, protocol and starvation monitors,
 //!   plus the runtime watchdogs (grant timeout, fairness cross-check,
 //!   no-progress detection);
 //! - [`fault`] — deterministic seeded fault injection
 //!   ([`FaultPlan`]), detection accounting ([`FaultReport`]) and the
 //!   [`RecoveryPolicy`] knobs (scrub/retry/quarantine/re-route);
-//! - [`component`] — the kernel's component layer: tasks, arbiters,
-//!   banks, routes, monitor and tracer as self-contained units with an
-//!   explicit wake/skip contract, plus the batched kernel's
-//!   structure-of-arrays state (bitset request matrix, word-level
-//!   arbiter FSM lanes, reused traffic arenas, flat lookup tables);
+//! - [`component`] — the units with no behavioural model of their own:
+//!   tasks (with their wake condition and skip accounting), the monitor
+//!   and the VCD tracer, plus the batched kernel's structure-of-arrays
+//!   state (bitset request matrix, word-level arbiter FSM lanes, reused
+//!   traffic arenas, flat lookup tables);
 //! - [`scheduler`] — the batched kernel's wake-list/dirty-set
 //!   scheduler and its cycle-accounting [`KernelStats`];
-//! - [`engine`] — the simulation kernel: orchestrates the components
-//!   through the shared per-cycle phase order, skipping provably inert
-//!   cycles. [`KernelKind`] selects between the batched SoA default,
+//! - [`engine`] — the simulation kernel: drives one type per simulated
+//!   unit through the shared per-cycle phase order, skipping provably
+//!   inert cycles. [`KernelKind`] selects between the batched SoA default,
 //!   the one production kernel, and the legacy always-execute
 //!   differential oracle — the two held to identical reports, VCD and
 //!   memory by `tests/kernel_equivalence.rs`;
@@ -67,4 +69,4 @@ pub use config::{KernelKind, SimConfig, WatchdogConfig};
 pub use engine::{RunReport, System, SystemBuilder};
 pub use fault::{FaultKind, FaultPlan, FaultReport, FaultTrace, FaultWindow, RecoveryPolicy};
 pub use monitor::Violation;
-pub use scheduler::{KernelStats, Scheduler};
+pub use scheduler::KernelStats;

@@ -1,6 +1,10 @@
 //! Physical memory bank models.
 
+use crate::component::MonitorComponent;
+use crate::monitor::Violation;
+use crate::value::resolve_line;
 use rcarb_board::memory::BankId;
+use rcarb_core::line::{IdleDrive, SharedLineKind};
 use rcarb_taskgraph::id::TaskId;
 
 /// One access presented to a bank in the current cycle.
@@ -34,13 +38,23 @@ pub enum BankOutcome {
     },
 }
 
-/// A single-ported SRAM bank.
+/// A single-ported SRAM bank, plus the protocol clients and select-line
+/// state of a *shared* (arbitrated) bank. Private banks simply have no
+/// clients.
 #[derive(Debug, Clone)]
 pub struct BankModel {
     id: BankId,
     words: Vec<u64>,
     conflicts: u64,
     accesses: u64,
+    /// Protocol clients, when the bank is arbitrated.
+    clients: Vec<TaskId>,
+    /// Whether the floating-select hazard has already been reported
+    /// (once per bank).
+    flagged: bool,
+    /// Whether an all-idle cycle floats the select line under the
+    /// configured discipline, precomputed when the clients are set.
+    idle_floats: bool,
 }
 
 impl BankModel {
@@ -51,6 +65,9 @@ impl BankModel {
             words: vec![0; words as usize],
             conflicts: 0,
             accesses: 0,
+            clients: Vec::new(),
+            flagged: false,
+            idle_floats: false,
         }
     }
 
@@ -82,6 +99,63 @@ impl BankModel {
     /// Number of successful accesses served.
     pub fn accesses(&self) -> u64 {
         self.accesses
+    }
+
+    /// Registers the bank's protocol clients and precomputes whether an
+    /// all-idle cycle floats the select line under `select_line`.
+    pub(crate) fn set_clients(&mut self, clients: Vec<TaskId>, select_line: SharedLineKind) {
+        let idle: Vec<Option<bool>> = clients.iter().map(|_| idle_value(select_line)).collect();
+        self.idle_floats =
+            !clients.is_empty() && resolve_line(select_line, &idle).to_bool().is_none();
+        self.clients = clients;
+    }
+
+    /// The registered protocol clients (used when a quarantine migrates
+    /// a faulted bank's role onto a spare).
+    pub(crate) fn clients(&self) -> &[TaskId] {
+        &self.clients
+    }
+
+    /// Whether a cycle in which nobody touches the bank can still record
+    /// a new violation: only an unflagged shared bank whose idle select
+    /// line *floats* can. Everything else a bank does is driven by task
+    /// accesses, and an accessing task is itself active, so the batched
+    /// kernel may skip cycles over any bank for which this is false.
+    pub(crate) fn idle_may_float(&self) -> bool {
+        self.idle_floats && !self.flagged
+    }
+
+    /// The Fig. 4 select-line check for one cycle: collect each client's
+    /// drive (write -> 1, read -> 0, idle -> per discipline), resolve,
+    /// and report a float once per bank. `accesses` is this cycle's
+    /// traffic on this bank, if any.
+    pub(crate) fn check_select(
+        &mut self,
+        cycle: u64,
+        accesses: Option<&Vec<BankAccess>>,
+        select_line: SharedLineKind,
+        monitor: &mut MonitorComponent,
+    ) {
+        if self.clients.is_empty() || self.flagged {
+            return;
+        }
+        let drivers: Vec<Option<bool>> = self
+            .clients
+            .iter()
+            .map(|&t| {
+                accesses
+                    .and_then(|accs| accs.iter().find(|a| a.task == t))
+                    .map(|a| a.write.is_some())
+                    .or(idle_value(select_line))
+            })
+            .collect();
+        if resolve_line(select_line, &drivers).to_bool().is_none() {
+            self.flagged = true;
+            monitor.push(Violation::FloatingSelectLine {
+                cycle,
+                bank: self.id,
+            });
+        }
     }
 
     /// Applies one cycle's accesses.
@@ -128,6 +202,15 @@ impl BankModel {
                 BankOutcome::Conflict { tasks }
             }
         }
+    }
+}
+
+/// A client's idle drive on the select line, as an optional logic level.
+fn idle_value(select_line: SharedLineKind) -> Option<bool> {
+    match select_line.idle_drive() {
+        IdleDrive::HighZ => None,
+        IdleDrive::Low => Some(false),
+        IdleDrive::High => Some(true),
     }
 }
 

@@ -1,34 +1,24 @@
 //! The batched kernel's wake-list/dirty-set scheduler.
 //!
-//! After every executed cycle the engine re-registers each component's
-//! wake condition here (see [`Component::wake`]): components that must
-//! run next cycle land in the **dirty set**, components sleeping until a
-//! known cycle land in the **wake list** (a timer map), and provably
-//! quiescent components register nothing at all. When the dirty set is
-//! empty the engine may jump the clock straight to the earliest timer —
+//! After every executed cycle the engine re-registers the system's wake
+//! condition here: a task that must run next cycle (see
+//! [`TaskComponent::wake`]), an arbiter that is not steady or a bank
+//! whose idle select line may float marks the system **active**; a task
+//! sleeping until a known cycle registers a **timer**; provably
+//! quiescent units register nothing at all. When nothing is active the
+//! engine may jump the clock straight to the earliest timer —
 //! [`skippable`](Scheduler::skippable) computes exactly how far — and
-//! bulk-account the skipped cycles on each component
-//! ([`Component::skip`]).
+//! bulk-account the skipped cycles on each task and arbiter
+//! ([`TaskComponent::skip`]).
 //!
 //! The scheduler never *guesses*: a skip is offered only when every
-//! component proved, from its own state, that executing the intervening
+//! unit proved, from its own state, that executing the intervening
 //! cycles would change nothing but a handful of counters. That proof is
 //! what the `tests/kernel_equivalence.rs` suite checks against the
 //! legacy cycle-scanning loop.
 //!
-//! [`Component::wake`]: crate::component::Component::wake
-//! [`Component::skip`]: crate::component::Component::skip
-
-/// Identifies a component registered with the [`Scheduler`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CompId {
-    /// A task component, by index in the kernel's task vector.
-    Task(usize),
-    /// An arbiter component, by index in the kernel's arbiter vector.
-    Arbiter(usize),
-    /// A memory-bank component, by position in the kernel's bank map.
-    Bank(usize),
-}
+//! [`TaskComponent::wake`]: crate::component::TaskComponent::wake
+//! [`TaskComponent::skip`]: crate::component::TaskComponent::skip
 
 /// Cycle-accounting statistics of a kernel run.
 ///
@@ -39,7 +29,7 @@ pub enum CompId {
 /// across kernels.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Cycles the kernel actually stepped component by component.
+    /// Cycles the kernel actually executed.
     pub executed_cycles: u64,
     /// Cycles proven inert and bulk-accounted without execution.
     pub skipped_cycles: u64,
@@ -81,16 +71,16 @@ impl KernelStats {
 
 /// The wake-list/dirty-set bookkeeping behind the batched kernel's skips.
 ///
-/// Storage is deliberately flat — the first dirty component and the
+/// Storage is deliberately flat — whether anything is dirty and the
 /// earliest timer — because those are the only two facts the engine ever
 /// asks for, and the refresh runs after *every* executed cycle: on dense
 /// workloads any per-refresh allocation would tax the kernel exactly
 /// where it cannot win cycles back by skipping.
 #[derive(Debug, Default)]
 pub struct Scheduler {
-    /// The first component found to require execution next cycle, if
-    /// any (the engine stops refreshing at the first one).
-    active: Option<CompId>,
+    /// Whether some unit requires execution next cycle (the engine
+    /// stops refreshing at the first one).
+    active: bool,
     /// The earliest registered absolute wake cycle, if any.
     next_timer: Option<u64>,
     /// False until the first refresh: a fresh system always executes
@@ -108,33 +98,28 @@ impl Scheduler {
 
     /// Clears all registrations ahead of a post-cycle wake refresh.
     pub fn begin_refresh(&mut self) {
-        self.active = None;
+        self.active = false;
         self.next_timer = None;
         self.primed = true;
     }
 
-    /// Marks a component dirty: the next cycle must execute.
-    pub fn mark_active(&mut self, id: CompId) {
-        self.active.get_or_insert(id);
+    /// Marks the system dirty: the next cycle must execute.
+    pub fn mark_active(&mut self) {
+        self.active = true;
     }
 
-    /// Registers a timer: the component sleeps until `cycle`, which
-    /// must then execute.
-    pub fn wake_at(&mut self, cycle: u64, _id: CompId) {
+    /// Registers a timer: a task sleeps until `cycle`, which must then
+    /// execute.
+    pub fn wake_at(&mut self, cycle: u64) {
         self.next_timer = Some(match self.next_timer {
             Some(t) => t.min(cycle),
             None => cycle,
         });
     }
 
-    /// True when no component is dirty.
+    /// True when nothing is dirty.
     pub fn is_quiescent(&self) -> bool {
-        self.primed && self.active.is_none()
-    }
-
-    /// The component blocking any skip, if one is dirty.
-    pub fn blocking(&self) -> Option<CompId> {
-        self.active
+        self.primed && !self.active
     }
 
     /// The earliest registered timer, if any.
@@ -143,7 +128,7 @@ impl Scheduler {
     }
 
     /// How many whole cycles may be skipped starting at `now`, given
-    /// the run stops at `max_cycles`: zero whenever any component is
+    /// the run stops at `max_cycles`: zero whenever anything is
     /// dirty, otherwise the distance to the earliest timer (or to the
     /// cycle limit when nothing is scheduled at all — a deadlocked but
     /// quiescent system skips straight to its timeout).
@@ -180,7 +165,7 @@ impl Scheduler {
 /// Three ascending lists partition the interesting tasks:
 ///
 /// - `running` — tasks to step this cycle, in ascending index order
-///   (the order the dispatch kernels step them, so violation and
+///   (the order the legacy kernel steps them, so violation and
 ///   traffic ordering is preserved);
 /// - `pending` — tasks not yet released, polled against the release
 ///   schedule at the top of each cycle;
@@ -283,7 +268,7 @@ mod tests {
     fn dirty_set_blocks_skipping() {
         let mut s = Scheduler::new();
         s.begin_refresh();
-        s.mark_active(CompId::Task(0));
+        s.mark_active();
         assert_eq!(s.skippable(5, 1000), 0);
         assert!(!s.is_quiescent());
     }
@@ -292,8 +277,8 @@ mod tests {
     fn skip_runs_to_the_earliest_timer() {
         let mut s = Scheduler::new();
         s.begin_refresh();
-        s.wake_at(40, CompId::Task(1));
-        s.wake_at(12, CompId::Task(0));
+        s.wake_at(40);
+        s.wake_at(12);
         assert_eq!(s.next_wake(), Some(12));
         assert_eq!(s.skippable(5, 1000), 7);
         // The wake cycle itself must execute.
@@ -305,7 +290,7 @@ mod tests {
         let mut s = Scheduler::new();
         s.begin_refresh();
         assert_eq!(s.skippable(3, 10), 7); // deadlock: jump to timeout
-        s.wake_at(50, CompId::Arbiter(0));
+        s.wake_at(50);
         assert_eq!(s.skippable(3, 10), 7); // timer beyond the limit
     }
 
@@ -313,8 +298,8 @@ mod tests {
     fn refresh_clears_previous_registrations() {
         let mut s = Scheduler::new();
         s.begin_refresh();
-        s.mark_active(CompId::Bank(2));
-        s.wake_at(9, CompId::Task(0));
+        s.mark_active();
+        s.wake_at(9);
         s.begin_refresh();
         assert!(s.is_quiescent());
         assert_eq!(s.next_wake(), None);

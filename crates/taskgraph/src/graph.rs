@@ -116,15 +116,6 @@ impl TaskGraph {
         self.channels.iter().find(|c| c.name() == name)
     }
 
-    /// Tasks that read or write `segment`, in id order.
-    pub fn accessors_of_segment(&self, segment: SegmentId) -> Vec<TaskId> {
-        self.tasks
-            .iter()
-            .filter(|t| t.program().segments_accessed().contains(&segment))
-            .map(|t| t.id())
-            .collect()
-    }
-
     /// Direct control-dependency successors of `task`.
     pub fn successors(&self, task: TaskId) -> Vec<TaskId> {
         self.control_deps
@@ -273,13 +264,6 @@ mod tests {
         b.control_dep(t_b, d);
         b.control_dep(c, d);
         b.finish().expect("valid graph")
-    }
-
-    #[test]
-    fn accessors_of_segment_finds_all() {
-        let g = diamond();
-        let seg = g.segments()[0].id();
-        assert_eq!(g.accessors_of_segment(seg).len(), 4);
     }
 
     #[test]

@@ -359,7 +359,7 @@ impl PlannedDesign {
     }
 
     /// [`simulate`](Self::simulate) plus the kernel's cycle accounting:
-    /// how many cycles were executed component by component versus
+    /// how many cycles were executed versus
     /// bulk-skipped by the batched kernel's scheduler.
     ///
     /// # Errors
