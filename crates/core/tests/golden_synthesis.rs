@@ -2,7 +2,10 @@
 //! sweep for N = 2..=16 across the three (tool, encoding) series at speed
 //! grade −3, plus an FNV-1a fingerprint of each row's mapped netlist; and
 //! the same for the largest rows, N = 21, 22 and 32. A third table pins
-//! the generated VHDL of every policy.
+//! the generated VHDL of every policy, and a fourth the rows and netlists
+//! of the synthesized machines the sweep does not reach: FPGA Express
+//! with Gray encoding, the parallel-prefix round-robin machine and the
+//! preemptive one.
 //!
 //! The expected values were recorded from the synthesis pipeline before
 //! the two-level minimizer's containment check and merge loop and the
@@ -231,4 +234,145 @@ const EXPECTED_VHDL: &[&str] = &[
 fn generated_vhdl_matches_the_recorded_golden() {
     let actual = actual_vhdl();
     assert_eq!(actual, EXPECTED_VHDL, "\n{}", actual.join("\n"));
+}
+
+/// One line per synthesized FSM arbiter that the round-robin sweep does
+/// not reach but a served `Synthesize` request can: FPGA Express with
+/// Gray encoding, the parallel-prefix round-robin machine and the
+/// preemptive one, each as `policy n tool encoding clbs fmax luts ffs
+/// levels netlist`.
+fn actual_other_rows() -> Vec<String> {
+    let grade = SpeedGrade::Minus3;
+    let express = ToolModel::fpga_express();
+    let synplify = ToolModel::synplify();
+    let series = [
+        (&express, EncodingStyle::OneHot),
+        (&express, EncodingStyle::Compact),
+        (&synplify, EncodingStyle::OneHot),
+    ];
+    let mut cases = Vec::new();
+    for n in 2..=16 {
+        cases.push((PolicyKind::RoundRobin, n, &express, EncodingStyle::Gray));
+    }
+    for n in 2..=12 {
+        for &(tool, encoding) in &series {
+            cases.push((PolicyKind::PrefixRoundRobin, n, tool, encoding));
+        }
+    }
+    for n in 2..=32 {
+        for &(tool, encoding) in &series {
+            cases.push((PolicyKind::PreemptiveRoundRobin, n, tool, encoding));
+        }
+    }
+    cases
+        .into_iter()
+        .filter_map(|(policy, n, tool, encoding)| {
+            let spec = ArbiterSpec::round_robin(n)
+                .with_policy(policy)
+                .with_encoding(encoding);
+            if !spec.fits_synthesizer(tool) {
+                return None;
+            }
+            let r = ArbiterGenerator::new()
+                .with_grade(grade)
+                .synthesize(&spec, tool);
+            let fp = fnv1a(format!("{:?}", r.netlist).as_bytes());
+            Some(format!(
+                "{policy} {n} {} {} {} {:?} {} {} {} {fp:016x}",
+                r.tool,
+                r.encoding_used,
+                r.clbs(),
+                r.fmax_mhz(),
+                r.clb.luts,
+                r.clb.ffs,
+                r.timing.levels
+            ))
+        })
+        .collect()
+}
+
+/// Recorded before the technology mapper's divisor index and LUT cache
+/// were rewritten.
+const EXPECTED_OTHERS: &[&str] = &[
+    "round-robin 2 fpga_express gray 4 114.34856219172633 4 2 1 cd9ed18cb405bd50",
+    "round-robin 3 fpga_express gray 18 30.68005906837483 28 3 5 fee933730e12c878",
+    "round-robin 4 fpga_express gray 38 27.133682535507937 58 3 5 7d8231e8da512feb",
+    "round-robin 5 fpga_express gray 79 20.622641520581794 129 4 6 5924112d2c90c039",
+    "round-robin 6 fpga_express gray 131 18.596326051787045 214 4 6 0fd99bd56446d770",
+    "round-robin 7 fpga_express gray 155 15.37003088689561 266 4 7 af7d790746f4cf59",
+    "round-robin 8 fpga_express gray 166 14.927979734223374 307 4 7 b7b5da48cea5a88e",
+    "round-robin 9 fpga_express gray 265 13.520085462653352 490 5 7 bd6c02db739434a8",
+    "round-robin 10 fpga_express gray 358 12.574501908915094 664 5 7 8ea0036af2e1ea4f",
+    "round-robin 11 fpga_express gray 415 12.227671227924658 765 5 7 695c814f860c3004",
+    "round-robin 12 fpga_express gray 427 12.075870331064046 793 5 7 394bb456d1c2cea3",
+    "round-robin 13 fpga_express gray 596 9.83247639111486 1048 5 8 f561d217dd6bad01",
+    "round-robin 14 fpga_express gray 702 9.389985275455146 1225 5 8 1bffcb339e00d815",
+    "round-robin 15 fpga_express gray 738 9.309949427211667 1269 5 8 a5f70b706991e60c",
+    "round-robin 16 fpga_express gray 630 9.645324572627112 1125 5 8 f36bab11bb57e59d",
+    "prefix-rr 2 fpga_express one-hot 7 52.18108301273067 10 4 3 6cba9a42486a0cdc",
+    "prefix-rr 2 fpga_express compact 4 114.34856219172633 4 2 1 57a05ae2fdfd862b",
+    "prefix-rr 2 synplify one-hot 5 52.18108301273067 10 4 3 6cba9a42486a0cdc",
+    "prefix-rr 3 fpga_express one-hot 15 48.137427475347515 21 6 3 54478d8440fdb815",
+    "prefix-rr 3 fpga_express compact 25 36.16416936622074 31 3 4 85dc2aa9e50d5630",
+    "prefix-rr 3 synplify one-hot 10 48.137427475347515 21 6 3 54478d8440fdb815",
+    "prefix-rr 4 fpga_express one-hot 24 45.693840486296956 37 8 3 4fcb89866592a3fb",
+    "prefix-rr 4 fpga_express compact 30 28.584069596671412 45 3 5 f42b0352dc854423",
+    "prefix-rr 4 synplify one-hot 16 45.693840486296956 37 8 3 4fcb89866592a3fb",
+    "prefix-rr 5 fpga_express one-hot 40 32.59588559920602 69 10 4 4447511b89ecc651",
+    "prefix-rr 5 fpga_express compact 80 20.48390880862952 136 4 6 efc1e203f34a0ae8",
+    "prefix-rr 5 synplify one-hot 26 32.59588559920602 69 10 4 4447511b89ecc651",
+    "prefix-rr 6 fpga_express one-hot 56 25.1271655623866 103 12 5 8e278f08b0e8376d",
+    "prefix-rr 6 fpga_express compact 101 19.296067779260333 180 4 6 9cf283ced22b252c",
+    "prefix-rr 6 synplify one-hot 37 25.1271655623866 103 12 5 8e278f08b0e8376d",
+    "prefix-rr 7 fpga_express one-hot 74 23.89463964986615 136 14 5 47fdf6b5671f5f83",
+    "prefix-rr 7 fpga_express compact 148 15.560662091195955 268 4 7 d9079a1fb710668e",
+    "prefix-rr 7 synplify one-hot 48 23.89463964986615 136 14 5 47fdf6b5671f5f83",
+    "prefix-rr 8 fpga_express one-hot 88 23.509986662876656 161 16 5 39234e3f030f42d6",
+    "prefix-rr 8 fpga_express compact 122 16.187281076181378 209 4 7 f5b3c0f8e4a8b08e",
+    "prefix-rr 8 synplify one-hot 57 23.509986662876656 161 16 5 39234e3f030f42d6",
+    "prefix-rr 9 fpga_express one-hot 113 22.173413626176444 209 18 5 2690f26d7dc660da",
+    "prefix-rr 9 fpga_express compact 259 13.708131806603285 471 5 7 d010d1548f910b80",
+    "prefix-rr 9 synplify one-hot 74 22.173413626176444 209 18 5 2690f26d7dc660da",
+    "prefix-rr 10 fpga_express one-hot 142 21.259642862779067 262 20 5 a5807406ddc2cefc",
+    "prefix-rr 10 fpga_express compact 297 13.257752768384902 552 5 7 4aec09cd1f437c88",
+    "prefix-rr 10 synplify one-hot 93 21.259642862779067 262 20 5 a5807406ddc2cefc",
+    "prefix-rr 11 fpga_express one-hot 167 20.546463689910315 309 22 5 22cfb4208b4c5940",
+    "prefix-rr 11 fpga_express compact 396 12.290559701451269 736 5 7 906bd2d1cdeb6cbd",
+    "prefix-rr 11 synplify one-hot 109 20.546463689910315 309 22 5 22cfb4208b4c5940",
+    "prefix-rr 12 fpga_express one-hot 189 20.360949159477958 342 24 5 899b608c0e6dae90",
+    "prefix-rr 12 fpga_express compact 418 12.103625699522476 777 5 7 596a294a60699546",
+    "prefix-rr 12 synplify one-hot 124 20.360949159477958 342 24 5 899b608c0e6dae90",
+    "preemptive-rr 2 fpga_express one-hot 20 37.208514415358856 28 10 4 ffb7767f427d4da0",
+    "preemptive-rr 2 fpga_express compact 21 36.611016822981966 26 4 4 6073462d1dac1471",
+    "preemptive-rr 2 synplify one-hot 13 37.208514415358856 28 10 4 ffb7767f427d4da0",
+    "preemptive-rr 3 fpga_express one-hot 32 34.921282070517066 45 15 4 a723b4736ac3f279",
+    "preemptive-rr 3 fpga_express compact 47 26.409821061849104 74 4 5 d810ec5f284d0cae",
+    "preemptive-rr 3 synplify one-hot 21 34.921282070517066 45 15 4 a723b4736ac3f279",
+    "preemptive-rr 4 fpga_express one-hot 50 33.2441676329215 69 20 4 1af0876002dd444b",
+    "preemptive-rr 4 fpga_express compact 94 20.01425833282138 148 5 6 7277c7d4b1e4aa8f",
+    "preemptive-rr 4 synplify one-hot 33 33.2441676329215 69 20 4 1af0876002dd444b",
+    "preemptive-rr 5 fpga_express one-hot 72 21.20731787416694 114 25 6 2b0b4420628aae2c",
+    "preemptive-rr 5 fpga_express compact 134 18.361928970194796 233 5 6 444245efed194d9d",
+    "preemptive-rr 5 synplify one-hot 47 21.20731787416694 114 25 6 2b0b4420628aae2c",
+    "preemptive-rr 6 fpga_express one-hot 93 19.910226603727104 163 30 6 1833fe6b1609f037",
+    "preemptive-rr 6 fpga_express compact 176 14.80826347930668 327 5 7 227184ad90748ac2",
+    "preemptive-rr 6 synplify one-hot 61 19.910226603727104 163 30 6 1833fe6b1609f037",
+    "preemptive-rr 7 fpga_express one-hot 116 18.98461965385875 206 35 6 c35cf32c83c554d0",
+    "preemptive-rr 7 fpga_express compact 277 13.442586967090422 514 6 7 d5714b7c26cca886",
+    "preemptive-rr 7 synplify one-hot 76 18.98461965385875 206 35 6 c35cf32c83c554d0",
+    "preemptive-rr 8 fpga_express one-hot 143 18.62817021239951 241 40 6 0c6b9123410261a9",
+    "preemptive-rr 8 fpga_express compact 319 13.03273525992498 592 6 7 257330bd56e0c87c",
+    "preemptive-rr 8 synplify one-hot 94 18.62817021239951 241 40 6 0c6b9123410261a9",
+    "preemptive-rr 9 fpga_express one-hot 176 17.652259894404764 299 45 6 f6be88ae095c9251",
+    "preemptive-rr 9 fpga_express compact 430 10.615327381833769 797 6 8 d725ec1342548fa3",
+    "preemptive-rr 9 synplify one-hot 115 17.652259894404764 299 45 6 f6be88ae095c9251",
+    "preemptive-rr 10 fpga_express one-hot 204 16.88340809951693 372 50 6 16c0c83005b158d1",
+    "preemptive-rr 10 fpga_express compact 500 10.181508143017478 930 6 8 8e4cdb47e4a66a78",
+    "preemptive-rr 10 synplify one-hot 133 16.88340809951693 372 50 6 16c0c83005b158d1",
+];
+
+#[test]
+fn gray_prefix_and_preemptive_netlists_match_the_recorded_golden() {
+    let actual = actual_other_rows();
+    assert_eq!(actual, EXPECTED_OTHERS, "\n{}", actual.join("\n"));
 }
