@@ -24,7 +24,7 @@
 //! 8. [`timing`] — static timing with a speed-grade-scaled wire-load model;
 //! 9. [`tools`] — "Synplify"- and "FPGA Express"-like tool models that
 //!    differ exactly where the paper observed differences (encoding
-//!    honouring, sharing, optimization effort);
+//!    honouring, optimization effort, packing);
 //! 10. [`structural`] — a gate-level circuit builder used for the baseline
 //!     arbitration policies (priority encoders, LFSRs, FIFO queues);
 //! 11. [`export`] — KISS2 (FSMs) and BLIF (netlists) emitters for

@@ -4,7 +4,7 @@
 //! table enumeration); wider functions decompose into AND trees per cube
 //! followed by an OR tree, the classic two-level-to-LUT covering. An
 //! optional structural-hashing cache shares identical LUTs between
-//! functions — the lever that distinguishes the higher-effort tool model.
+//! functions; both tool models turn it on.
 
 use crate::netlist::{and_truth, or_truth, NetRef, Netlist};
 use crate::sop::Sop;
@@ -18,11 +18,15 @@ type LitList = Vec<(NetRef, bool)>;
 /// The cubes sharing a divisor: (cube position, dropped literal).
 type Chosen = Vec<(usize, (NetRef, bool))>;
 
+/// A LUT's structural-hashing key: its inputs padded to four, their
+/// count and its truth table.
+type LutKey = ([NetRef; 4], u8, u16);
+
 /// Maps synthesized FSM networks (and standalone SOPs) onto a [`Netlist`].
 #[derive(Debug)]
 pub struct Mapper {
     sharing: bool,
-    cache: HashMap<(Vec<NetRef>, u16), NetRef>,
+    cache: HashMap<LutKey, NetRef, BuildHasherDefault<SigHasher>>,
 }
 
 impl Mapper {
@@ -30,21 +34,24 @@ impl Mapper {
     pub fn new(sharing: bool) -> Self {
         Self {
             sharing,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
         }
     }
 
-    fn emit(&mut self, nl: &mut Netlist, inputs: Vec<NetRef>, truth: u16) -> NetRef {
-        if self.sharing {
-            if let Some(&hit) = self.cache.get(&(inputs.clone(), truth)) {
-                return hit;
-            }
+    /// Emits the LUT `truth` over `inputs`, or returns the identical LUT
+    /// emitted before when sharing is on. The input list is copied only
+    /// when a node is added.
+    fn emit(&mut self, nl: &mut Netlist, inputs: &[NetRef], truth: u16) -> NetRef {
+        if !self.sharing {
+            return nl.add_node(inputs.to_vec(), truth);
         }
-        let r = nl.add_node(inputs.clone(), truth);
-        if self.sharing {
-            self.cache.insert((inputs, truth), r);
-        }
-        r
+        assert!(inputs.len() <= 4, "LUTs take between 1 and 4 inputs");
+        let mut padded = [NetRef::Const(false); 4];
+        padded[..inputs.len()].copy_from_slice(inputs);
+        *self
+            .cache
+            .entry((padded, inputs.len() as u8, truth))
+            .or_insert_with(|| nl.add_node(inputs.to_vec(), truth))
     }
 
     /// Maps one SOP whose variable `v` resolves to `var_map(v)`.
@@ -63,7 +70,10 @@ impl Mapper {
         let support = sop.support();
         if support.len() <= 4 {
             // Direct truth-table enumeration over the support.
-            let refs: Vec<NetRef> = support.iter().map(|&v| var_map(v)).collect();
+            let mut refs = [NetRef::Const(false); 4];
+            for (r, &v) in refs.iter_mut().zip(&support) {
+                *r = var_map(v);
+            }
             let mut truth = 0u16;
             for idx in 0..(1usize << support.len()) {
                 let mut assignment = 0u64;
@@ -76,7 +86,7 @@ impl Mapper {
                     truth |= 1 << idx;
                 }
             }
-            return self.emit(nl, refs, truth);
+            return self.emit(nl, &refs[..support.len()], truth);
         }
         // Two-level decomposition: AND per cube, OR across cubes. Literals
         // are ordered highest-variable-first, which puts the FSM *inputs*
@@ -123,7 +133,7 @@ impl Mapper {
                 if pol {
                     terms.push(r);
                 } else {
-                    terms.push(self.emit(nl, vec![r], 0b01));
+                    terms.push(self.emit(nl, &[r], 0b01));
                 }
             }
             terms.sort();
@@ -145,16 +155,21 @@ impl Mapper {
                 if pol {
                     return r;
                 }
-                return self.emit(nl, vec![r], 0b01); // NOT
+                return self.emit(nl, &[r], 0b01); // NOT
             }
             let mut next = Vec::with_capacity(lits.len().div_ceil(4));
             for chunk in lits.chunks(4) {
                 if chunk.len() == 1 {
                     next.push(chunk[0]);
                 } else {
-                    let refs: Vec<NetRef> = chunk.iter().map(|&(r, _)| r).collect();
-                    let pols: Vec<bool> = chunk.iter().map(|&(_, p)| p).collect();
-                    let node = self.emit(nl, refs, and_truth(&pols));
+                    let mut refs = [NetRef::Const(false); 4];
+                    let mut pols = [false; 4];
+                    for (j, &(r, p)) in chunk.iter().enumerate() {
+                        refs[j] = r;
+                        pols[j] = p;
+                    }
+                    let k = chunk.len();
+                    let node = self.emit(nl, &refs[..k], and_truth(&pols[..k]));
                     next.push((node, true));
                 }
             }
@@ -172,7 +187,7 @@ impl Mapper {
                 if chunk.len() == 1 {
                     next.push(chunk[0]);
                 } else {
-                    let node = self.emit(nl, chunk.to_vec(), or_truth(chunk.len()));
+                    let node = self.emit(nl, chunk, or_truth(chunk.len()));
                     next.push(node);
                 }
             }
@@ -209,10 +224,11 @@ fn unpack(lit: Lit) -> (NetRef, bool) {
     (r, lit & 1 != 0)
 }
 
-/// A multiply-rotate hasher for signature keys. They are short slices of
-/// words, on which SipHash spends most of the index's time. The buckets
-/// are never iterated, so their hash order is never observed, and the
-/// keys come from the mapper's own covers, not from outside input.
+/// A multiply-rotate hasher for the LUT cache's keys and the divisor
+/// index's signature hashes, on which SipHash would spend most of the
+/// mapper's time. Neither map is ever iterated, so its hash order is
+/// never observed, and the keys come from the mapper's own covers, not
+/// from outside input.
 #[derive(Default)]
 struct SigHasher(u64);
 
@@ -240,28 +256,83 @@ impl Hasher for SigHasher {
     }
 }
 
+/// The odd base of the polynomial signature hash.
+const SIG_BASE: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The bits of a signature hash that are kept. Unit tests keep two, so
+/// that every bucket lookup there walks a collision chain.
+#[cfg(not(test))]
+const SIG_HASH_MASK: u64 = u64::MAX;
+#[cfg(test)]
+const SIG_HASH_MASK: u64 = 0b11;
+
+/// The end of a bucket chain.
+const NIL: usize = usize::MAX;
+
 /// The cubes under divisor extraction, indexed by signature.
 ///
 /// Every cube gets a stable id; `order` lists the ids by current position,
 /// and removal mirrors `Vec::swap_remove` on it. A bucket lists its member
 /// cubes as `(id, dropped-literal index)` entries; one cube's entries are
-/// pushed together and so stay adjacent. Buckets reaching two distinct
-/// cubes are kept in `ranked`, most distinct cubes first and then by
-/// signature, so its first entry is the next divisor.
+/// pushed together and so stay adjacent. A signature is never stored as a
+/// list: it is the first member's cube minus its dropped literal.
+///
+/// Buckets live in a slab whose freed slots are reused, reached through a
+/// map from the signature's polynomial hash to the head of a chain of
+/// buckets; a lookup compares the literals of each bucket on the chain
+/// exactly, so two signatures whose hashes collide stay apart. Buckets
+/// reaching two distinct cubes are kept in `ranked`, most distinct cubes
+/// first and then by signature, so its first entry is the next divisor;
+/// only there is a signature built as a list.
 #[derive(Debug)]
 struct DivisorIndex {
     cubes: Vec<Vec<Lit>>,
     order: Vec<usize>,
     pos: Vec<usize>,
-    buckets: HashMap<Vec<Lit>, Bucket, BuildHasherDefault<SigHasher>>,
-    ranked: BTreeSet<(Reverse<usize>, Vec<Lit>)>,
-    sig: Vec<Lit>,
+    heads: HashMap<u64, usize, BuildHasherDefault<SigHasher>>,
+    buckets: Vec<Bucket>,
+    free: Vec<usize>,
+    ranked: BTreeSet<(Reverse<usize>, Vec<Lit>, usize)>,
+    hashes: Vec<u64>,
 }
 
+/// The cubes that share one signature.
 #[derive(Debug, Default)]
 struct Bucket {
-    members: Vec<(usize, usize)>,
+    /// The first member, kept inline so that a signature only one cube
+    /// has allocates nothing.
+    first: (usize, usize),
+    rest: Vec<(usize, usize)>,
     distinct: usize,
+    /// The next bucket on this one's hash chain.
+    next: usize,
+}
+
+impl Bucket {
+    fn members(&self) -> impl Iterator<Item = &(usize, usize)> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    fn push(&mut self, id: usize, drop: usize) {
+        if self.rest.last().unwrap_or(&self.first).0 != id {
+            self.distinct += 1;
+        }
+        self.rest.push((id, drop));
+    }
+
+    /// Removes every entry of cube `id`, keeping the others in order.
+    fn remove(&mut self, id: usize) {
+        let n = self.rest.len();
+        self.rest.retain(|&(m, _)| m != id);
+        if self.first.0 == id {
+            self.distinct -= 1;
+            if !self.rest.is_empty() {
+                self.first = self.rest.remove(0);
+            }
+        } else if self.rest.len() != n {
+            self.distinct -= 1;
+        }
+    }
 }
 
 impl DivisorIndex {
@@ -274,9 +345,11 @@ impl DivisorIndex {
                 .collect(),
             order: (0..n).collect(),
             pos: (0..n).collect(),
-            buckets: HashMap::default(),
+            heads: HashMap::default(),
+            buckets: Vec::new(),
+            free: Vec::new(),
             ranked: BTreeSet::new(),
-            sig: Vec::new(),
+            hashes: Vec::new(),
         };
         for id in 0..n {
             index.update(id, true);
@@ -288,10 +361,10 @@ impl DivisorIndex {
     /// one per cube in position order, or `None` when no signature is
     /// shared by two cubes.
     fn best(&self) -> Option<(LitList, Chosen)> {
-        let (_, sig) = self.ranked.first()?;
+        let (_, sig, slot) = self.ranked.first()?;
         let mut chosen = Chosen::new();
         let mut last = None;
-        for &(id, drop) in &self.buckets[sig].members {
+        for &(id, drop) in self.buckets[*slot].members() {
             if last != Some(id) {
                 last = Some(id);
                 chosen.push((self.pos[id], unpack(self.cubes[id][drop])));
@@ -326,41 +399,117 @@ impl DivisorIndex {
         if len < 2 {
             return;
         }
+        self.hash_signatures(id);
         for drop in 0..len {
-            let lits = &self.cubes[id];
-            self.sig.clear();
-            self.sig.extend_from_slice(&lits[..drop]);
-            self.sig.extend_from_slice(&lits[drop + 1..]);
-            let bucket = match self.buckets.get_mut(self.sig.as_slice()) {
-                Some(b) => b,
-                None => self.buckets.entry(self.sig.clone()).or_default(),
+            let hash = self.hashes[drop];
+            let Some(slot) = self.find(hash, id, drop) else {
+                if add {
+                    self.alloc(hash, (id, drop));
+                }
+                continue;
             };
+            let bucket = &mut self.buckets[slot];
             let before = bucket.distinct;
             if add {
-                if bucket.members.last().map(|&(last, _)| last) != Some(id) {
-                    bucket.distinct += 1;
-                }
-                bucket.members.push((id, drop));
+                bucket.push(id, drop);
             } else {
-                let n = bucket.members.len();
-                bucket.members.retain(|&(m, _)| m != id);
-                if bucket.members.len() != n {
-                    bucket.distinct -= 1;
-                }
+                bucket.remove(id);
             }
             let after = bucket.distinct;
             if after == 0 {
-                self.buckets.remove(self.sig.as_slice());
+                self.release(hash, slot);
             }
-            if before != after {
+            if before != after && before.max(after) >= 2 {
+                let lits = &self.cubes[id];
+                let sig = [&lits[..drop], &lits[drop + 1..]].concat();
+                let mut key = (Reverse(before), sig, slot);
                 if before >= 2 {
-                    self.ranked.remove(&(Reverse(before), self.sig.clone()));
+                    self.ranked.remove(&key);
                 }
                 if after >= 2 {
-                    self.ranked.insert((Reverse(after), self.sig.clone()));
+                    key.0 = Reverse(after);
+                    self.ranked.insert(key);
                 }
             }
         }
+    }
+
+    /// Fills `hashes[d]` with the hash of cube `id` minus literal `d`, for
+    /// every `d`: the polynomial hash of the prefix before `d`, shifted
+    /// past the suffix, plus the suffix's.
+    fn hash_signatures(&mut self, id: usize) {
+        let lits = &self.cubes[id];
+        self.hashes.clear();
+        let mut prefix = 1u64;
+        for &l in lits {
+            self.hashes.push(prefix);
+            prefix = prefix.wrapping_mul(SIG_BASE).wrapping_add(l);
+        }
+        let (mut suffix, mut power) = (0u64, 1u64);
+        for (h, &l) in self.hashes.iter_mut().zip(lits).rev() {
+            let mut x = h.wrapping_mul(power).wrapping_add(suffix);
+            x ^= x >> 33;
+            x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            *h = (x ^ x >> 33) & SIG_HASH_MASK;
+            suffix = suffix.wrapping_add(l.wrapping_mul(power));
+            power = power.wrapping_mul(SIG_BASE);
+        }
+    }
+
+    /// The bucket of cube `id` minus literal `drop`, whose hash is `hash`.
+    fn find(&self, hash: u64, id: usize, drop: usize) -> Option<usize> {
+        let lits = &self.cubes[id];
+        let mut slot = *self.heads.get(&hash)?;
+        while slot != NIL {
+            let bucket = &self.buckets[slot];
+            let (other, other_drop) = bucket.first;
+            let theirs = &self.cubes[other];
+            if theirs.len() == lits.len()
+                && lits[..drop]
+                    .iter()
+                    .chain(&lits[drop + 1..])
+                    .eq(theirs[..other_drop].iter().chain(&theirs[other_drop + 1..]))
+            {
+                return Some(slot);
+            }
+            slot = bucket.next;
+        }
+        None
+    }
+
+    /// Starts a bucket holding only `first` at the head of `hash`'s chain.
+    fn alloc(&mut self, hash: u64, first: (usize, usize)) {
+        let next = self.heads.get(&hash).copied().unwrap_or(NIL);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.buckets.push(Bucket::default());
+            self.buckets.len() - 1
+        });
+        let bucket = &mut self.buckets[slot];
+        bucket.first = first;
+        bucket.rest.clear();
+        bucket.distinct = 1;
+        bucket.next = next;
+        self.heads.insert(hash, slot);
+    }
+
+    /// Unlinks the empty bucket `slot` from `hash`'s chain and frees it.
+    fn release(&mut self, hash: u64, slot: usize) {
+        let next = self.buckets[slot].next;
+        let head = self.heads.get_mut(&hash).expect("chained bucket");
+        if *head == slot {
+            if next == NIL {
+                self.heads.remove(&hash);
+            } else {
+                *head = next;
+            }
+        } else {
+            let mut prev = *head;
+            while self.buckets[prev].next != slot {
+                prev = self.buckets[prev].next;
+            }
+            self.buckets[prev].next = next;
+        }
+        self.free.push(slot);
     }
 
     /// The remaining cubes in position order.
@@ -413,6 +562,8 @@ mod tests {
     use crate::encode::{Encoding, EncodingStyle};
     use crate::fsm::{Fsm, Transition};
     use crate::minimize::Effort;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn lit(v: usize, p: bool) -> Cube {
         Cube::universe().with_lit(v, p)
@@ -489,6 +640,101 @@ mod tests {
         index.replace(&[0, 1], vec![or, or2]);
         assert!(index.best().is_none());
         assert_eq!(index.into_cubes(), vec![vec![or, or2]]);
+    }
+
+    /// The reference for [`DivisorIndex`]: rebuilds every signature each
+    /// round and picks the one shared by the most distinct cubes, ties
+    /// going to the smallest signature, with the first dropped literal of
+    /// each cube, in position order.
+    fn naive_best(cubes: &[LitList]) -> Option<(LitList, Chosen)> {
+        let mut buckets: BTreeMap<LitList, Chosen> = BTreeMap::new();
+        for (pos, lits) in cubes.iter().enumerate() {
+            if lits.len() < 2 {
+                continue;
+            }
+            for drop in 0..lits.len() {
+                let mut sig = lits.clone();
+                let lit = sig.remove(drop);
+                let chosen = buckets.entry(sig).or_default();
+                if chosen.last().map(|&(p, _)| p) != Some(pos) {
+                    chosen.push((pos, lit));
+                }
+            }
+        }
+        let mut best: Option<(LitList, Chosen)> = None;
+        for (sig, chosen) in buckets {
+            if chosen.len() >= 2 && best.as_ref().is_none_or(|(_, b)| chosen.len() > b.len()) {
+                best = Some((sig, chosen));
+            }
+        }
+        best
+    }
+
+    /// Covers of cubes that share a base and differ in one literal, each
+    /// cube ordered highest variable first as `map_sop` builds them, plus
+    /// the choices of each round's factored literal.
+    fn arb_factorable_cover() -> impl Strategy<Value = (Vec<LitList>, Vec<u8>)> {
+        let base = proptest::collection::vec((0usize..6, any::<bool>()), 1..4);
+        let variants = proptest::collection::vec((0usize..6, any::<bool>()), 2..6);
+        let groups = proptest::collection::vec((base, variants), 1..8);
+        let picks = proptest::collection::vec(any::<u8>(), 1..8);
+        (groups, picks).prop_map(|(groups, picks)| {
+            let mut cubes = Vec::new();
+            for (base, variants) in groups {
+                let base: BTreeMap<usize, bool> = base.into_iter().collect();
+                for (v, p) in variants {
+                    let mut cube = base.clone();
+                    cube.entry(v).or_insert(p);
+                    cubes.push(
+                        cube.into_iter()
+                            .rev()
+                            .map(|(v, p)| (NetRef::Input(v), p))
+                            .collect(),
+                    );
+                }
+            }
+            (cubes, picks)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every round's signature and chosen `(position, literal)` list
+        /// equal the naive extractor's, with the unit tests' two-bit
+        /// signature hash sending most lookups through collision chains.
+        /// The factored literal is a fresh node, an earlier one or one of
+        /// the cubes' own literals, as the mapper's shared OR nodes can be.
+        #[test]
+        fn divisor_index_matches_a_naive_extractor(case in arb_factorable_cover()) {
+            let (cubes, picks) = case;
+            let mut index = DivisorIndex::new(cubes.clone());
+            let mut naive = cubes;
+            let mut nodes = 0;
+            for round in 0.. {
+                let best = index.best();
+                prop_assert_eq!(&best, &naive_best(&naive), "round {}", round);
+                let Some((sig, chosen)) = best else { break };
+                let pick = picks[round % picks.len()];
+                let factored = match pick % 3 {
+                    0 => chosen[0].1,
+                    1 if nodes > 0 => (NetRef::Node(usize::from(pick) % nodes), true),
+                    _ => {
+                        nodes += 1;
+                        (NetRef::Node(nodes - 1), true)
+                    }
+                };
+                let mut cube = sig;
+                cube.push(factored);
+                let positions: Vec<usize> = chosen.iter().map(|&(p, _)| p).collect();
+                index.replace(&positions, cube.clone());
+                for &p in positions.iter().rev() {
+                    naive.swap_remove(p);
+                }
+                naive.push(cube);
+            }
+            prop_assert_eq!(index.into_cubes(), naive);
+        }
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //!   modelled as a high-effort flow (strong minimization, structural
 //!   sharing, tight packing) that overrides the requested encoding;
 //! * **FPGA Express 2.1** honoured both encodings but optimized less
-//!   aggressively — modelled as a medium-effort flow without sharing and
-//!   with looser packing.
+//!   aggressively — modelled as a medium-effort flow with looser packing.
 //!
-//! The numeric knobs (`packing_efficiency`) are calibration constants; the
-//! qualitative differences (encoding override, sharing, minimize effort)
-//! are structural.
+//! Both flows map with structural sharing. The numeric knobs
+//! (`packing_efficiency`) are calibration constants; the qualitative
+//! differences (encoding override, minimize effort) are structural.
 
 use crate::clb::{self, ClbEstimate};
 use crate::encode::{Encoding, EncodingStyle};
@@ -30,7 +29,6 @@ use rcarb_board::device::SpeedGrade;
 pub struct ToolModel {
     name: &'static str,
     forces_one_hot: bool,
-    sharing: bool,
     effort: Effort,
     packing_efficiency: f64,
 }
@@ -42,7 +40,6 @@ impl ToolModel {
         Self {
             name: "synplify",
             forces_one_hot: true,
-            sharing: true,
             effort: Effort::High,
             packing_efficiency: 0.95,
         }
@@ -56,7 +53,6 @@ impl ToolModel {
         Self {
             name: "fpga_express",
             forces_one_hot: false,
-            sharing: true,
             effort: Effort::Medium,
             packing_efficiency: 0.62,
         }
@@ -87,7 +83,7 @@ impl ToolModel {
         };
         let encoding = Encoding::assign(fsm, style);
         let network = FsmNetwork::synthesize(fsm, encoding, self.effort);
-        let netlist = techmap::map_fsm_network(&network, self.sharing);
+        let netlist = techmap::map_fsm_network(&network, true);
         let clb = clb::pack(&netlist, self.packing_efficiency);
         let timing = timing::analyze(&netlist, grade);
         SynthReport {
