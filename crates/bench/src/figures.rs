@@ -1,5 +1,4 @@
-//! Row generators shared by the `figures` binary and the Criterion
-//! benches.
+//! Row generators of the `figures` binary.
 
 use rcarb_board::device::SpeedGrade;
 use rcarb_core::characterize::Characterization;

@@ -7,12 +7,13 @@
 //! netlists through the same interface so the Sec. 4 comparison can be run
 //! uniformly.
 //!
-//! Synthesis reports live in one process-wide cache keyed by the spec,
-//! the speed grade and the tool. [`ArbiterGenerator::synthesize`] looks
-//! the key up first and generates the arbiter only on a miss, so a warm
-//! estimate is a table lookup that hands out a shared
-//! [`Arc<SynthReport>`]. VHDL text is rendered on the first
-//! [`GeneratedArbiter::vhdl`] call, not by [`ArbiterGenerator::generate`].
+//! Synthesis reports live in one process-wide cache keyed by the
+//! synthesized circuit, the speed grade and the tool.
+//! [`ArbiterGenerator::synthesize`] looks the key up first and generates
+//! the arbiter only on a miss, so a warm estimate is a table lookup that
+//! hands out a shared [`Arc<SynthReport>`]. VHDL text is rendered on the
+//! first [`GeneratedArbiter::vhdl`] call, not by
+//! [`ArbiterGenerator::generate`].
 
 use crate::error::Error;
 use crate::fifo::FifoArbiter;
@@ -201,10 +202,10 @@ impl Default for ArbiterGenerator {
     }
 }
 
-/// The content address of one synthesis result: every input that
-/// determines the report. Generation is deterministic per spec (the
-/// preemptive quantum is a constant), so two equal keys always denote
-/// byte-identical reports.
+/// The content address of one synthesis result: the circuit that is
+/// synthesized, not the spec that asked for it. Generation is
+/// deterministic per spec (the preemptive quantum is a constant), so two
+/// equal keys always denote byte-identical reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SynthKey {
     n: usize,
@@ -214,26 +215,46 @@ struct SynthKey {
     tool: &'static str,
 }
 
+impl SynthKey {
+    /// Prefix round-robin keys as round-robin, whose FSM it shares. An
+    /// FSM policy under a tool that forces one-hot keys as one-hot,
+    /// the encoding it is synthesized in. Structural policies keep the
+    /// requested encoding, which their report echoes.
+    fn new(spec: &ArbiterSpec, grade: SpeedGrade, tool: &ToolModel) -> Self {
+        let policy = match spec.policy {
+            PolicyKind::PrefixRoundRobin => PolicyKind::RoundRobin,
+            policy => policy,
+        };
+        let encoding = if spec.fsm_states().is_some() && tool.forces_one_hot() {
+            EncodingStyle::OneHot
+        } else {
+            spec.encoding
+        };
+        Self {
+            n: spec.n,
+            policy,
+            encoding,
+            grade,
+            tool: tool.name(),
+        }
+    }
+}
+
 fn synth_cache() -> &'static rcarb_exec::Cache<SynthKey, Arc<SynthReport>> {
     static CACHE: OnceLock<rcarb_exec::Cache<SynthKey, Arc<SynthReport>>> = OnceLock::new();
     CACHE.get_or_init(rcarb_exec::Cache::new)
 }
 
 /// The one entry point to the synthesis cache: one counted lookup keyed
-/// by (spec, grade, tool), running `miss` only when the key is absent.
+/// by the circuit (spec, grade and tool; see [`SynthKey::new`]), running
+/// `miss` only when the key is absent.
 fn cached_synthesis(
     spec: &ArbiterSpec,
     grade: SpeedGrade,
     tool: &ToolModel,
     miss: impl FnOnce() -> SynthReport,
 ) -> Arc<SynthReport> {
-    let key = SynthKey {
-        n: spec.n,
-        policy: spec.policy,
-        encoding: spec.encoding,
-        grade,
-        tool: tool.name(),
-    };
+    let key = SynthKey::new(spec, grade, tool);
     synth_cache().get_or_insert_with(&key, || Arc::new(miss()))
 }
 
@@ -340,9 +361,9 @@ impl GeneratedArbiter {
     /// FSM policies run the full pipeline (encoding, minimization,
     /// mapping); baselines pack/time their structural netlists through
     /// the same back end. Reports are memoized in a process-wide cache
-    /// addressed by the full content key (task count, policy, encoding,
-    /// speed grade, tool), so re-synthesizing an identical spec shares
-    /// the stored report instead of running the pipeline.
+    /// addressed by the synthesized circuit (task count, FSM, encoding
+    /// used, speed grade, tool), so re-synthesizing a spec with the same
+    /// circuit shares the stored report instead of running the pipeline.
     pub fn synthesize(&self, tool: &ToolModel) -> Arc<SynthReport> {
         cached_synthesis(&self.spec, self.grade, tool, || {
             self.synthesize_uncached(tool)

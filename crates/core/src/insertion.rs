@@ -16,7 +16,6 @@ use crate::memmap::MemoryBinding;
 use crate::transform::{self, ResourceMap, RetryPolicy, TransformConfig, TransformStats};
 use rcarb_board::device::SpeedGrade;
 use rcarb_board::memory::BankId;
-use rcarb_logic::encode::EncodingStyle;
 use rcarb_taskgraph::concurrency::ConcurrencyRelation;
 use rcarb_taskgraph::graph::TaskGraph;
 use rcarb_taskgraph::id::{ArbiterId, SegmentId, TaskId};
@@ -92,8 +91,6 @@ pub struct InsertionConfig {
     /// Emit the preemption-safe protocol (grant re-checked before every
     /// access); required when simulating with a preemptive arbiter.
     pub await_each_access: bool,
-    /// FSM encoding requested from the arbiter generator.
-    pub encoding: EncodingStyle,
     /// Target speed grade for pre-characterization.
     pub grade: SpeedGrade,
     /// Bounded-wait retry protocol (see
@@ -104,14 +101,14 @@ pub struct InsertionConfig {
 
 impl InsertionConfig {
     /// The paper's configuration: `M = 2`, no elision (Sec. 5 reports the
-    /// 6-input arbiter that elision would have shrunk), one-hot encoding,
-    /// `-3` speed grade.
+    /// 6-input arbiter that elision would have shrunk), `-3` speed grade.
+    /// Arbiters are pre-characterized with the Synplify model, which
+    /// synthesizes one-hot whatever encoding is requested.
     pub fn paper() -> Self {
         Self {
             max_burst: 2,
             elide_by_dependency: false,
             await_each_access: false,
-            encoding: EncodingStyle::OneHot,
             grade: SpeedGrade::Minus3,
             retry: None,
         }

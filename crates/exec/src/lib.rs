@@ -12,7 +12,7 @@
 //!   plus scheduling metrics (jobs scheduled, executed, stolen);
 //! - [`cache`] — a generic, thread-safe, **content-addressed cache**
 //!   ([`Cache`]) with hit/miss accounting, used by `rcarb-core` to memoize
-//!   arbiter synthesis keyed by the full spec;
+//!   arbiter synthesis keyed by the synthesized circuit;
 //! - [`perf`] — a [`PerfReport`] aggregating pool stats, cache stats and
 //!   per-stage wall times, rendered as aligned text or rcarb-json.
 //!

@@ -8,8 +8,8 @@
 //! tracing on — byte-identical VCD output. The legacy kernel never
 //! skips; the batched kernel accounts every cycle as executed or
 //! skipped, and its skip decisions ([`KernelStats`]) on the directed
-//! designs and the sparse, dense, contended and FFT-block workloads are
-//! pinned in [`GOLDEN_STATS`].
+//! designs and the sparse, dense, contended, FFT-block and co-simulated
+//! saturated workloads are pinned in [`GOLDEN_STATS`].
 
 use proptest::prelude::*;
 use rcarb::arb::channel::ChannelMergePlan;
@@ -67,6 +67,7 @@ const GOLDEN_STATS: &[(&str, KernelStats)] = &[
     ("dense", stats(10000, 0, 0)),
     ("contended", stats(19201, 0, 0)),
     ("fft_block", stats(183, 2, 1)),
+    ("saturated_4way_cosim", stats(513, 0, 0)),
 ];
 
 /// Asserts the batched kernel's skip accounting on directed design
@@ -822,4 +823,55 @@ fn kernels_agree_on_an_fft_block() {
         }
     }
     assert_golden_stats("fft_block", total);
+}
+
+/// Saturated four-way contention: four tasks each writing their own
+/// segment 64 times, all in duo_small's one shared bank behind a
+/// 4-input arbiter, co-simulated against its synthesized netlist. For
+/// both policies that share the Fig. 5 FSM, the kernels agree on
+/// report, VCD and memory, the run is clean (no `CosimMismatch`), and
+/// the batched skip decisions are pinned.
+#[test]
+fn kernels_agree_on_a_cosimulated_saturated_4way_design() {
+    let mut b = TaskGraphBuilder::new("saturated_4way");
+    let segs: Vec<_> = (0..4).map(|i| b.segment(format!("M{i}"), 64, 16)).collect();
+    for (i, &seg) in segs.iter().enumerate() {
+        b.task(
+            format!("T{i}"),
+            Program::build(|p| {
+                p.repeat(64, |p| {
+                    p.mem_write(seg, Expr::lit(0), Expr::lit(1));
+                });
+            }),
+        );
+    }
+    let graph = b.finish().expect("valid");
+    let board = presets::duo_small();
+    let binding = bind_segments(graph.segments(), &board, &|_| None).expect("binds");
+    let merges = ChannelMergePlan::default();
+    let plan = insert_arbiters(&graph, &binding, &merges, &InsertionConfig::paper());
+    assert_eq!(plan.arbiters.len(), 1);
+    assert_eq!(plan.arbiters[0].inputs, 4);
+    for policy in [PolicyKind::RoundRobin, PolicyKind::PrefixRoundRobin] {
+        let [legacy, batched] = KERNELS.map(|kernel| {
+            let sys = SystemBuilder::from_plan(&plan, &binding, &merges)
+                .with_config(
+                    SimConfig::new()
+                        .with_policy(policy)
+                        .with_cosim(true)
+                        .with_trace(true)
+                        .with_kernel(kernel),
+                )
+                .try_build(&board)
+                .unwrap();
+            run_observed(sys, graph.segments())
+        });
+        assert_equivalent(&legacy, &batched);
+        assert!(
+            batched.0.clean(),
+            "{policy}: saturated run must finish clean: {:?}",
+            batched.0.violations
+        );
+        assert_golden_stats("saturated_4way_cosim", batched.3);
+    }
 }

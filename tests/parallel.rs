@@ -210,3 +210,38 @@ fn warm_reports_equal_the_uncached_pipeline() {
         }
     }
 }
+
+#[test]
+fn specs_with_the_same_circuit_share_one_cache_entry() {
+    let _cache = cache_lock();
+    let grade = SpeedGrade::Minus1;
+    let generator = ArbiterGenerator::new().with_grade(grade);
+    reset_synthesis_cache();
+    // Prefix round-robin changes only the resolution circuit of the
+    // Fig. 5 FSM, so it synthesizes to the round-robin report.
+    for n in [3, 6] {
+        for tool in [ToolModel::synplify(), ToolModel::fpga_express()] {
+            let rr = generator.synthesize(&ArbiterSpec::round_robin(n), &tool);
+            let before = synthesis_cache_stats();
+            let prefix = generator.synthesize(
+                &ArbiterSpec::round_robin(n).with_policy(PolicyKind::PrefixRoundRobin),
+                &tool,
+            );
+            assert_eq!(lookups_since(before), (1, 0), "prefix-rr n={n}");
+            assert!(Arc::ptr_eq(&rr, &prefix), "prefix-rr n={n}");
+        }
+    }
+    // Synplify forces one-hot, so every requested encoding of an FSM
+    // policy is the one-hot circuit.
+    let synplify = ToolModel::synplify();
+    for policy in [PolicyKind::RoundRobin, PolicyKind::PreemptiveRoundRobin] {
+        let spec = ArbiterSpec::round_robin(4).with_policy(policy);
+        let one_hot = generator.synthesize(&spec, &synplify);
+        for encoding in [EncodingStyle::Compact, EncodingStyle::Gray] {
+            let before = synthesis_cache_stats();
+            let forced = generator.synthesize(&spec.with_encoding(encoding), &synplify);
+            assert_eq!(lookups_since(before), (1, 0), "{policy} {encoding}");
+            assert!(Arc::ptr_eq(&one_hot, &forced), "{policy} {encoding}");
+        }
+    }
+}
