@@ -185,7 +185,8 @@ impl MetricsSnapshot {
     /// The subset of metrics that is deterministic across kernels and
     /// thread counts.
     ///
-    /// `kernel/*` (executed/skipped cycle accounting, wake counts) is
+    /// `kernel/*` (executed/skipped cycle accounting, wake counts) and
+    /// `kernel_work/*` (work per kernel phase) are
     /// kernel-strategy-specific by design, and `pool/*` / `cache/*`
     /// depend on scheduling order and prior process state; everything
     /// else — `sim/*`, `fault/*`, facade stage counters — must match
@@ -196,6 +197,7 @@ impl MetricsSnapshot {
                 .iter()
                 .filter(|(name, _)| {
                     !name.starts_with("kernel/")
+                        && !name.starts_with("kernel_work/")
                         && !name.starts_with("pool/")
                         && !name.starts_with("cache/")
                 })
@@ -289,6 +291,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter_add("sim/cycles", 1);
         reg.counter_add("kernel/executed", 1);
+        reg.counter_add("kernel_work/tasks_stepped", 1);
         reg.gauge_set("pool/stolen", 4.0);
         reg.gauge_set("cache/synthesis/hits", 2.0);
         let det = reg.snapshot().deterministic();

@@ -457,9 +457,7 @@ impl SystemBuilder {
             .collect();
         let wakes = self.obs.as_ref().map(|_| WakeCounters {
             tasks: vec![0; tasks.len()],
-            arbiters: 0,
-            banks: 0,
-            routes: 0,
+            ..WakeCounters::default()
         });
         let banks = BankSet::from_map(banks);
         // The one place the deprecated `Event` alias is resolved: it
@@ -581,7 +579,7 @@ impl BankSet {
 /// Per-unit execution counters, kept only when an observability
 /// session is attached (the runtime analogue of the scheduler's wake
 /// list: how many cycles each unit actually stepped).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct WakeCounters {
     /// Executed steps per task, indexed like `System::tasks`.
     tasks: Vec<u64>,
@@ -591,6 +589,24 @@ struct WakeCounters {
     banks: u64,
     /// Route resolutions (one per route with sends per cycle).
     routes: u64,
+    /// The kernel's own work, published as `kernel_work/*`.
+    work: KernelWork,
+}
+
+/// Machine-independent work counts of the executed cycles: what the
+/// kernel actually did per phase, as opposed to the cycles it covered.
+#[derive(Debug, Default)]
+struct KernelWork {
+    /// `TaskComponent::step_cycle` calls.
+    tasks_stepped: u64,
+    /// Task-cycles spent in a plain grant or data wait without a step.
+    waits_deferred: u64,
+    /// Task-cycles spent in a multi-cycle compute without a step.
+    sleeps_parked: u64,
+    /// `BankModel::cycle` calls (banks with traffic).
+    bank_resolves: u64,
+    /// Select lines actually resolved by `BankModel::check_select`.
+    select_checks: u64,
 }
 
 /// Per-task summary in a [`RunReport`].
@@ -927,8 +943,9 @@ impl System {
     /// sharing a session; gauges reflect the latest run. The `sim/*`
     /// and `fault/*` series derive from kernel-independent state, so
     /// they match exactly across the batched and legacy kernels; the
-    /// `kernel/*` series expose the kernel's own execute/skip split
-    /// and are excluded from the deterministic snapshot.
+    /// `kernel/*` series expose the kernel's own execute/skip split,
+    /// the `kernel_work/*` series its work per phase, and both are
+    /// excluded from the deterministic snapshot.
     fn flush_obs(&self, report: &RunReport) {
         let Some(obs) = &self.obs else { return };
         let m = obs.metrics();
@@ -963,6 +980,12 @@ impl System {
             m.counter_add("kernel/wakes/arbiters", w.arbiters);
             m.counter_add("kernel/wakes/banks", w.banks);
             m.counter_add("kernel/wakes/routes", w.routes);
+            let k = &w.work;
+            m.counter_add("kernel_work/tasks_stepped", k.tasks_stepped);
+            m.counter_add("kernel_work/waits_deferred", k.waits_deferred);
+            m.counter_add("kernel_work/sleeps_parked", k.sleeps_parked);
+            m.counter_add("kernel_work/bank_resolves", k.bank_resolves);
+            m.counter_add("kernel_work/select_checks", k.select_checks);
         }
         if let Some(fc) = &self.faults {
             let fr = fc.report();
@@ -1332,6 +1355,7 @@ impl System {
                     t.step_cycle(&mut ctx);
                     if let Some(w) = wakes.as_mut() {
                         w.tasks[i] += 1;
+                        w.work.tasks_stepped += 1;
                     }
                 }
             }
@@ -1374,9 +1398,18 @@ impl System {
             }
             // 4b. Fig. 4 select-line discipline on every shared bank.
             let select_line = self.select_line;
+            let mut select_checks = 0;
             banks.for_each_ordered_mut(|_slot, bank, b| {
-                b.check_select(cycle, bank_accesses.get(&bank), select_line, monitor);
+                select_checks += u64::from(b.check_select(
+                    cycle,
+                    bank_accesses.get(&bank),
+                    select_line,
+                    monitor,
+                ));
             });
+            if let Some(w) = self.wakes.as_mut() {
+                w.work.select_checks += select_checks;
+            }
         }
         // 5. Routes resolve, after any live bit-flip faults corrupt
         // words in flight (the flip is on the wire, before the latch).
@@ -1418,6 +1451,7 @@ impl System {
             w.arbiters += self.arbiters.len() as u64;
             w.banks += bank_accesses.len() as u64;
             w.routes += route_sends.len() as u64;
+            w.work.bank_resolves += bank_accesses.len() as u64;
         }
         self.cycle += 1;
         self.scheduler.record_executed();
@@ -1542,6 +1576,9 @@ impl System {
                     };
                     if parked {
                         deferred_waits[i] += 1;
+                        if let Some(w) = wakes.as_mut() {
+                            w.work.waits_deferred += 1;
+                        }
                         continue;
                     }
                 }
@@ -1560,6 +1597,7 @@ impl System {
                 tasks[i].step_cycle(&mut env);
                 if let Some(w) = wakes.as_mut() {
                     w.tasks[i] += 1;
+                    w.work.tasks_stepped += 1;
                 }
             }
         }
@@ -1594,8 +1632,10 @@ impl System {
             }
         }
         // 4b. Fig. 4 select-line discipline on every shared bank.
+        let mut select_checks = 0;
         banks.for_each_ordered_mut(|slot, _bank, b| {
-            b.check_select(cycle, arena.accesses_of(slot), select_line, monitor);
+            select_checks +=
+                u64::from(b.check_select(cycle, arena.accesses_of(slot), select_line, monitor));
         });
         // 5. Routes resolve, after any live bit-flip faults corrupt
         // words in flight.
@@ -1630,6 +1670,8 @@ impl System {
             w.arbiters += arbiters.len() as u64;
             w.banks += arena.touched_banks().len() as u64;
             w.routes += arena.touched_routes().len() as u64;
+            w.work.bank_resolves += arena.touched_banks().len() as u64;
+            w.work.select_checks += select_checks;
         }
         // Retire tasks that completed this cycle.
         wake_list.retire(|t| tasks[t as usize].status() == TaskStatus::Running);

@@ -128,16 +128,17 @@ impl BankModel {
     /// The Fig. 4 select-line check for one cycle: collect each client's
     /// drive (write -> 1, read -> 0, idle -> per discipline), resolve,
     /// and report a float once per bank. `accesses` is this cycle's
-    /// traffic on this bank, if any.
+    /// traffic on this bank, if any. Returns whether the line was
+    /// resolved at all (the `kernel_work/select_checks` count).
     pub(crate) fn check_select(
         &mut self,
         cycle: u64,
         accesses: Option<&Vec<BankAccess>>,
         select_line: SharedLineKind,
         monitor: &mut MonitorComponent,
-    ) {
+    ) -> bool {
         if self.clients.is_empty() || self.flagged {
-            return;
+            return false;
         }
         let drivers: Vec<Option<bool>> = self
             .clients
@@ -156,6 +157,7 @@ impl BankModel {
                 bank: self.id,
             });
         }
+        true
     }
 
     /// Applies one cycle's accesses.

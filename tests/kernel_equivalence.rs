@@ -8,8 +8,10 @@
 //! tracing on — byte-identical VCD output. The legacy kernel never
 //! skips; the batched kernel accounts every cycle as executed or
 //! skipped, and its skip decisions ([`KernelStats`]) on the directed
-//! designs and the sparse, dense, contended, FFT-block and co-simulated
-//! saturated workloads are pinned in [`GOLDEN_STATS`].
+//! designs and the sparse, dense, contended, long-compute, FFT-block and
+//! co-simulated saturated workloads are pinned in [`GOLDEN_STATS`]. Its
+//! work per phase (the `kernel_work/*` counters) on the workloads is
+//! pinned in [`GOLDEN_WORK`].
 
 use proptest::prelude::*;
 use rcarb::arb::channel::ChannelMergePlan;
@@ -18,6 +20,7 @@ use rcarb::arb::memmap::bind_segments;
 use rcarb::arb::policy::PolicyKind;
 use rcarb::board::board::Board;
 use rcarb::board::presets;
+use rcarb::obs::Obs;
 use rcarb::sim::config::SimConfig;
 use rcarb::sim::engine::{RunReport, System, SystemBuilder};
 use rcarb::sim::{
@@ -63,11 +66,34 @@ const GOLDEN_STATS: &[(&str, KernelStats)] = &[
     ("channel_bit_flip_window_end", stats(10, 35, 1)),
     ("bank_read_error_window_end", stats(16, 31, 2)),
     ("task_hang_window_end", stats(20, 33, 2)),
+    ("task_hang_mid_compute", stats(22, 25, 3)),
     ("sparse", stats(550, 9606, 50)),
     ("dense", stats(10000, 0, 0)),
     ("contended", stats(19201, 0, 0)),
+    ("long_compute_contention", stats(561, 2961, 20)),
     ("fft_block", stats(183, 2, 1)),
     ("saturated_4way_cosim", stats(513, 0, 0)),
+];
+
+/// The `kernel_work/*` counters, in [`GOLDEN_WORK`] column order.
+const WORK_COUNTERS: [&str; 5] = [
+    "kernel_work/tasks_stepped",
+    "kernel_work/waits_deferred",
+    "kernel_work/sleeps_parked",
+    "kernel_work/bank_resolves",
+    "kernel_work/select_checks",
+];
+
+/// The batched kernel's work per phase on the workloads: tasks stepped,
+/// waits deferred, sleeps parked, bank resolves and select checks, read
+/// from an observed run. Like [`GOLDEN_STATS`], a changed row means the
+/// kernel now does different work; the reports must still match legacy.
+const GOLDEN_WORK: &[(&str, [u64; 5])] = &[
+    ("sparse", [2179, 9, 0, 200, 550]),
+    ("dense", [40000, 0, 0, 40000, 0]),
+    ("contended", [31999, 274857, 0, 12800, 19201]),
+    ("long_compute_contention", [4327, 77, 0, 320, 561]),
+    ("fft_block", [349, 235, 0, 144, 265]),
 ];
 
 /// Asserts the batched kernel's skip accounting on directed design
@@ -79,6 +105,26 @@ fn assert_golden_stats(name: &str, got: KernelStats) {
         .unwrap_or_else(|| panic!("no golden stats row for {name}"))
         .1;
     assert_eq!(got, want, "{name}: batched skip decisions changed");
+}
+
+/// The `kernel_work/*` counters an observability session collected.
+fn work_counters(obs: &Obs) -> [u64; 5] {
+    let snap = obs.snapshot();
+    WORK_COUNTERS.map(|name| snap.counter(name))
+}
+
+/// Asserts the batched kernel's work on workload `name` matches its
+/// [`GOLDEN_WORK`] row.
+fn assert_golden_work(name: &str, got: [u64; 5]) {
+    let want = GOLDEN_WORK
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no golden work row for {name}"))
+        .1;
+    assert_eq!(
+        got, want,
+        "{name}: batched work changed (columns: {WORK_COUNTERS:?})"
+    );
 }
 
 /// A random design: `num_tasks` tasks, each with its own segment and a
@@ -126,13 +172,49 @@ fn observe(
     m: u32,
     kernel: KernelKind,
 ) -> Observation {
+    let sys = builder(graph, board, arbitrated, kind, m, kernel)
+        .try_build(board)
+        .unwrap();
+    run_observed(sys, graph.segments())
+}
+
+/// Runs `graph` arbitrated on the batched kernel with an observability
+/// session attached, asserts the report equals the unobserved batched
+/// one, and returns the `kernel_work/*` counters.
+fn observe_work(
+    graph: &TaskGraph,
+    board: &Board,
+    kind: PolicyKind,
+    m: u32,
+    unobserved: &RunReport,
+) -> [u64; 5] {
+    let obs = Obs::new();
+    let mut sys = builder(graph, board, true, kind, m, KernelKind::BatchedSoa)
+        .with_obs(obs.clone())
+        .try_build(board)
+        .unwrap();
+    let report = sys.run(1_000_000);
+    assert_eq!(&report, unobserved, "an obs session perturbed the run");
+    work_counters(&obs)
+}
+
+/// The builder [`observe`] runs: `graph` bound on `board`, arbitrated
+/// under the paper's insertion or not, with tracing on.
+fn builder(
+    graph: &TaskGraph,
+    board: &Board,
+    arbitrated: bool,
+    kind: PolicyKind,
+    m: u32,
+    kernel: KernelKind,
+) -> SystemBuilder {
     let binding = bind_segments(graph.segments(), board, &|_| None).expect("binds");
     let merges = ChannelMergePlan::default();
     let config = SimConfig::new()
         .with_policy(kind)
         .with_trace(true)
         .with_kernel(kernel);
-    let sys = if arbitrated {
+    if arbitrated {
         let plan = insert_arbiters(
             graph,
             &binding,
@@ -146,9 +228,6 @@ fn observe(
         SystemBuilder::unarbitrated(graph, &binding, &merges)
     }
     .with_config(config)
-    .try_build(board)
-    .unwrap();
-    run_observed(sys, graph.segments())
 }
 
 /// Runs `sys` to completion (or a million cycles) and observes the
@@ -719,6 +798,97 @@ fn kernels_agree_when_a_task_hang_ends() {
     assert_agree_at_window_end("task_hang_window_end", &window_end_graph(), &plan);
 }
 
+/// `T1` hangs from inside its 30-cycle compute: the controller must
+/// see the hang on every cycle of the window, so a hang-targeted
+/// sleeper is stepped, never skipped, through its compute.
+#[test]
+fn kernels_agree_when_a_task_hang_opens_mid_compute() {
+    let plan = FaultPlan::seeded(1).with_task_hang(TaskId::new(1), FaultWindow::new(12, 19));
+    let faults = assert_agree_at_window_end("task_hang_mid_compute", &window_end_graph(), &plan);
+    assert_eq!(faults.injected, 1, "the hang must fire once: {faults:?}");
+}
+
+/// The progress watchdog armed tighter than a compute: `producer`
+/// computes for 60 cycles while `consumer` sits blocked on the empty
+/// channel, and a 20-cycle progress bound must not fire, because the
+/// computing task's busy count grows on every one of those cycles.
+#[test]
+fn kernels_agree_when_the_progress_bound_is_shorter_than_a_compute() {
+    let mut b = TaskGraphBuilder::new("progress_vs_compute");
+    let a = b.segment("A", 8, 16);
+    let out = b.segment("OUT", 8, 16);
+    let producer = b.task(
+        "producer",
+        Program::build(|p| {
+            for i in 0..3u64 {
+                p.mem_write(a, Expr::lit(i), Expr::lit(i + 1));
+                p.compute(60);
+                p.send(ChannelId::new(0), Expr::lit(40 + i));
+            }
+        }),
+    );
+    let consumer = b.task(
+        "consumer",
+        Program::build(|p| {
+            for i in 0..3u64 {
+                let v = p.recv(ChannelId::new(0));
+                p.mem_write(out, Expr::lit(i), Expr::var(v));
+            }
+        }),
+    );
+    let _ = b.channel("c", 16, producer, consumer);
+    let graph = b.finish().expect("valid");
+    let board = presets::duo_small();
+    let binding = bind_segments(graph.segments(), &board, &|_| None).expect("binds");
+    let merges = ChannelMergePlan::default();
+    let plan = insert_arbiters(&graph, &binding, &merges, &InsertionConfig::paper());
+    let [legacy, batched] = KERNELS.map(|kernel| {
+        let sys = SystemBuilder::from_plan(&plan, &binding, &merges)
+            .with_config(
+                SimConfig::new()
+                    .with_trace(true)
+                    .with_watchdog(WatchdogConfig::none().with_progress_bound(20))
+                    .with_kernel(kernel),
+            )
+            .try_build(&board)
+            .unwrap();
+        run_observed(sys, graph.segments())
+    });
+    assert_equivalent(&legacy, &batched);
+    assert!(
+        batched.0.clean(),
+        "no progress violation may fire: {:?}",
+        batched.0.violations
+    );
+}
+
+/// A run cut mid-compute and resumed: `run(k)` with cycle `k` inside a
+/// 50-cycle compute, then `run` to completion. Both partial reports,
+/// the VCD and memory match legacy, so a run ends with every task's
+/// counts settled and a second run continues exactly.
+#[test]
+fn kernels_agree_when_a_run_is_resumed_mid_compute() {
+    let graph = window_end_graph();
+    let board = presets::duo_small();
+    let binding = bind_segments(graph.segments(), &board, &|_| None).expect("binds");
+    let merges = ChannelMergePlan::default();
+    let plan = insert_arbiters(&graph, &binding, &merges, &InsertionConfig::paper());
+    let [legacy, batched] = KERNELS.map(|kernel| {
+        let mut sys = SystemBuilder::from_plan(&plan, &binding, &merges)
+            .with_config(SimConfig::new().with_trace(true).with_kernel(kernel))
+            .try_build(&board)
+            .unwrap();
+        let first = sys.run(17);
+        let (second, vcd, memory, _) = run_observed(sys, graph.segments());
+        (first, second, vcd, memory)
+    });
+    assert_eq!(batched.0, legacy.0, "the cut run's report diverged");
+    assert_eq!(batched.1, legacy.1, "the resumed run's report diverged");
+    assert_eq!(batched.2, legacy.2, "VCD diverged");
+    assert_eq!(batched.3, legacy.3, "memory diverged");
+    assert!(!batched.0.completed && batched.1.completed);
+}
+
 /// Sparse workload: four tasks on duo_small's one shared bank, each
 /// alternating a long compute with a single write, so on almost every
 /// cycle every task is asleep or queued on the arbiter and the batched
@@ -767,9 +937,41 @@ fn read_modify_write_graph(tasks: usize, iters: u32) -> TaskGraph {
     b.finish().expect("read-modify-write graph is well-formed")
 }
 
-/// The sparse, dense and contended workloads, each arbitrated under the
-/// paper's insertion: reports, VCD and memory match legacy, every run
-/// finishes, and the batched skip decisions are pinned.
+/// Eight tasks, all clients of duo_small's one shared bank, each
+/// looping a long compute followed by a read-modify-write of its own
+/// segment — the shape of the simulate benchmark's long designs. Most
+/// tasks sleep in a compute on most cycles while the bank serves the
+/// others.
+fn long_compute_contention_graph(iters: u32, compute: u32) -> TaskGraph {
+    let mut b = TaskGraphBuilder::new("kernel_long_compute");
+    let segs: Vec<_> = (0..8)
+        .map(|t| b.segment(format!("L{t}"), iters, 16))
+        .collect();
+    for (t, &seg) in segs.iter().enumerate() {
+        b.task(
+            format!("T{t}"),
+            Program::build(|p| {
+                let i = p.let_(Expr::lit(0));
+                p.repeat(iters, |p| {
+                    p.compute(compute);
+                    let v = p.mem_read(seg, Expr::var(i));
+                    p.mem_write(
+                        seg,
+                        Expr::var(i),
+                        Expr::add(Expr::var(v), Expr::lit(t as u64 + 1)),
+                    );
+                    p.set(i, Expr::add(Expr::var(i), Expr::lit(1)));
+                });
+            }),
+        );
+    }
+    b.finish().expect("long-compute graph is well-formed")
+}
+
+/// The sparse, dense, contended and long-compute workloads, each
+/// arbitrated under the paper's insertion: reports, VCD and memory
+/// match legacy, every run finishes, and the batched skip decisions and
+/// work counters are pinned.
 #[test]
 fn kernels_agree_on_sparse_dense_and_contended_workloads() {
     let duo = presets::duo_small();
@@ -778,10 +980,17 @@ fn kernels_agree_on_sparse_dense_and_contended_workloads() {
         ("sparse", sparse_graph(50), &duo),
         ("dense", read_modify_write_graph(4, 5_000), &wildforce),
         ("contended", read_modify_write_graph(16, 400), &duo),
+        (
+            "long_compute_contention",
+            long_compute_contention_graph(20, 170),
+            &duo,
+        ),
     ] {
         let batched = assert_kernels_agree(&graph, board, true, PolicyKind::RoundRobin, 2);
         assert!(batched.0.completed, "{name}: the workload must finish");
         assert_golden_stats(name, batched.3);
+        let work = observe_work(&graph, board, PolicyKind::RoundRobin, 2, &batched.0);
+        assert_golden_work(name, work);
     }
 }
 
@@ -796,21 +1005,27 @@ fn kernels_agree_on_an_fft_block() {
         .map(|r| (format!("MI{}", r + 1), (1..=4).map(|c| r * 4 + c).collect()))
         .collect();
     let mut total = KernelStats::default();
+    let obs = Obs::new();
     for stage in &flow.result.stages {
         let segments = stage.plan.graph.segments();
-        let [legacy, batched] = KERNELS.map(|kernel| {
-            let mut sys = SystemBuilder::from_plan(&stage.plan, &stage.binding, &stage.merges)
-                .with_config(SimConfig::new().with_trace(true).with_kernel(kernel))
-                .try_build(&flow.board)
-                .unwrap();
+        let build = |kernel: KernelKind, obs: Option<&Obs>| {
+            let mut builder = SystemBuilder::from_plan(&stage.plan, &stage.binding, &stage.merges)
+                .with_config(SimConfig::new().with_trace(true).with_kernel(kernel));
+            if let Some(o) = obs {
+                builder = builder.with_obs(o.clone());
+            }
+            let mut sys = builder.try_build(&flow.board).unwrap();
             for seg in segments {
                 if let Some(data) = memory.get(seg.name()) {
                     sys.try_load_segment(seg.id(), data).unwrap();
                 }
             }
             run_observed(sys, segments)
-        });
+        };
+        let [legacy, batched] = KERNELS.map(|kernel| build(kernel, None));
         assert_equivalent(&legacy, &batched);
+        let observed = build(KernelKind::BatchedSoa, Some(&obs));
+        assert_eq!(observed.0, batched.0, "an obs session perturbed the run");
         assert!(
             batched.0.clean() && batched.0.completed,
             "partition #{}: {:?}",
@@ -823,6 +1038,7 @@ fn kernels_agree_on_an_fft_block() {
         }
     }
     assert_golden_stats("fft_block", total);
+    assert_golden_work("fft_block", work_counters(&obs));
 }
 
 /// Saturated four-way contention: four tasks each writing their own
