@@ -499,6 +499,19 @@ impl DenseTables {
     }
 }
 
+/// A sleeper the batched kernel stopped stepping: a task that stepped
+/// into a multi-cycle `Compute` whose every cycle but the last only
+/// counts down and adds a busy cycle. It is settled in one
+/// [`TaskComponent::skip`] and stepped again on the compute's last
+/// cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ParkedSleep {
+    /// The compute's last cycle: the task is settled and stepped there.
+    pub(crate) wake: u64,
+    /// The first cycle not yet credited to the task.
+    pub(crate) accounted_to: u64,
+}
+
 /// The batched kernel's whole SoA state: matrix, lanes, arena, tables
 /// and the wake-list, owned by the engine alongside the units it mirrors.
 #[derive(Debug)]
@@ -522,14 +535,24 @@ pub(crate) struct BatchedState {
     /// report is built — so every observable total is byte-identical
     /// to the legacy kernel's.
     pub(crate) deferred_waits: Vec<u64>,
+    /// Per-task parked sleepers, beside the deferred waits: neither
+    /// stepped, refreshed nor skipped until their wake cycle, and
+    /// settled on the same flush path as the waits.
+    pub(crate) parked: Vec<Option<ParkedSleep>>,
+    /// Per-task: may the task be parked? False for a task a `TaskHang`
+    /// fault targets, whose controller must sample the hang every
+    /// cycle.
+    pub(crate) parkable: Vec<bool>,
 }
 
 impl BatchedState {
-    /// Builds the SoA mirror of a freshly constructed system.
+    /// Builds the SoA mirror of a freshly constructed system; `hung`
+    /// says which tasks a `TaskHang` fault targets.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         arbiters: &[ArbiterSim],
         tasks: &[TaskComponent],
+        hung: impl Fn(TaskId) -> bool,
         bank_ids: &[BankId],
         n_routes: usize,
         binding: &MemoryBinding,
@@ -576,7 +599,20 @@ impl BatchedState {
             ),
             wake_list,
             deferred_waits: vec![0; tasks.len()],
+            parked: vec![None; tasks.len()],
+            parkable: tasks.iter().map(|t| !hung(t.id())).collect(),
         }
+    }
+
+    /// The busy cycles the parked sleepers have slept since they were
+    /// last settled, as of cycle `now`: what stepping them would have
+    /// added to their busy counts.
+    pub(crate) fn parked_busy(&self, now: u64) -> u64 {
+        self.parked
+            .iter()
+            .flatten()
+            .map(|p| now - p.accounted_to)
+            .sum()
     }
 }
 

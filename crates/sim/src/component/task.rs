@@ -416,6 +416,17 @@ impl TaskComponent {
         self.stall_cycles += cycles;
     }
 
+    /// The cycles left in the compute this task sleeps in, if it
+    /// stopped its last cycle inside a multi-cycle `Compute`. Stepping
+    /// such a task only counts this down and adds a busy cycle, so the
+    /// batched kernel parks it until the compute's last cycle.
+    pub(crate) fn sleep_left(&self) -> Option<u32> {
+        match (self.status, self.block) {
+            (TaskStatus::Running, Block::Sleeping) => Some(self.compute_left),
+            _ => None,
+        }
+    }
+
     /// The channel this task is blocked on, if it stopped its last
     /// cycle inside an empty `Recv`.
     pub fn awaiting_data(&self) -> Option<ChannelId> {

@@ -44,7 +44,7 @@
 use crate::arbiter::ArbiterSim;
 use crate::channel::{RegisterPlacement, RouteOutcome, RouteSend, RouteState};
 use crate::compile::{FlatProgram, Instr};
-use crate::component::soa::{BatchedEnv, BatchedState, DenseTables};
+use crate::component::soa::{BatchedEnv, BatchedState, DenseTables, ParkedSleep};
 use crate::component::{
     ExecCtx, MonitorComponent, TaskComponent, TaskStatus, TracerComponent, Wake,
 };
@@ -85,6 +85,13 @@ fn graph_awaits_bounded(graph: &TaskGraph, arbiter: ArbiterId) -> bool {
         .tasks()
         .iter()
         .any(|t| scan(t.program().ops(), arbiter))
+}
+
+/// Whether every control-dependency predecessor of `task` has finished.
+fn deps_done(deps: &[(TaskId, TaskId)], tasks: &[TaskComponent], task: TaskId) -> bool {
+    deps.iter()
+        .filter(|&&(_, after)| after == task)
+        .all(|&(before, _)| tasks[before.index()].status() == TaskStatus::Done)
 }
 
 /// Builds a [`System`] from a (possibly arbitrated) design.
@@ -468,9 +475,16 @@ impl SystemBuilder {
             KernelKind::BatchedSoa | KernelKind::Event
         );
         let soa = batched.then(|| {
+            let hung = |t: TaskId| {
+                faults.as_ref().is_some_and(|fc| {
+                    fc.planned()
+                        .any(|(k, _)| matches!(*k, FaultKind::TaskHang { task } if task == t))
+                })
+            };
             BatchedState::new(
                 &arbiters,
                 &tasks,
+                hung,
                 banks.ids(),
                 routes.len(),
                 &self.binding,
@@ -482,7 +496,17 @@ impl SystemBuilder {
             )
         });
         Ok(System {
-            graph: self.graph,
+            control_deps: self.graph.control_deps().to_vec(),
+            segment_words: self.graph.segments().iter().map(|s| s.words()).collect(),
+            task_names: match self.obs {
+                Some(_) => self
+                    .graph
+                    .tasks()
+                    .iter()
+                    .map(|t| t.name().to_owned())
+                    .collect(),
+                None => Vec::new(),
+            },
             binding: self.binding,
             tasks,
             banks,
@@ -497,6 +521,7 @@ impl SystemBuilder {
             watchdog: self.config.watchdog,
             recovery: self.config.recovery,
             cycle: 0,
+            done: 0,
             monitor,
             scheduler: Scheduler::new(),
             tracer,
@@ -689,7 +714,15 @@ impl RunReport {
 /// A ready-to-run simulated system.
 #[derive(Debug)]
 pub struct System {
-    graph: TaskGraph,
+    /// The design's control-dependency arcs `(before, after)`: the
+    /// only part of the task graph a run reads, besides the segment
+    /// sizes and (for the obs series) the task names below.
+    control_deps: Vec<(TaskId, TaskId)>,
+    /// Words per segment, by segment index.
+    segment_words: Vec<u32>,
+    /// Task names by task index; empty unless an obs session is
+    /// attached.
+    task_names: Vec<String>,
     binding: MemoryBinding,
     tasks: Vec<TaskComponent>,
     banks: BankSet,
@@ -706,6 +739,9 @@ pub struct System {
     watchdog: WatchdogConfig,
     recovery: RecoveryPolicy,
     cycle: u64,
+    /// How many tasks are `Done` (kept where a task finishes, so the
+    /// run loop's termination test does not scan the tasks).
+    done: usize,
     monitor: MonitorComponent,
     scheduler: Scheduler,
     tracer: Option<TracerComponent>,
@@ -757,9 +793,8 @@ impl System {
                 task: "host".to_owned(),
             });
         };
-        let seg = self.graph.segment(segment);
         assert!(
-            data.len() <= seg.words() as usize,
+            data.len() <= self.segment_words[segment.index()] as usize,
             "data overruns segment {segment}"
         );
         let Some(bank) = self.banks.get_mut(place.bank) else {
@@ -796,9 +831,8 @@ impl System {
                 task: "host".to_owned(),
             });
         };
-        let seg = self.graph.segment(segment);
         assert!(
-            len <= seg.words() as usize,
+            len <= self.segment_words[segment.index()] as usize,
             "range overruns segment {segment}"
         );
         let Some(bank) = self.banks.get(place.bank) else {
@@ -815,9 +849,11 @@ impl System {
     /// Applies every outstanding deferred blocked-cycle count (batched
     /// kernel only; no-op elsewhere): stall cycles, bulk starvation
     /// ticks, and wake accounting, exactly as if each parked task had
-    /// been stepped on every cycle it sat waiting. Called before
-    /// recovery may mutate task state and before the run report reads
-    /// the stall/starvation totals.
+    /// been stepped on every cycle it sat waiting. Parked sleepers are
+    /// settled up to the current cycle and stay parked. Called before
+    /// recovery may mutate task state and at the end of every run, so
+    /// the report reads legacy totals and a later `run` continues
+    /// exactly.
     fn flush_deferred_waits(&mut self) {
         let cycle = self.cycle;
         let Self {
@@ -840,6 +876,12 @@ impl System {
             }
             if let Some(w) = wakes.as_mut() {
                 w.tasks[i] += span;
+            }
+        }
+        for (i, p) in soa.parked.iter_mut().enumerate() {
+            if let Some(p) = p {
+                tasks[i].skip(cycle - p.accounted_to);
+                p.accounted_to = cycle;
             }
         }
     }
@@ -955,7 +997,7 @@ impl System {
         m.counter_add("sim/violations", report.violations.len() as u64);
         m.gauge_set("sim/worst_wait", report.worst_wait as f64);
         for s in &report.task_stats {
-            let name = self.graph.task(s.task).name();
+            let name = &self.task_names[s.task.index()];
             m.counter_add(&format!("sim/task/{name}/busy"), s.busy_cycles);
             m.counter_add(&format!("sim/task/{name}/stall"), s.stall_cycles);
         }
@@ -974,7 +1016,7 @@ impl System {
         m.counter_add("kernel/skips", stats.skips);
         if let Some(w) = &self.wakes {
             for (i, &n) in w.tasks.iter().enumerate() {
-                let name = self.graph.task(self.tasks[i].id()).name();
+                let name = &self.task_names[i];
                 m.counter_add(&format!("kernel/wakes/task/{name}"), n);
             }
             m.counter_add("kernel/wakes/arbiters", w.arbiters);
@@ -1028,7 +1070,7 @@ impl System {
     }
 
     fn all_done(&self) -> bool {
-        self.tasks.iter().all(|t| t.status() == TaskStatus::Done)
+        self.done == self.tasks.len()
     }
 
     /// Bounds a proposed skip so the batched kernel never jumps over a
@@ -1055,18 +1097,15 @@ impl System {
     /// skipped span (a sleeping task's busy count grows every cycle of
     /// it), so "signature changed over the span" implies the span's
     /// *last* cycle made progress — exactly what the legacy kernel
-    /// would have recorded.
+    /// would have recorded. Parked sleepers count the busy cycles they
+    /// slept since they were last settled.
     fn note_progress(&mut self) {
         if self.watchdog.progress_bound == u64::MAX {
             return;
         }
-        let sig = (
-            self.tasks.iter().map(TaskComponent::busy_cycles).sum(),
-            self.tasks
-                .iter()
-                .filter(|t| t.status() == TaskStatus::Done)
-                .count(),
-        );
+        let parked = self.soa.as_ref().map_or(0, |s| s.parked_busy(self.cycle));
+        let busy: u64 = self.tasks.iter().map(TaskComponent::busy_cycles).sum();
+        let sig = (busy + parked, self.done);
         if sig != self.last_sig {
             self.last_sig = sig;
             self.last_progress = self.cycle - 1;
@@ -1209,7 +1248,7 @@ impl System {
             let old = self.banks.get_mut(bank).expect("checked above");
             for &seg in &segments {
                 let place = self.binding.placement(seg).expect("segment is in bank");
-                for i in 0..self.graph.segment(seg).words() {
+                for i in 0..self.segment_words[seg.index()] {
                     fresh.set_word(place.offset + i, old.word(place.offset + i));
                 }
             }
@@ -1262,13 +1301,9 @@ impl System {
         for i in 0..self.tasks.len() {
             if self.tasks[i].status() == TaskStatus::NotStarted {
                 let id = self.tasks[i].id();
-                let ready = self
-                    .graph
-                    .predecessors(id)
-                    .iter()
-                    .all(|p| self.tasks[p.index()].status() == TaskStatus::Done);
-                if ready {
+                if deps_done(&self.control_deps, &self.tasks, id) {
                     self.tasks[i].release(cycle);
+                    self.done += usize::from(self.tasks[i].status() == TaskStatus::Done);
                 }
             }
         }
@@ -1332,6 +1367,7 @@ impl System {
                 monitor,
                 faults,
                 wakes,
+                done,
                 ..
             } = self;
             let mut ctx = ExecCtx {
@@ -1353,6 +1389,7 @@ impl System {
             for (i, t) in tasks.iter_mut().enumerate() {
                 if t.status() == TaskStatus::Running {
                     t.step_cycle(&mut ctx);
+                    *done += usize::from(t.status() == TaskStatus::Done);
                     if let Some(w) = wakes.as_mut() {
                         w.tasks[i] += 1;
                         w.work.tasks_stepped += 1;
@@ -1466,7 +1503,7 @@ impl System {
         let retry_reads = self.recovery.retry_reads;
         let select_line = self.select_line;
         let Self {
-            graph,
+            control_deps,
             tasks,
             banks,
             routes,
@@ -1476,6 +1513,7 @@ impl System {
             faults,
             wakes,
             soa,
+            done,
             ..
         } = self;
         let soa = soa.as_mut().expect("batched kernel state");
@@ -1486,19 +1524,18 @@ impl System {
             tables,
             wake_list,
             deferred_waits,
+            parked,
+            parkable,
         } = soa;
         // 1. Release newly runnable tasks. Releasing *inside* the
         // ascending pass reproduces the legacy kernel's index-order
         // scan exactly: an empty-program predecessor that completes on
         // release lets a later-indexed successor start this same cycle.
         wake_list.drain_ready(|t| {
-            let id = tasks[t as usize].id();
-            let ready = graph
-                .predecessors(id)
-                .iter()
-                .all(|p| tasks[p.index()].status() == TaskStatus::Done);
+            let ready = deps_done(control_deps, tasks, tasks[t as usize].id());
             if ready {
                 tasks[t as usize].release(cycle);
+                *done += usize::from(tasks[t as usize].status() == TaskStatus::Done);
             }
             ready
         });
@@ -1537,15 +1574,24 @@ impl System {
             tracer.sample_cycle(cycle, &arena.request_words, &arena.grants);
         }
         // 3. Tasks execute — only the ones in the running list, through
-        // the SoA environment. With faults absent and every per-cycle
-        // wait watchdog disarmed, a task parked in a plain grant or
-        // data wait is not stepped at all: its only effects that cycle
-        // (one stall cycle, one starvation tick, one wake) go into
-        // `deferred_waits` and are bulk-applied the moment it would do
-        // anything else. The totals are order-independent sums, no
-        // crossing can fire while disarmed, and a parked task drives
-        // no request edges — so reports, VCD and memory stay
-        // byte-identical to the legacy kernel.
+        // the SoA environment. Two kinds of task are not stepped at all:
+        //
+        // - a sleeper parked in a multi-cycle compute, until the
+        //   compute's last cycle. Its only effects per cycle (one
+        //   countdown, one busy cycle) are settled in one `skip` on
+        //   that cycle, or earlier by `flush_deferred_waits`. A task a
+        //   hang fault targets is never parked: the hang is sampled
+        //   inside its step.
+        // - with faults absent and every per-cycle wait watchdog
+        //   disarmed, a task in a plain grant or data wait. Its only
+        //   effects that cycle (one stall cycle, one starvation tick,
+        //   one wake) go into `deferred_waits` and are bulk-applied the
+        //   moment it would do anything else. No crossing can fire
+        //   while disarmed.
+        //
+        // The totals are order-independent sums and neither kind drives
+        // request edges, so reports, VCD and memory stay byte-identical
+        // to the legacy kernel.
         {
             let defer_ok = faults.is_none() && !monitor.wait_bounds_armed();
             let mut env = BatchedEnv {
@@ -1561,9 +1607,20 @@ impl System {
             };
             for &ti in wake_list.running() {
                 let i = ti as usize;
+                if let Some(p) = parked[i] {
+                    if cycle < p.wake {
+                        if let Some(w) = wakes.as_mut() {
+                            w.tasks[i] += 1;
+                            w.work.sleeps_parked += 1;
+                        }
+                        continue;
+                    }
+                    tasks[i].skip(p.wake - p.accounted_to);
+                    parked[i] = None;
+                }
                 if defer_ok {
                     let t = &tasks[i];
-                    let parked = if let Some(a) = t.plain_grant_wait() {
+                    let waiting = if let Some(a) = t.plain_grant_wait() {
                         env.matrix
                             .port_of(a.index(), t.id())
                             .is_some_and(|p| env.arena.grants[a.index()] >> p & 1 == 0)
@@ -1574,7 +1631,7 @@ impl System {
                     } else {
                         false
                     };
-                    if parked {
+                    if waiting {
                         deferred_waits[i] += 1;
                         if let Some(w) = wakes.as_mut() {
                             w.work.waits_deferred += 1;
@@ -1594,10 +1651,20 @@ impl System {
                         w.tasks[i] += n;
                     }
                 }
-                tasks[i].step_cycle(&mut env);
+                let t = &mut tasks[i];
+                t.step_cycle(&mut env);
                 if let Some(w) = wakes.as_mut() {
                     w.tasks[i] += 1;
                     w.work.tasks_stepped += 1;
+                }
+                match t.sleep_left() {
+                    Some(left) if left > 1 && parkable[i] => {
+                        parked[i] = Some(ParkedSleep {
+                            wake: cycle + u64::from(left),
+                            accounted_to: cycle + 1,
+                        });
+                    }
+                    _ => *done += usize::from(t.status() == TaskStatus::Done),
                 }
             }
         }
@@ -1690,7 +1757,7 @@ impl System {
         let now = self.cycle; // next cycle to execute
         self.scheduler.begin_refresh();
         let Self {
-            graph,
+            control_deps,
             tasks,
             banks,
             routes,
@@ -1702,6 +1769,10 @@ impl System {
         let soa = soa.as_ref().expect("batched kernel state");
         for &ti in soa.wake_list.running() {
             let i = ti as usize;
+            if let Some(p) = soa.parked[i] {
+                scheduler.wake_at(p.wake);
+                continue;
+            }
             let t = &tasks[i];
             match t.wake(now) {
                 Wake::Active => {
@@ -1728,12 +1799,7 @@ impl System {
             }
         }
         for &ti in soa.wake_list.pending() {
-            let i = ti as usize;
-            let ready = graph
-                .predecessors(tasks[i].id())
-                .iter()
-                .all(|p| tasks[p.index()].status() == TaskStatus::Done);
-            if ready {
+            if deps_done(control_deps, tasks, tasks[ti as usize].id()) {
                 scheduler.mark_active();
                 return;
             }
@@ -1774,10 +1840,16 @@ impl System {
                 arbiters,
                 monitor,
                 scheduler,
+                soa,
                 ..
             } = self;
+            let parked = &soa.as_ref().expect("batched kernel state").parked;
             let mut crossings: Vec<(u64, usize, u8, Violation)> = Vec::new();
             for (i, t) in tasks.iter_mut().enumerate() {
+                // A parked sleeper's settlement covers skipped cycles too.
+                if parked[i].is_some() {
+                    continue;
+                }
                 if let Some(arb) = t.blocked_on_grant() {
                     for v in monitor.tick_waiting_n(t.id(), arb, cycles, start) {
                         let rank = u8::from(matches!(v, Violation::FairnessBreach { .. }));

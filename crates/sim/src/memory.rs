@@ -2,9 +2,8 @@
 
 use crate::component::MonitorComponent;
 use crate::monitor::Violation;
-use crate::value::resolve_line;
 use rcarb_board::memory::BankId;
-use rcarb_core::line::{IdleDrive, SharedLineKind};
+use rcarb_core::line::SharedLineKind;
 use rcarb_taskgraph::id::TaskId;
 
 /// One access presented to a bank in the current cycle.
@@ -102,11 +101,10 @@ impl BankModel {
     }
 
     /// Registers the bank's protocol clients and precomputes whether an
-    /// all-idle cycle floats the select line under `select_line`.
+    /// all-idle cycle floats the select line under `select_line`: only
+    /// a tri-state line does, because its idle drivers release it.
     pub(crate) fn set_clients(&mut self, clients: Vec<TaskId>, select_line: SharedLineKind) {
-        let idle: Vec<Option<bool>> = clients.iter().map(|_| idle_value(select_line)).collect();
-        self.idle_floats =
-            !clients.is_empty() && resolve_line(select_line, &idle).to_bool().is_none();
+        self.idle_floats = !clients.is_empty() && select_line == SharedLineKind::TriState;
         self.clients = clients;
     }
 
@@ -125,11 +123,18 @@ impl BankModel {
         self.idle_floats && !self.flagged
     }
 
-    /// The Fig. 4 select-line check for one cycle: collect each client's
-    /// drive (write -> 1, read -> 0, idle -> per discipline), resolve,
-    /// and report a float once per bank. `accesses` is this cycle's
-    /// traffic on this bank, if any. Returns whether the line was
-    /// resolved at all (the `kernel_work/select_checks` count).
+    /// The Fig. 4 select-line check for one cycle: each client drives
+    /// its first access this cycle (write -> 1, read -> 0) or its idle
+    /// drive, and a line that resolves to Z or X is reported once per
+    /// bank. `accesses` is this cycle's traffic on this bank, if any.
+    ///
+    /// Only a tri-state line can float: the OR and AND lines of
+    /// Fig. 4b/4c hard-wire the idle contribution and always resolve to
+    /// a level, so they return at once. A tri-state line floats when no
+    /// client drives it (Z) or when reads and writes drive it at once
+    /// (X), which the check decides by noting whether any client reads
+    /// and any writes, without allocating. Returns whether the line was
+    /// checked at all (the `kernel_work/select_checks` count).
     pub(crate) fn check_select(
         &mut self,
         cycle: u64,
@@ -137,20 +142,20 @@ impl BankModel {
         select_line: SharedLineKind,
         monitor: &mut MonitorComponent,
     ) -> bool {
-        if self.clients.is_empty() || self.flagged {
+        if self.clients.is_empty() || self.flagged || select_line != SharedLineKind::TriState {
             return false;
         }
-        let drivers: Vec<Option<bool>> = self
-            .clients
-            .iter()
-            .map(|&t| {
-                accesses
-                    .and_then(|accs| accs.iter().find(|a| a.task == t))
-                    .map(|a| a.write.is_some())
-                    .or(idle_value(select_line))
-            })
-            .collect();
-        if resolve_line(select_line, &drivers).to_bool().is_none() {
+        let (mut reads, mut writes) = (false, false);
+        if let Some(accs) = accesses {
+            for &t in &self.clients {
+                match accs.iter().find(|a| a.task == t) {
+                    Some(a) if a.write.is_some() => writes = true,
+                    Some(_) => reads = true,
+                    None => {}
+                }
+            }
+        }
+        if reads == writes {
             self.flagged = true;
             monitor.push(Violation::FloatingSelectLine {
                 cycle,
@@ -204,15 +209,6 @@ impl BankModel {
                 BankOutcome::Conflict { tasks }
             }
         }
-    }
-}
-
-/// A client's idle drive on the select line, as an optional logic level.
-fn idle_value(select_line: SharedLineKind) -> Option<bool> {
-    match select_line.idle_drive() {
-        IdleDrive::HighZ => None,
-        IdleDrive::Low => Some(false),
-        IdleDrive::High => Some(true),
     }
 }
 
@@ -304,5 +300,75 @@ mod tests {
         let mut bank = BankModel::new(BankId::new(0), 4);
         assert_eq!(bank.cycle(&[]), BankOutcome::Idle);
         assert_eq!(bank.accesses(), 0);
+    }
+
+    /// The select check flags exactly the cycles whose resolved line
+    /// (`resolve_line` over each client's drive) is neither 0 nor 1,
+    /// for every line kind, 0..=4 clients and every idle/read/write
+    /// assignment of the clients, and flags a bank only once.
+    #[test]
+    fn select_check_flags_exactly_the_lines_that_resolve_to_no_level() {
+        use crate::value::resolve_line;
+        use rcarb_core::line::IdleDrive;
+        for kind in [
+            SharedLineKind::TriState,
+            SharedLineKind::ActiveHighOr,
+            SharedLineKind::ActiveLowAnd,
+        ] {
+            let idle = match kind.idle_drive() {
+                IdleDrive::HighZ => None,
+                IdleDrive::Low => Some(false),
+                IdleDrive::High => Some(true),
+            };
+            for n in 0..=4u32 {
+                // Each client idles (0), reads (1) or writes (2).
+                for code in 0..3u32.pow(n) {
+                    let ops: Vec<u32> = (0..n).map(|c| code / 3u32.pow(c) % 3).collect();
+                    let accesses: Vec<BankAccess> = ops
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &op)| op != 0)
+                        .map(|(c, &op)| BankAccess {
+                            task: t(c as u32),
+                            addr: 0,
+                            write: (op == 2).then_some(7),
+                        })
+                        .collect();
+                    let drivers: Vec<Option<bool>> = ops
+                        .iter()
+                        .map(|&op| match op {
+                            0 => idle,
+                            1 => Some(false),
+                            _ => Some(true),
+                        })
+                        .collect();
+                    let floats = n > 0 && resolve_line(kind, &drivers).to_bool().is_none();
+                    let mut bank = BankModel::new(BankId::new(0), 4);
+                    bank.set_clients((0..n).map(t).collect(), kind);
+                    let mut monitor = MonitorComponent::new();
+                    let traffic = (!accesses.is_empty()).then_some(&accesses);
+                    for cycle in 0..2 {
+                        bank.check_select(cycle, traffic, kind, &mut monitor);
+                    }
+                    let flagged = monitor
+                        .violations()
+                        .iter()
+                        .filter(|v| matches!(v, Violation::FloatingSelectLine { cycle: 0, .. }))
+                        .count();
+                    assert_eq!(
+                        flagged,
+                        usize::from(floats),
+                        "{kind:?} with client ops {ops:?}"
+                    );
+                    assert_eq!(monitor.violations().len(), flagged, "flagged twice");
+                    if ops.iter().all(|&op| op == 0) {
+                        assert!(!bank.idle_may_float(), "{kind:?}, {n} clients");
+                        let mut fresh = BankModel::new(BankId::new(0), 4);
+                        fresh.set_clients((0..n).map(t).collect(), kind);
+                        assert_eq!(fresh.idle_may_float(), floats, "{kind:?}, {n} clients");
+                    }
+                }
+            }
+        }
     }
 }

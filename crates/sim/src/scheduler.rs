@@ -11,6 +11,14 @@
 //! bulk-account the skipped cycles on each task and arbiter
 //! ([`TaskComponent::skip`]).
 //!
+//! The same timers also cut the cycles that *do* execute. A task that
+//! steps into a multi-cycle compute is **parked** on its wake cycle:
+//! the engine neither steps, refreshes nor skips it until then, and
+//! registers the parked wake cycle as its timer. Its countdown and busy
+//! cycles, executed and skipped alike, are settled in one
+//! [`TaskComponent::skip`] on the wake cycle. Tasks in a plain grant or
+//! data wait are likewise deferred rather than stepped.
+//!
 //! The scheduler never *guesses*: a skip is offered only when every
 //! unit proved, from its own state, that executing the intervening
 //! cycles would change nothing but a handful of counters. That proof is
@@ -164,9 +172,11 @@ impl Scheduler {
 ///
 /// Three ascending lists partition the interesting tasks:
 ///
-/// - `running` — tasks to step this cycle, in ascending index order
-///   (the order the legacy kernel steps them, so violation and
-///   traffic ordering is preserved);
+/// - `running` — tasks that have started and not finished, in
+///   ascending index order (the order the legacy kernel steps them, so
+///   violation and traffic ordering is preserved). Parked sleepers and
+///   deferred waits stay on this list; the engine passes over them
+///   until they wake, so a compute or a wait costs no list churn;
 /// - `pending` — tasks not yet released, polled against the release
 ///   schedule at the top of each cycle;
 /// - `released` — the cycle's scratch buffer of tasks whose release
