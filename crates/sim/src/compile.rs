@@ -1,7 +1,7 @@
 //! Flattening of taskgraph programs into executable instruction streams.
 
 use rcarb_taskgraph::id::{ArbiterId, ChannelId, SegmentId, VarId};
-use rcarb_taskgraph::program::{Expr, Op, Program};
+use rcarb_taskgraph::program::{BinOp, Expr, Op, Program};
 
 /// One flat instruction. Structured loops and branches become explicit
 /// jumps; everything else mirrors [`Op`].
@@ -12,7 +12,7 @@ pub enum Instr {
         /// Destination variable.
         dst: VarId,
         /// Value expression.
-        value: Expr,
+        value: ExprId,
     },
     /// Busy computation (`cycles` cycles).
     Compute {
@@ -24,7 +24,7 @@ pub enum Instr {
         /// Segment.
         segment: SegmentId,
         /// Address expression.
-        addr: Expr,
+        addr: ExprId,
         /// Destination variable.
         dst: VarId,
     },
@@ -33,16 +33,16 @@ pub enum Instr {
         /// Segment.
         segment: SegmentId,
         /// Address expression.
-        addr: Expr,
+        addr: ExprId,
         /// Value expression.
-        value: Expr,
+        value: ExprId,
     },
     /// Channel send (1 cycle).
     Send {
         /// Channel.
         channel: ChannelId,
         /// Value expression.
-        value: Expr,
+        value: ExprId,
     },
     /// Channel receive (1 cycle once data is available; blocks before).
     Recv {
@@ -94,7 +94,7 @@ pub enum Instr {
     /// Jump if `cond == 0` (1 cycle — the condition evaluation).
     BranchIfZero {
         /// Condition expression.
-        cond: Expr,
+        cond: ExprId,
         /// Jump target when zero.
         target: usize,
     },
@@ -105,10 +105,27 @@ pub enum Instr {
     },
 }
 
+/// An expression of a [`FlatProgram`]: the index of its root in the
+/// program's expression pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExprId(u32);
+
+/// One node of a program's expression pool; operands are pool indices.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Node {
+    Lit(u64),
+    Var(VarId),
+    Bin(BinOp, u32, u32),
+}
+
 /// A flattened program.
+///
+/// Every expression lives in one pool, so a compiled program owns two
+/// allocations however many expressions it has.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatProgram {
     instrs: Vec<Instr>,
+    exprs: Vec<Node>,
     num_vars: u32,
     num_loop_slots: usize,
 }
@@ -120,6 +137,7 @@ impl FlatProgram {
         c.emit_block(program.ops());
         FlatProgram {
             instrs: c.instrs,
+            exprs: c.exprs,
             num_vars: program.num_vars(),
             num_loop_slots: c.next_slot,
         }
@@ -128,6 +146,16 @@ impl FlatProgram {
     /// The instruction stream.
     pub fn instrs(&self) -> &[Instr] {
         &self.instrs
+    }
+
+    /// Evaluates expression `e` over the task-local `vars`, exactly as
+    /// [`Expr::eval`] evaluates the expression it was compiled from.
+    pub fn eval(&self, e: ExprId, vars: &[u64]) -> u64 {
+        match self.exprs[e.0 as usize] {
+            Node::Lit(v) => v,
+            Node::Var(id) => vars.get(id.index()).copied().unwrap_or(0),
+            Node::Bin(op, a, b) => op.apply(self.eval(ExprId(a), vars), self.eval(ExprId(b), vars)),
+        }
     }
 
     /// Number of task-local variables.
@@ -144,36 +172,57 @@ impl FlatProgram {
 #[derive(Default)]
 struct Compiler {
     instrs: Vec<Instr>,
+    exprs: Vec<Node>,
     next_slot: usize,
 }
 
 impl Compiler {
+    /// Adds `e` to the expression pool, operands first.
+    fn expr(&mut self, e: &Expr) -> ExprId {
+        let node = match e {
+            Expr::Lit(v) => Node::Lit(*v),
+            Expr::Var(id) => Node::Var(*id),
+            Expr::Bin(op, a, b) => Node::Bin(*op, self.expr(a).0, self.expr(b).0),
+        };
+        self.exprs.push(node);
+        ExprId(self.exprs.len() as u32 - 1)
+    }
+
     fn emit_block(&mut self, ops: &[Op]) {
         for op in ops {
             match op {
-                Op::Set { dst, value } => self.instrs.push(Instr::Set {
-                    dst: *dst,
-                    value: value.clone(),
-                }),
+                Op::Set { dst, value } => {
+                    let value = self.expr(value);
+                    self.instrs.push(Instr::Set { dst: *dst, value });
+                }
                 Op::Compute { cycles } => self.instrs.push(Instr::Compute { cycles: *cycles }),
-                Op::MemRead { segment, addr, dst } => self.instrs.push(Instr::MemRead {
-                    segment: *segment,
-                    addr: addr.clone(),
-                    dst: *dst,
-                }),
+                Op::MemRead { segment, addr, dst } => {
+                    let addr = self.expr(addr);
+                    self.instrs.push(Instr::MemRead {
+                        segment: *segment,
+                        addr,
+                        dst: *dst,
+                    });
+                }
                 Op::MemWrite {
                     segment,
                     addr,
                     value,
-                } => self.instrs.push(Instr::MemWrite {
-                    segment: *segment,
-                    addr: addr.clone(),
-                    value: value.clone(),
-                }),
-                Op::Send { channel, value } => self.instrs.push(Instr::Send {
-                    channel: *channel,
-                    value: value.clone(),
-                }),
+                } => {
+                    let (addr, value) = (self.expr(addr), self.expr(value));
+                    self.instrs.push(Instr::MemWrite {
+                        segment: *segment,
+                        addr,
+                        value,
+                    });
+                }
+                Op::Send { channel, value } => {
+                    let value = self.expr(value);
+                    self.instrs.push(Instr::Send {
+                        channel: *channel,
+                        value,
+                    });
+                }
                 Op::Recv { channel, dst } => self.instrs.push(Instr::Recv {
                     channel: *channel,
                     dst: *dst,
@@ -219,8 +268,9 @@ impl Compiler {
                     else_ops,
                 } => {
                     let branch_at = self.instrs.len();
+                    let cond = self.expr(cond);
                     self.instrs.push(Instr::BranchIfZero {
-                        cond: cond.clone(),
+                        cond,
                         target: usize::MAX, // patched below
                     });
                     self.emit_block(then_ops);
@@ -319,6 +369,30 @@ mod tests {
             panic!("expected jump");
         };
         assert_eq!(*target, 5); // join point
+    }
+
+    #[test]
+    fn pooled_expressions_evaluate_like_the_source_tree() {
+        let e = Expr::add(
+            Expr::var(VarId::new(1)),
+            Expr::bin(
+                BinOp::Sub,
+                Expr::lit(2),
+                Expr::add(Expr::var(VarId::new(0)), Expr::var(VarId::new(9))),
+            ),
+        );
+        let p = Program::build(|p| {
+            let v = p.let_(Expr::lit(0));
+            p.set(v, e.clone());
+        });
+        let f = FlatProgram::compile(&p);
+        let Instr::Set { value, .. } = f.instrs()[1] else {
+            panic!("expected set");
+        };
+        // Var 9 is out of range and reads 0, as in the source tree.
+        for vars in [[0, 0], [5, 7], [u64::MAX, 3]] {
+            assert_eq!(f.eval(value, &vars), e.eval(&vars), "{vars:?}");
+        }
     }
 
     #[test]

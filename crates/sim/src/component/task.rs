@@ -569,14 +569,14 @@ impl TaskComponent {
                     return;
                 }
                 Instr::Set { dst, value } => {
-                    let v = value.eval(&self.vars);
+                    let v = self.prog.eval(*value, &self.vars);
                     self.vars[dst.index()] = v;
                     self.pc += 1;
                     self.busy_cycles += 1;
                     issued = true;
                 }
                 Instr::BranchIfZero { cond, target } => {
-                    let v = cond.eval(&self.vars);
+                    let v = self.prog.eval(*cond, &self.vars);
                     self.pc = if v == 0 { *target } else { self.pc + 1 };
                     self.busy_cycles += 1;
                     issued = true;
@@ -584,7 +584,7 @@ impl TaskComponent {
                 Instr::MemRead { segment, addr, dst } => {
                     let (segment, dst) = (*segment, *dst);
                     ctx.check_segment_grant(task_id, segment);
-                    let a = addr.eval(&self.vars) as u32;
+                    let a = self.prog.eval(*addr, &self.vars) as u32;
                     // Placement validated in `try_build`; a missing one
                     // degrades to a read delivering nothing.
                     if let Some((bank, offset)) = ctx.placement(segment) {
@@ -628,8 +628,8 @@ impl TaskComponent {
                 } => {
                     let segment = *segment;
                     ctx.check_segment_grant(task_id, segment);
-                    let a = addr.eval(&self.vars) as u32;
-                    let v = value.eval(&self.vars);
+                    let a = self.prog.eval(*addr, &self.vars) as u32;
+                    let v = self.prog.eval(*value, &self.vars);
                     if let Some((bank, offset)) = ctx.placement(segment) {
                         ctx.push_access(
                             bank,
@@ -647,7 +647,7 @@ impl TaskComponent {
                 Instr::Send { channel, value } => {
                     let channel = *channel;
                     ctx.check_channel_grant(task_id, channel);
-                    let v = value.eval(&self.vars);
+                    let v = self.prog.eval(*value, &self.vars);
                     ctx.push_send(
                         channel,
                         RouteSend {
