@@ -504,7 +504,7 @@ impl DenseTables {
 /// counts down and adds a busy cycle. It is settled in one
 /// [`TaskComponent::skip`] and stepped again on the compute's last
 /// cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ParkedSleep {
     /// The compute's last cycle: the task is settled and stepped there.
     pub(crate) wake: u64,
