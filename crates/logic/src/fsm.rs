@@ -42,6 +42,11 @@ pub enum FsmError {
         /// The transition's source state.
         state: usize,
     },
+    /// A guard binds an input beyond `num_inputs`.
+    GuardOutOfRange {
+        /// The transition's source state.
+        state: usize,
+    },
 }
 
 impl fmt::Display for FsmError {
@@ -60,6 +65,12 @@ impl fmt::Display for FsmError {
                 write!(
                     f,
                     "state {state} asserts an output beyond the declared width"
+                )
+            }
+            FsmError::GuardOutOfRange { state } => {
+                write!(
+                    f,
+                    "state {state} has a guard on an input beyond the declared width"
                 )
             }
         }
@@ -160,7 +171,8 @@ impl Fsm {
         self.transitions.iter().filter(move |t| t.from == state)
     }
 
-    /// Checks determinism, completeness and referential integrity.
+    /// Checks determinism, completeness and referential integrity, and
+    /// that every guard and output stays within the declared widths.
     ///
     /// # Errors
     ///
@@ -175,6 +187,9 @@ impl Fsm {
             }
             if self.num_outputs < 64 && t.outputs >> self.num_outputs != 0 {
                 return Err(FsmError::OutputOutOfRange { state: t.from });
+            }
+            if self.num_inputs < 64 && t.guard.mask() >> self.num_inputs != 0 {
+                return Err(FsmError::GuardOutOfRange { state: t.from });
             }
         }
         for state in 0..n {
@@ -320,5 +335,30 @@ mod tests {
             outputs: 0b10,
         });
         assert_eq!(fsm.validate(), Err(FsmError::OutputOutOfRange { state: 0 }));
+    }
+
+    #[test]
+    fn guard_range_checked() {
+        // One input, but the guards test a second one: without the check
+        // the machine validates and synthesis drops the `x1` literals.
+        let mut fsm = Fsm::new("bad", 1, 0);
+        for i in 0..3 {
+            fsm.add_state(format!("S{i}"));
+        }
+        for s in 0..3 {
+            for p in [true, false] {
+                fsm.add_transition(Transition {
+                    from: s,
+                    guard: Cube::universe().with_lit(1, p),
+                    to: if p { (s + 1) % 3 } else { s },
+                    outputs: 0,
+                });
+            }
+        }
+        assert_eq!(fsm.validate(), Err(FsmError::GuardOutOfRange { state: 0 }));
+        assert_eq!(
+            FsmError::GuardOutOfRange { state: 0 }.to_string(),
+            "state 0 has a guard on an input beyond the declared width"
+        );
     }
 }

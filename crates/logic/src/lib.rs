@@ -12,7 +12,8 @@
 //! 1. [`cube`]/[`sop`] — two-level boolean representation (cubes over up to
 //!    64 variables, sum-of-products covers);
 //! 2. [`minimize`] — an espresso-style minimizer (containment removal,
-//!    adjacency merging, literal expansion validated by tautology checking);
+//!    adjacency merging, literal expansion validated by tautology checking
+//!    or by an exact OFF-set);
 //! 3. [`fsm`] — symbolic Mealy machines with deterministic/complete guard
 //!    validation;
 //! 4. [`encode`] — one-hot / compact (binary) / Gray state assignment;

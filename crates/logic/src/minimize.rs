@@ -5,6 +5,17 @@
 //! [`Effort::Medium`], Synplify like [`Effort::High`]. All transformations
 //! are function-preserving; the unit tests check semantic equivalence
 //! before/after.
+//!
+//! Expansion frees a literal of a cube only if the raised cube stays
+//! inside the cover plus its don't-cares. [`minimize_with_dc`] decides
+//! that by a tautology check of the cover and the don't-cares. When the
+//! caller knows the exact OFF-set, the complement of cover ∪ don't-cares,
+//! the crate-internal `minimize_with_off` asks instead whether the raised
+//! cube meets an OFF cube (Brayton et al., *Logic Minimization Algorithms
+//! for VLSI Synthesis*, 1984). Expansion never leaves cover ∪
+//! don't-cares, so the two tests agree on every candidate and give the
+//! same cover cube for cube. `FsmNetwork::synthesize` reads the OFF-set
+//! of a validated dense-encoded machine off its transitions.
 
 use crate::cube::Cube;
 use crate::sop::{Containment, Sop};
@@ -16,7 +27,8 @@ pub enum Effort {
     /// Duplicate and single-cube-containment removal only.
     Low,
     /// Low, plus iterated adjacency merging (`ab | a!b -> a`) and one
-    /// literal-expansion sweep validated by tautology checking.
+    /// literal-expansion sweep validated by tautology checking or by an
+    /// exact OFF-set.
     Medium,
     /// Medium, plus expansion to a fixpoint and an irredundant-cover pass.
     High,
@@ -35,6 +47,33 @@ pub fn minimize(sop: &Sop, effort: Effort) -> Sop {
 ///
 /// Panics if the two covers disagree on variable count.
 pub fn minimize_with_dc(sop: &Sop, dc: &Sop, effort: Effort) -> Sop {
+    minimize_bounded(sop, dc, None, effort)
+}
+
+/// [`minimize_with_dc`] with expansion checked against `off`, which must
+/// be exactly the complement of `sop` ∪ `dc`: the result is the same
+/// cover, found without a tautology check per trial literal.
+///
+/// # Panics
+///
+/// Panics if the two covers disagree on variable count. Debug builds also
+/// panic if an OFF cube meets a cube of `sop` or `dc`; that `off` covers
+/// all of the complement is the caller's promise.
+pub(crate) fn minimize_with_off(sop: &Sop, dc: &Sop, off: &[Cube], effort: Effort) -> Sop {
+    debug_assert!(
+        off.iter().all(|&o| !sop
+            .cubes()
+            .iter()
+            .chain(dc.cubes())
+            .any(|c| c.intersects(o))),
+        "an OFF cube meets the cover or its don't-cares"
+    );
+    minimize_bounded(sop, dc, Some(off), effort)
+}
+
+/// The minimizer behind both entries: `expand` checks a raised cube
+/// against `off` when it is given, and by tautology checking otherwise.
+fn minimize_bounded(sop: &Sop, dc: &Sop, off: Option<&[Cube]>, effort: Effort) -> Sop {
     assert_eq!(
         sop.num_vars(),
         dc.num_vars(),
@@ -45,7 +84,7 @@ pub fn minimize_with_dc(sop: &Sop, dc: &Sop, effort: Effort) -> Sop {
     dedupe_and_contain(&mut cubes);
     if effort >= Effort::Medium {
         merge_adjacent(&mut cubes);
-        expand(&mut cubes, dc, effort >= Effort::High, &mut kernel);
+        expand(&mut cubes, dc, off, effort >= Effort::High, &mut kernel);
         dedupe_and_contain(&mut cubes);
     }
     if effort >= Effort::High {
@@ -141,7 +180,13 @@ fn bits(mut word: u64) -> impl Iterator<Item = u64> {
     })
 }
 
-fn expand(cubes: &mut [Cube], dc: &Sop, fixpoint: bool, kernel: &mut Containment) {
+fn expand(
+    cubes: &mut [Cube],
+    dc: &Sop,
+    off: Option<&[Cube]>,
+    fixpoint: bool,
+    kernel: &mut Containment,
+) {
     for i in 0..cubes.len() {
         let mut cube = cubes[i];
         let mut first = true;
@@ -154,8 +199,13 @@ fn expand(cubes: &mut [Cube], dc: &Sop, fixpoint: bool, kernel: &mut Containment
                 let v = m.trailing_zeros() as usize;
                 m &= m - 1;
                 let candidate = cube.without_var(v);
-                // Valid iff cover + don't-cares swallow the expanded cube.
-                if kernel.covers(&[cubes, dc.cubes()], candidate) {
+                // Valid iff cover + don't-cares swallow the expanded cube,
+                // that is iff it meets no cube of their complement.
+                let inside = match off {
+                    None => kernel.covers(&[cubes, dc.cubes()], candidate),
+                    Some(off) => !off.iter().any(|o| o.intersects(candidate)),
+                };
+                if inside {
                     cube = candidate;
                     cubes[i] = cube;
                     changed = true;
@@ -182,6 +232,7 @@ fn irredundant(cubes: &mut Vec<Cube>, dc: &Sop, kernel: &mut Containment) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn lit(var: usize, pol: bool) -> Cube {
         Cube::universe().with_lit(var, pol)
@@ -314,5 +365,47 @@ mod tests {
     #[should_panic(expected = "variable space")]
     fn mismatched_dc_space_rejected() {
         let _ = minimize_with_dc(&Sop::zero(2), &Sop::zero(3), Effort::Low);
+    }
+
+    const OFF_SET_VARS: usize = 6;
+
+    /// A random cube over [`OFF_SET_VARS`] variables, binding each with
+    /// probability 3/4.
+    fn arb_cube() -> impl Strategy<Value = Cube> {
+        let all = 1u64 << OFF_SET_VARS;
+        (0..all, 0..all, 0..all).prop_map(|(a, b, v)| Cube::from_raw(a | b, v & (a | b)))
+    }
+
+    /// Every minterm outside `sop` ∪ `dc`, each as a full cube: the exact
+    /// OFF-set, built without the minimizer's own kernels.
+    fn off_set(sop: &Sop, dc: &Sop) -> Vec<Cube> {
+        let full = (1u64 << OFF_SET_VARS) - 1;
+        (0..=full)
+            .filter(|&m| !sop.eval(m) && !dc.eval(m))
+            .map(|m| Cube::from_raw(full, m))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Expanding against the exact OFF-set gives the tautology path's
+        /// cover cube for cube, at every effort.
+        #[test]
+        fn off_set_expansion_matches_tautology_expansion(
+            f in proptest::collection::vec(arb_cube(), 0..12),
+            dc in proptest::collection::vec(arb_cube(), 0..4),
+        ) {
+            let f = Sop::from_cubes(OFF_SET_VARS, f);
+            let dc = Sop::from_cubes(OFF_SET_VARS, dc);
+            let off = off_set(&f, &dc);
+            for effort in [Effort::Low, Effort::Medium, Effort::High] {
+                prop_assert_eq!(
+                    minimize_with_off(&f, &dc, &off, effort),
+                    minimize_with_dc(&f, &dc, effort),
+                    "f = {}, dc = {}, effort {:?}", f, dc, effort
+                );
+            }
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! FSM synthesis: symbolic machine + state encoding -> boolean network.
 
+use crate::cube::Cube;
 use crate::encode::{Encoding, EncodingStyle};
 use crate::fsm::Fsm;
 use crate::minimize::{self, Effort};
@@ -23,7 +24,10 @@ impl FsmNetwork {
     ///
     /// One-hot encodings use the standard single-literal state condition
     /// (valid because exactly one state bit is ever set); dense encodings
-    /// use the full code as the condition.
+    /// use the full code as the condition. A dense-encoded machine that
+    /// passes [`Fsm::validate`] expands each cover against its OFF-set,
+    /// the transition terms the cover leaves out; any other machine
+    /// expands by tautology checking. Both give the same covers.
     ///
     /// # Panics
     ///
@@ -36,7 +40,7 @@ impl FsmNetwork {
         assert!(num_vars <= 64, "state bits + inputs exceed 64 variables");
 
         let state_cube = |state: usize| {
-            let mut c = crate::cube::Cube::universe();
+            let mut c = Cube::universe();
             match encoding.style() {
                 EncodingStyle::OneHot => {
                     c = c.with_lit(state, true);
@@ -51,8 +55,25 @@ impl FsmNetwork {
             c
         };
 
-        let mut next_state = vec![Sop::zero(num_vars); bits];
-        let mut outputs = vec![Sop::zero(num_vars); fsm.num_outputs()];
+        // A validated machine's guards partition each state's inputs, so
+        // under a dense encoding of exactly its states, its transition
+        // terms and the unused codes partition the whole space: the terms
+        // a cover leaves out are exactly its OFF-set. One-hot state
+        // conditions are single literals that overlap on invalid codes, so
+        // there the left-out terms are no OFF-set, and a computed
+        // complement costs more than it saves.
+        let dense = matches!(
+            encoding.style(),
+            EncodingStyle::Compact | EncodingStyle::Gray
+        );
+        let exact_off =
+            dense && encoding.codes().len() == fsm.num_states() && fsm.validate().is_ok();
+
+        // Raw covers: the next-state bits, then the outputs; with an exact
+        // OFF-set, the terms each cover leaves out.
+        let num_covers = bits + fsm.num_outputs();
+        let mut covers = vec![Sop::zero(num_vars); num_covers];
+        let mut off = vec![Vec::new(); if exact_off { num_covers } else { 0 }];
 
         for t in fsm.transitions() {
             // Shift the guard's input variables above the state bits.
@@ -63,14 +84,15 @@ impl FsmNetwork {
                 }
             }
             let to_code = encoding.code(t.to);
-            for (b, sop) in next_state.iter_mut().enumerate() {
-                if to_code >> b & 1 != 0 {
+            for (i, sop) in covers.iter_mut().enumerate() {
+                let holds = match i.checked_sub(bits) {
+                    None => to_code >> i & 1 != 0,
+                    Some(o) => t.outputs >> o & 1 != 0,
+                };
+                if holds {
                     sop.add_cube(term);
-                }
-            }
-            for (o, sop) in outputs.iter_mut().enumerate() {
-                if t.outputs >> o & 1 != 0 {
-                    sop.add_cube(term);
+                } else if exact_off {
+                    off[i].push(term);
                 }
             }
         }
@@ -85,7 +107,7 @@ impl FsmNetwork {
                 let mut dc = Sop::zero(num_vars);
                 for code in 0..(1u64 << bits) {
                     if encoding.decode(code).is_none() {
-                        let mut c = crate::cube::Cube::universe();
+                        let mut c = Cube::universe();
                         for b in 0..bits {
                             c = c.with_lit(b, code >> b & 1 != 0);
                         }
@@ -95,14 +117,23 @@ impl FsmNetwork {
                 minimize::minimize(&dc, Effort::Medium)
             }
         };
-        let next_state = next_state
-            .iter()
-            .map(|s| minimize::minimize_with_dc(s, &dc, effort))
-            .collect();
-        let outputs = outputs
-            .iter()
-            .map(|s| minimize::minimize_with_dc(s, &dc, effort))
-            .collect();
+        // Grant outputs often equal next-state bits, so each distinct raw
+        // cover is minimized once and later copies reuse the result. Equal
+        // covers have equal OFF-sets, so the result does not depend on
+        // which copy came first.
+        let mut minimized: Vec<Sop> = Vec::with_capacity(num_covers);
+        for (i, sop) in covers.iter().enumerate() {
+            let min = match covers[..i].iter().position(|earlier| earlier == sop) {
+                Some(j) => minimized[j].clone(),
+                None => match off.get(i) {
+                    Some(off) => minimize::minimize_with_off(sop, &dc, off, effort),
+                    None => minimize::minimize_with_dc(sop, &dc, effort),
+                },
+            };
+            minimized.push(min);
+        }
+        let outputs = minimized.split_off(bits);
+        let next_state = minimized;
 
         Self {
             encoding: encoding.clone(),
@@ -267,5 +298,30 @@ mod tests {
         let enc = Encoding::assign(&fsm, EncodingStyle::OneHot);
         let net = FsmNetwork::synthesize(&fsm, enc.clone(), Effort::Low);
         assert_eq!(net.reset_code(), enc.code(fsm.reset_state()));
+    }
+
+    #[test]
+    fn codes_of_a_larger_machine_stay_off() {
+        // An encoding assigned for four states gives the rotator's three
+        // states their usual codes, but code 3 names a state and is no
+        // don't-care. No transition covers it, so every cover must be 0
+        // there: the terms a cover leaves out are not its whole OFF-set.
+        let fsm = rotator();
+        let mut larger = rotator();
+        larger.add_state("S3");
+        for style in [EncodingStyle::Compact, EncodingStyle::Gray] {
+            let enc = Encoding::assign(&larger, style);
+            let unused = enc.code(3);
+            for effort in [Effort::Medium, Effort::High] {
+                let net = FsmNetwork::synthesize(&fsm, enc.clone(), effort);
+                for inputs in 0..4u64 {
+                    assert_eq!(
+                        net.step_encoded(unused, inputs),
+                        (0, 0),
+                        "{style} {effort:?}"
+                    );
+                }
+            }
+        }
     }
 }
