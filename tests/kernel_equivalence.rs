@@ -71,6 +71,9 @@ const GOLDEN_STATS: &[(&str, KernelStats)] = &[
     ("dense", stats(10000, 0, 0)),
     ("contended", stats(19201, 0, 0)),
     ("long_compute_contention", stats(561, 2961, 20)),
+    ("long_compute_contention_random", stats(3522, 0, 0)),
+    ("random_stuck_grant_window", stats(285, 0, 0)),
+    ("random_resumed_mid_skip", stats(237, 0, 0)),
     ("fft_block", stats(183, 2, 1)),
     ("saturated_4way_cosim", stats(513, 0, 0)),
 ];
@@ -96,6 +99,7 @@ const GOLDEN_WORK: &[(&str, [u64; 5])] = &[
     ("dense", [40000, 0, 0, 40000, 0]),
     ("contended", [31999, 274857, 0, 12800, 0]),
     ("long_compute_contention", [1135, 77, 3192, 320, 0]),
+    ("long_compute_contention_random", [1135, 77, 26880, 320, 0]),
     ("fft_block", [329, 235, 20, 144, 0]),
 ];
 
@@ -681,13 +685,28 @@ fn window_end_graph() -> TaskGraph {
 /// are identical, pins the batched skip decisions as `name`, and
 /// returns the batched run's fault report.
 fn assert_agree_at_window_end(name: &str, graph: &TaskGraph, plan: &FaultPlan) -> FaultReport {
+    assert_agree_under_policy(name, graph, plan, PolicyKind::RoundRobin)
+}
+
+/// [`assert_agree_at_window_end`] with the arbiters under `policy`.
+fn assert_agree_under_policy(
+    name: &str,
+    graph: &TaskGraph,
+    plan: &FaultPlan,
+    policy: PolicyKind,
+) -> FaultReport {
     let board = presets::duo_small();
     let binding = bind_segments(graph.segments(), &board, &|_| None).expect("binds");
     let merges = ChannelMergePlan::default();
     let arb_plan = insert_arbiters(graph, &binding, &merges, &InsertionConfig::paper());
     let [legacy, batched] = KERNELS.map(|kernel| {
         let mut sys = SystemBuilder::from_plan(&arb_plan, &binding, &merges)
-            .with_config(SimConfig::new().with_trace(true).with_kernel(kernel))
+            .with_config(
+                SimConfig::new()
+                    .with_policy(policy)
+                    .with_trace(true)
+                    .with_kernel(kernel),
+            )
             .with_faults(plan.clone())
             .try_build(&board)
             .unwrap();
@@ -809,6 +828,58 @@ fn kernels_agree_when_a_task_hang_opens_mid_compute() {
     let plan = FaultPlan::seeded(1).with_task_hang(TaskId::new(1), FaultWindow::new(12, 19));
     let faults = assert_agree_at_window_end("task_hang_mid_compute", &window_end_graph(), &plan);
     assert_eq!(faults.injected, 1, "the hang must fire once: {faults:?}");
+}
+
+/// Eight tasks on duo_small's one bank, each computing 60 cycles and
+/// then reading and writing its own segment, three times over, under
+/// the random policy: the first compute is one skip over an idle
+/// arbiter, and the next grant order is read off the LFSR phase that
+/// skip left behind.
+fn random_phase_graph() -> TaskGraph {
+    long_compute_contention_graph(3, 60)
+}
+
+/// A stuck-grant window under the random policy that opens late in the
+/// first compute and closes once every task queues behind `T0`, which
+/// holds a grant it cannot see: the skip over the idle arbiter is
+/// clamped at the window's start, the window's cycles execute, and the
+/// grant order after it is read off the LFSR phase the skip and the
+/// executed cycles left behind.
+#[test]
+fn kernels_agree_when_a_stuck_grant_window_cuts_a_random_skip() {
+    let plan = FaultPlan::seeded(1).with_stuck_grant(
+        ArbiterId::new(0),
+        0,
+        false,
+        FaultWindow::new(58, 130),
+    );
+    assert_agree_under_policy(
+        "random_stuck_grant_window",
+        &random_phase_graph(),
+        &plan,
+        PolicyKind::Random,
+    );
+}
+
+/// A random-policy run cut in the middle of the first compute's skip
+/// and resumed: the LFSR phase carries across the two runs, so both
+/// partial reports, the VCD and memory match legacy.
+#[test]
+fn kernels_agree_when_a_random_run_is_resumed_mid_skip() {
+    let graph = random_phase_graph();
+    let board = presets::duo_small();
+    let [legacy, batched] = KERNELS.map(|kernel| {
+        let mut sys = builder(&graph, &board, true, PolicyKind::Random, 1, kernel)
+            .try_build(&board)
+            .unwrap();
+        let first = sys.run(33);
+        let (second, vcd, memory, stats) = run_observed(sys, graph.segments());
+        (first, (second, vcd, memory, stats))
+    });
+    assert_eq!(batched.0, legacy.0, "the cut run's report diverged");
+    assert_equivalent(&legacy.1, &batched.1);
+    assert!(!batched.0.completed && batched.1 .0.completed);
+    assert_golden_stats("random_resumed_mid_skip", batched.1 .3);
 }
 
 /// The progress watchdog armed tighter than a compute: `producer`
@@ -972,27 +1043,36 @@ fn long_compute_contention_graph(iters: u32, compute: u32) -> TaskGraph {
 }
 
 /// The sparse, dense, contended and long-compute workloads, each
-/// arbitrated under the paper's insertion: reports, VCD and memory
+/// arbitrated under the paper's insertion (the long-compute one under
+/// the round-robin and the random policy): reports, VCD and memory
 /// match legacy, every run finishes, and the batched skip decisions and
 /// work counters are pinned.
 #[test]
 fn kernels_agree_on_sparse_dense_and_contended_workloads() {
     let duo = presets::duo_small();
     let wildforce = presets::wildforce();
-    for (name, graph, board) in [
-        ("sparse", sparse_graph(50), &duo),
-        ("dense", read_modify_write_graph(4, 5_000), &wildforce),
-        ("contended", read_modify_write_graph(16, 400), &duo),
+    let rr = PolicyKind::RoundRobin;
+    for (name, graph, board, policy) in [
+        ("sparse", sparse_graph(50), &duo, rr),
+        ("dense", read_modify_write_graph(4, 5_000), &wildforce, rr),
+        ("contended", read_modify_write_graph(16, 400), &duo, rr),
         (
             "long_compute_contention",
             long_compute_contention_graph(20, 170),
             &duo,
+            rr,
+        ),
+        (
+            "long_compute_contention_random",
+            long_compute_contention_graph(20, 170),
+            &duo,
+            PolicyKind::Random,
         ),
     ] {
-        let batched = assert_kernels_agree(&graph, board, true, PolicyKind::RoundRobin, 2);
+        let batched = assert_kernels_agree(&graph, board, true, policy, 2);
         assert!(batched.0.completed, "{name}: the workload must finish");
         assert_golden_stats(name, batched.3);
-        let work = observe_work(&graph, board, PolicyKind::RoundRobin, 2, &batched.0);
+        let work = observe_work(&graph, board, policy, 2, &batched.0);
         assert_golden_work(name, work);
     }
 }
