@@ -80,28 +80,44 @@ pub trait Policy: fmt::Debug {
 
     /// The grant fixed point under a *held* request word, if any.
     ///
-    /// `Some(grant)` promises that, starting from the current state,
-    /// every future [`step`](Self::step) with the same `requests` word
-    /// returns exactly `grant` and leaves all observable state (grants,
-    /// internal counters, pointers) unchanged. The batched
-    /// simulation kernel uses this to prove an arbiter quiescent and
-    /// skip whole cycles; the legacy kernel cross-checks the promise
+    /// `Some(grant)` promises two things, starting from the current
+    /// state:
+    ///
+    /// - every later [`step`](Self::step) with the same `requests` word
+    ///   returns exactly `grant`;
+    /// - the only state such a step moves is state that does not depend
+    ///   on the requests (the random policy's free-running LFSR), so
+    ///   [`skip`](Self::skip) can advance it without stepping.
+    ///
+    /// The batched simulation kernel uses this to prove an arbiter
+    /// quiescent, skip whole cycles and then [`skip`](Self::skip) the
+    /// policy over them; the legacy kernel cross-checks the promise
     /// against `step` in debug builds.
     ///
     /// The default is the always-safe `None` ("never provably steady"),
-    /// which only costs performance, never correctness. Implementations
-    /// whose state advances every cycle regardless of requests (for
-    /// example an LFSR) must keep the default.
+    /// which only costs performance, never correctness.
     fn next_grant(&self, requests: u64) -> Option<u64> {
         let _ = requests;
         None
+    }
+
+    /// Advances the request-independent state exactly as `cycles`
+    /// [`step`](Self::step)s under a held word would. The kernel calls
+    /// it only across spans where a [`next_grant`](Self::next_grant)
+    /// promise held.
+    ///
+    /// The default does nothing, which is right for every policy whose
+    /// promise already freezes all of its state.
+    fn skip(&mut self, cycles: u64) {
+        let _ = cycles;
     }
 }
 
 /// Constructs a behavioural arbiter of the given kind for `n` tasks.
 ///
-/// The random policy is seeded deterministically from `n` so repeated runs
-/// are reproducible; use [`crate::random::RandomArbiter::with_seed`] for
+/// The random policy starts its LFSR from the fixed
+/// [`crate::random::LFSR_SEED`] whatever `n` is, so repeated runs are
+/// reproducible; use [`crate::random::RandomArbiter::with_seed`] for
 /// explicit control.
 ///
 /// # Panics
@@ -202,11 +218,9 @@ mod tests {
                 }
                 let _ = p.step(req);
             }
-            // Every policy except the LFSR-driven one reaches fixed
-            // points under random traffic (idle words at minimum).
-            if kind != PolicyKind::Random {
-                assert!(claims > 0, "{kind} never claimed a fixed point");
-            }
+            // Every policy reaches fixed points under random traffic
+            // (idle words at minimum).
+            assert!(claims > 0, "{kind} never claimed a fixed point");
         }
     }
 }

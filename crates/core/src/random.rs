@@ -17,9 +17,50 @@ pub const LFSR_SEED: u8 = 0x5A;
 /// Fibonacci LFSR taps for width 8: x^8 + x^6 + x^5 + x^4 + 1.
 const TAPS: [usize; 4] = [7, 5, 4, 3];
 
-fn lfsr_next(state: u8) -> u8 {
-    let fb = TAPS.iter().fold(0u8, |acc, &t| acc ^ (state >> t & 1));
+const fn lfsr_next(state: u8) -> u8 {
+    let mut fb = 0;
+    let mut i = 0;
+    while i < TAPS.len() {
+        fb ^= state >> TAPS[i] & 1;
+        i += 1;
+    }
     state << 1 | fb
+}
+
+/// The LFSR's period. It is maximal-length, so its 255 non-zero states
+/// form a single cycle (`lfsr_has_long_period` pins this) and any
+/// non-zero seed lies on it.
+const PERIOD: usize = 255;
+
+/// The non-zero LFSR states in stepping order, starting from 1.
+const ORBIT: [u8; PERIOD] = {
+    let mut orbit = [0; PERIOD];
+    let mut state = 1;
+    let mut i = 0;
+    while i < PERIOD {
+        orbit[i] = state;
+        state = lfsr_next(state);
+        i += 1;
+    }
+    orbit
+};
+
+/// Each state's position in [`ORBIT`] (the all-zero state, which no
+/// seed reaches, maps to 0).
+const PHASE: [u8; 256] = {
+    let mut phase = [0; 256];
+    let mut i = 0;
+    while i < PERIOD {
+        phase[ORBIT[i] as usize] = i as u8;
+        i += 1;
+    }
+    phase
+};
+
+/// The LFSR state `k` steps after the non-zero `state`, in O(1).
+fn lfsr_jump(state: u8, k: u64) -> u8 {
+    let at = PHASE[state as usize] as usize + (k % PERIOD as u64) as usize;
+    ORBIT[at % PERIOD]
 }
 
 /// Behavioural random arbiter with a holder lock.
@@ -98,26 +139,15 @@ impl RandomArbiter {
         // Decode the scan start s from the low k LFSR bits, with the
         // v >= n wraparound handled by also accepting v == s + n.
         let eq_const = |b: &mut CircuitBuilder, value: usize| {
-            let lits: Vec<_> = (0..k)
+            let terms: Vec<_> = (0..k)
                 .map(|bit| {
                     if value >> bit & 1 != 0 {
                         lfsr[bit]
                     } else {
-                        // negate below
-                        lfsr[bit]
+                        b.not(lfsr[bit])
                     }
                 })
                 .collect();
-            // Build AND of polarized bits.
-            let mut terms = Vec::with_capacity(k);
-            for (bit, &l) in lits.iter().enumerate() {
-                if value >> bit & 1 != 0 {
-                    terms.push(l);
-                } else {
-                    let nl = b.not(l);
-                    terms.push(nl);
-                }
-            }
             b.and_many(&terms)
         };
         let decodes: Vec<_> = (0..n)
@@ -201,12 +231,22 @@ impl Policy for RandomArbiter {
         self.holder = None;
     }
 
-    fn next_grant(&self, _requests: u64) -> Option<u64> {
-        // The LFSR advances on every step regardless of the request
-        // word, so this policy is never at a fixed point: the
-        // batched kernel must execute every cycle under it to keep
-        // the pseudo-random sequence bit-identical to the legacy loop.
-        None
+    fn next_grant(&self, requests: u64) -> Option<u64> {
+        // The LFSR advances on every step whatever the requests, but
+        // only a fresh scan reads it. A holder that still requests keeps
+        // its grant, and an idle arbiter with no holder stays idle, so
+        // neither reads the LFSR and `skip` replays it. Any other word
+        // starts a scan or drops the holder.
+        let requests = requests & mask(self.n);
+        match self.holder {
+            Some(h) if requests >> h & 1 != 0 => Some(1 << h),
+            None if requests == 0 => Some(0),
+            _ => None,
+        }
+    }
+
+    fn skip(&mut self, cycles: u64) {
+        self.lfsr = lfsr_jump(self.lfsr, cycles);
     }
 }
 
@@ -242,6 +282,17 @@ mod tests {
             }
         }
         assert_eq!(period, 255, "maximal-length 8-bit LFSR expected");
+    }
+
+    #[test]
+    fn table_jump_equals_stepping() {
+        for start in 1..=u8::MAX {
+            let mut stepped = start;
+            for k in 0..=600u64 {
+                assert_eq!(lfsr_jump(start, k), stepped, "state {start:#04x}, k = {k}");
+                stepped = lfsr_next(stepped);
+            }
+        }
     }
 
     #[test]

@@ -151,7 +151,9 @@ impl ArbiterSim {
     /// policy's [`next_grant`](Policy::next_grant) promise, suppressed
     /// while co-simulation is on (the netlist state must advance in
     /// lock step every cycle, so a co-simulated arbiter is never
-    /// skippable).
+    /// skippable). The promise may leave request-independent policy
+    /// state moving, the random policy's LFSR; [`Policy::skip`]
+    /// replays it.
     pub fn steady_grant(&self, word: u64) -> Option<u64> {
         if self.cosim.is_some() {
             return None;
@@ -217,7 +219,7 @@ impl ArbiterSim {
     /// - the word equals the one sampled in the executed cycle (no
     ///   request edge is pending, so the VCD request signals hold), and
     /// - the promised fixed point is the executed cycle's grant (so the
-    ///   grant signals hold and no FSM state moves), and
+    ///   grant signals hold and no request-dependent state moves), and
     /// - at most one port is granted (a multi-grant word must execute so
     ///   the `MultipleGrants` violation is recorded per cycle).
     ///
@@ -236,13 +238,17 @@ impl ArbiterSim {
 
     /// Bulk-accounts `cycles` skipped cycles during which the arbiter
     /// was [steady](Self::steady_for), so it kept issuing its last
-    /// grant: the counters advance exactly as `cycles` live steps would
-    /// have advanced them, without touching policy state.
+    /// grant: the counters and the policy's request-independent state
+    /// ([`Policy::skip`]) advance exactly as `cycles` live steps would
+    /// have advanced them. The random policy has no FSM lane, so its
+    /// boxed policy is the live state and its LFSR jumps here; a lane
+    /// policy's skip is the no-op default.
     pub(crate) fn skip(&mut self, cycles: u64) {
         if self.last_grant != 0 {
             self.grants_issued += cycles;
             self.port_grants[self.last_grant.trailing_zeros() as usize] += cycles;
         }
+        self.policy.skip(cycles);
     }
 }
 

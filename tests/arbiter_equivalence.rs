@@ -1,11 +1,16 @@
 //! Property tests: the three representations of the round-robin arbiter
 //! (behavioural model, Fig. 5 symbolic FSM, synthesized gate-level
 //! netlist under every tool/encoding) agree on every cycle of every
-//! request stream.
+//! request stream, and every policy's `next_grant` promise and `skip`
+//! replay what held steps would do.
 
 use proptest::prelude::*;
-use rcarb::arb::policy::Policy;
+use rcarb::arb::fifo::FifoArbiter;
+use rcarb::arb::policy::{Policy, PolicyKind, DEFAULT_PREEMPT_QUANTUM};
+use rcarb::arb::preempt::PreemptiveRoundRobin;
 use rcarb::arb::prefix::{prefix_first_requester, PrefixRoundRobin};
+use rcarb::arb::priority::StaticPriorityArbiter;
+use rcarb::arb::random::RandomArbiter;
 use rcarb::arb::rr::{round_robin_fsm, RoundRobinArbiter};
 use rcarb::logic::encode::EncodingStyle;
 use rcarb::logic::tools::ToolModel;
@@ -14,6 +19,60 @@ fn word_from_bits(bits: &[bool]) -> u64 {
     bits.iter()
         .enumerate()
         .fold(0, |w, (i, &b)| if b { w | 1 << i } else { w })
+}
+
+/// The skip oracle for one policy over `n` ports. After each warm-up
+/// word `w` on which `next_grant(w)` promises `Some(g)`, a clone stepped
+/// `k` times under `w` must grant `g` every time, and the original,
+/// `skip(k)`-ed instead, must then grant exactly as that clone over
+/// `tail`.
+fn check_skip_oracle<P: Policy + Clone>(
+    mut p: P,
+    n: usize,
+    words: &[u64],
+    ks: &[u64],
+    tail: &[u64],
+) -> Result<(), TestCaseError> {
+    let kind = p.kind();
+    let mask = (1u64 << n) - 1;
+    let mut claims = 0;
+    for &raw in words {
+        let w = raw & mask;
+        if let Some(g) = p.next_grant(w) {
+            let k = ks[claims % ks.len()];
+            claims += 1;
+            let mut stepped = p.clone();
+            for i in 0..k {
+                prop_assert_eq!(
+                    stepped.step(w),
+                    g,
+                    "{} n={} broke its promise on {:#b} at step {} of {}",
+                    kind,
+                    n,
+                    w,
+                    i,
+                    k
+                );
+            }
+            p.skip(k);
+            let mut skipped = p.clone();
+            for &t in tail {
+                let t = t & mask;
+                prop_assert_eq!(
+                    skipped.step(t),
+                    stepped.step(t),
+                    "{} n={}: skip({}) diverged from {} held steps of {:#b}",
+                    kind,
+                    n,
+                    k,
+                    k,
+                    w
+                );
+            }
+        }
+        let _ = p.step(w);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -127,6 +186,58 @@ proptest! {
                 let mut probe = fast.clone();
                 prop_assert_eq!(probe.step(req), promised);
             }
+        }
+    }
+
+    /// Every policy's steadiness promise is kept by `step`, and `skip`
+    /// over a promised span equals stepping it: for each kind and a
+    /// width of 1..=16 ports, over random warm-up streams, at every
+    /// promise, with spans around the random policy's 255-cycle LFSR
+    /// period and beyond.
+    #[test]
+    fn skip_replays_held_steps_for_every_policy(
+        n in 1usize..=16,
+        words in proptest::collection::vec(
+            prop_oneof![Just(0u64), 0u64..8, any::<u64>()],
+            1..80,
+        ),
+        ks in proptest::collection::vec(
+            prop_oneof![
+                Just(1u64),
+                Just(2u64),
+                Just(254u64),
+                Just(255u64),
+                Just(256u64),
+                Just(1000u64),
+                1u64..=3000,
+            ],
+            1..8,
+        ),
+        tail in proptest::collection::vec(any::<u64>(), 300),
+    ) {
+        for kind in PolicyKind::ALL {
+            match kind {
+                PolicyKind::RoundRobin => {
+                    check_skip_oracle(RoundRobinArbiter::new(n), n, &words, &ks, &tail)
+                }
+                PolicyKind::Random => {
+                    check_skip_oracle(RandomArbiter::new(n), n, &words, &ks, &tail)
+                }
+                PolicyKind::Fifo => check_skip_oracle(FifoArbiter::new(n), n, &words, &ks, &tail),
+                PolicyKind::StaticPriority => {
+                    check_skip_oracle(StaticPriorityArbiter::new(n), n, &words, &ks, &tail)
+                }
+                PolicyKind::PreemptiveRoundRobin => check_skip_oracle(
+                    PreemptiveRoundRobin::new(n, DEFAULT_PREEMPT_QUANTUM),
+                    n,
+                    &words,
+                    &ks,
+                    &tail,
+                ),
+                PolicyKind::PrefixRoundRobin => {
+                    check_skip_oracle(PrefixRoundRobin::new(n), n, &words, &ks, &tail)
+                }
+            }?;
         }
     }
 

@@ -71,9 +71,9 @@ const GOLDEN_STATS: &[(&str, KernelStats)] = &[
     ("dense", stats(10000, 0, 0)),
     ("contended", stats(19201, 0, 0)),
     ("long_compute_contention", stats(561, 2961, 20)),
-    ("long_compute_contention_random", stats(3522, 0, 0)),
-    ("random_stuck_grant_window", stats(285, 0, 0)),
-    ("random_resumed_mid_skip", stats(237, 0, 0)),
+    ("long_compute_contention_random", stats(561, 2961, 20)),
+    ("random_stuck_grant_window", stats(155, 130, 3)),
+    ("random_resumed_mid_skip", stats(109, 128, 4)),
     ("fft_block", stats(183, 2, 1)),
     ("saturated_4way_cosim", stats(513, 0, 0)),
 ];
@@ -99,7 +99,7 @@ const GOLDEN_WORK: &[(&str, [u64; 5])] = &[
     ("dense", [40000, 0, 0, 40000, 0]),
     ("contended", [31999, 274857, 0, 12800, 0]),
     ("long_compute_contention", [1135, 77, 3192, 320, 0]),
-    ("long_compute_contention_random", [1135, 77, 26880, 320, 0]),
+    ("long_compute_contention_random", [1135, 77, 3192, 320, 0]),
     ("fft_block", [329, 235, 20, 144, 0]),
 ];
 
