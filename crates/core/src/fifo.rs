@@ -18,9 +18,10 @@ use rcarb_logic::structural::CircuitBuilder;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FifoArbiter {
     n: usize,
-    /// `older[i * n + j]`: i's pending request predates j's.
-    older: Vec<bool>,
-    prev_req: Vec<bool>,
+    /// Bit `j` of `older[i]`: i's pending request predates j's.
+    older: [u32; 32],
+    /// The request word sampled last cycle (the edge detectors).
+    prev_req: u64,
     holder: Option<usize>,
 }
 
@@ -34,8 +35,8 @@ impl FifoArbiter {
         assert!((1..=32).contains(&n), "fifo arbiter supports 1..=32 tasks");
         Self {
             n,
-            older: vec![false; n * n],
-            prev_req: vec![false; n],
+            older: [0; 32],
+            prev_req: 0,
             holder: None,
         }
     }
@@ -112,15 +113,16 @@ impl FifoArbiter {
     }
 
     fn effective_older(&self, i: usize, j: usize, req: u64) -> bool {
-        let new_i = req >> i & 1 != 0 && !self.prev_req[i];
-        let new_j = req >> j & 1 != 0 && !self.prev_req[j];
+        let new = req & !self.prev_req;
+        let new_i = new >> i & 1 != 0;
+        let new_j = new >> j & 1 != 0;
         if new_i {
             let rj = req >> j & 1 != 0;
             !rj || (new_j && i < j)
         } else if new_j {
             true
         } else {
-            self.older[i * self.n + j]
+            self.older[i] >> j & 1 != 0
         }
     }
 }
@@ -155,24 +157,22 @@ impl Policy for FifoArbiter {
             1 << winner
         };
         // Clock edge: update matrix and edge detectors.
-        let mut next = self.older.clone();
-        for i in 0..self.n {
+        let mut next = [0u32; 32];
+        for (i, row) in next.iter_mut().enumerate().take(self.n) {
             for j in 0..self.n {
-                if i != j {
-                    next[i * self.n + j] = self.effective_older(i, j, requests);
+                if i != j && self.effective_older(i, j, requests) {
+                    *row |= 1 << j;
                 }
             }
         }
         self.older = next;
-        for i in 0..self.n {
-            self.prev_req[i] = requests >> i & 1 != 0;
-        }
+        self.prev_req = requests;
         grant
     }
 
     fn reset(&mut self) {
-        self.older.fill(false);
-        self.prev_req.fill(false);
+        self.older = [0; 32];
+        self.prev_req = 0;
         self.holder = None;
     }
 
@@ -181,8 +181,7 @@ impl Policy for FifoArbiter {
         // The age matrix only moves on request *edges*; with the edge
         // detectors settled (`prev_req` equals the held word) the matrix
         // update rewrites itself and the grant is combinationally fixed.
-        let settled = (0..self.n).all(|i| self.prev_req[i] == (requests >> i & 1 != 0));
-        if !settled {
+        if self.prev_req != requests {
             return None;
         }
         match self.holder {

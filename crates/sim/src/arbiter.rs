@@ -22,7 +22,9 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct ArbiterSim {
     id: ArbiterId,
-    ports: Vec<Vec<TaskId>>,
+    /// Every port's member tasks as `(port, task)` pairs in port order:
+    /// the whole port map in one allocation.
+    members: Vec<(usize, TaskId)>,
     policy: Box<dyn Policy>,
     cosim: Option<Cosim>,
     grants_issued: u64,
@@ -47,12 +49,17 @@ impl ArbiterSim {
     /// # Panics
     ///
     /// Panics if `ports` is empty.
-    pub fn new(id: ArbiterId, ports: Vec<Vec<TaskId>>, kind: PolicyKind) -> Self {
+    pub fn new(id: ArbiterId, ports: &[Vec<TaskId>], kind: PolicyKind) -> Self {
         assert!(!ports.is_empty(), "arbiter needs at least one port");
         let n = ports.len();
+        let members = ports
+            .iter()
+            .enumerate()
+            .flat_map(|(p, tasks)| tasks.iter().map(move |&t| (p, t)))
+            .collect();
         Self {
             id,
-            ports,
+            members,
             policy: policy::build(kind, n),
             cosim: None,
             grants_issued: 0,
@@ -83,7 +90,7 @@ impl ArbiterSim {
             ),
             "co-simulation is wired for the FSM-based policies"
         );
-        let spec = ArbiterSpec::round_robin(self.ports.len()).with_policy(kind);
+        let spec = ArbiterSpec::round_robin(self.num_ports()).with_policy(kind);
         let synth = ArbiterGenerator::new().synthesize(&spec, &ToolModel::synplify());
         let state = synth.netlist.reset_state();
         self.cosim = Some(Cosim { synth, state });
@@ -97,12 +104,15 @@ impl ArbiterSim {
 
     /// Number of ports.
     pub fn num_ports(&self) -> usize {
-        self.ports.len()
+        self.port_grants.len()
     }
 
     /// The port a task drives, if any.
     pub fn port_of(&self, task: TaskId) -> Option<usize> {
-        self.ports.iter().position(|g| g.contains(&task))
+        self.members
+            .iter()
+            .find(|&&(_, t)| t == task)
+            .map(|&(p, _)| p)
     }
 
     /// Total grants issued so far.
@@ -133,8 +143,8 @@ impl ArbiterSim {
     /// hardware wires them.
     pub fn request_word(&self, requesting: &dyn Fn(TaskId) -> bool) -> u64 {
         let mut word = 0u64;
-        for (p, tasks) in self.ports.iter().enumerate() {
-            if tasks.iter().any(|&t| requesting(t)) {
+        for &(p, t) in &self.members {
+            if word >> p & 1 == 0 && requesting(t) {
                 word |= 1 << p;
             }
         }
@@ -182,7 +192,9 @@ impl ArbiterSim {
         }
         self.note_step(word, grants);
         if let Some(cosim) = &mut self.cosim {
-            let bits: Vec<bool> = (0..self.ports.len()).map(|i| word >> i & 1 != 0).collect();
+            let bits: Vec<bool> = (0..self.port_grants.len())
+                .map(|i| word >> i & 1 != 0)
+                .collect();
             let hw = cosim.synth.netlist.step(&mut cosim.state, &bits);
             let hw_word = hw
                 .iter()
@@ -266,7 +278,7 @@ mod tests {
         // Port 0 carries tasks 0 and 2 (disjoint phases).
         let mut a = ArbiterSim::new(
             ArbiterId::new(0),
-            vec![vec![t(0), t(2)], vec![t(1)]],
+            &[vec![t(0), t(2)], vec![t(1)]],
             PolicyKind::RoundRobin,
         );
         // Task 2 requesting lights up port 0.
@@ -281,7 +293,7 @@ mod tests {
     fn cosim_stays_in_lockstep() {
         let mut a = ArbiterSim::new(
             ArbiterId::new(0),
-            (0..4).map(|i| vec![t(i)]).collect(),
+            &(0..4).map(|i| vec![t(i)]).collect::<Vec<_>>(),
             PolicyKind::RoundRobin,
         )
         .with_cosim();
@@ -301,7 +313,7 @@ mod tests {
     fn preemptive_cosim_stays_in_lockstep() {
         let mut a = ArbiterSim::new(
             ArbiterId::new(0),
-            (0..3).map(|i| vec![t(i)]).collect(),
+            &(0..3).map(|i| vec![t(i)]).collect::<Vec<_>>(),
             PolicyKind::PreemptiveRoundRobin,
         )
         .with_cosim();
@@ -321,7 +333,7 @@ mod tests {
     fn grants_issued_counts_active_cycles() {
         let mut a = ArbiterSim::new(
             ArbiterId::new(0),
-            vec![vec![t(0)], vec![t(1)]],
+            &[vec![t(0)], vec![t(1)]],
             PolicyKind::RoundRobin,
         );
         assert_eq!(a.step(&|_| false), 0);

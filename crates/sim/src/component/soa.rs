@@ -7,14 +7,15 @@
 //!
 //! - [`ReqMatrix`] — every arbiter's request word as a `u64` bitset,
 //!   maintained incrementally from request-line *edges* instead of being
-//!   reassembled from scratch;
+//!   reassembled from scratch, beside the words each arbiter sampled and
+//!   granted in the executing cycle;
 //! - [`FsmLanes`] — the round-robin arbiter FSMs as parallel arrays
 //!   (per-lane priority pointer, packed claimed bits), stepped with the
 //!   word-level [`prefix_first_requester`] network instead of boxed
 //!   dynamic dispatch;
-//! - [`CycleArena`] — reused per-cycle traffic buffers (grants, request
-//!   words, bank accesses, route sends, pending reads) with dense
-//!   touched-lists replacing the per-cycle `BTreeMap` allocations;
+//! - [`CycleArena`] — reused per-cycle traffic buffers (bank accesses,
+//!   route sends, pending reads) with dense touched-lists replacing the
+//!   per-cycle `BTreeMap` allocations;
 //! - [`DenseTables`] — flat index-addressed lookup tables for segment
 //!   placements, access guards, channel routes and bank slots;
 //! - [`BatchedEnv`] — the [`CycleEnv`] implementation gluing the above
@@ -40,7 +41,8 @@ use rcarb_core::prefix::prefix_first_requester;
 use rcarb_taskgraph::id::{ArbiterId, ChannelId, SegmentId, TaskId, VarId};
 use std::collections::BTreeMap;
 
-/// Every arbiter's request word, maintained incrementally.
+/// Every arbiter's request word, maintained incrementally, beside the
+/// words it sampled and granted in the executing cycle.
 ///
 /// A port's bit is the OR of its member tasks' request lines, exactly
 /// as [`ArbiterSim::request_word`](crate::arbiter::ArbiterSim) wires
@@ -53,15 +55,26 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub(crate) struct ReqMatrix {
     n_tasks: usize,
-    /// Arbiter-major flat LUT: `task_port[a * n_tasks + t]` is the port
-    /// task `t` drives on arbiter `a`, plus one (zero = drives none).
-    task_port: Vec<u16>,
-    /// Per-arbiter offset into `lines`.
-    port_base: Vec<usize>,
-    /// Asserted member lines per (arbiter, port).
-    lines: Vec<u16>,
-    /// Current request word per arbiter.
-    words: Vec<u64>,
+    /// Two tables in one allocation. First the arbiter-major flat LUT:
+    /// `pool[a * n_tasks + t]` is the port task `t` drives on arbiter
+    /// `a`, plus one (zero = drives none). Then the asserted member
+    /// lines per (arbiter, port), from each arbiter's `port_base`.
+    pool: Vec<u16>,
+    /// Per-arbiter words, by arbiter position.
+    arbiters: Vec<ArbiterWords>,
+}
+
+/// One arbiter's row of the [`ReqMatrix`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ArbiterWords {
+    /// Offset of the arbiter's per-port line counts in `pool`.
+    port_base: usize,
+    /// The request word the task lines assemble.
+    word: u64,
+    /// The (possibly fault-perturbed) request word sampled this cycle.
+    sampled: u64,
+    /// The grant word issued this cycle.
+    grant: u64,
 }
 
 impl ReqMatrix {
@@ -69,24 +82,27 @@ impl ReqMatrix {
     /// current request lines.
     pub(crate) fn new(arbiters: &[ArbiterSim], tasks: &[TaskComponent]) -> Self {
         let n_tasks = tasks.len();
-        let mut task_port = vec![0u16; arbiters.len() * n_tasks];
-        let mut port_base = Vec::with_capacity(arbiters.len());
-        let mut total_ports = 0;
+        let lut = arbiters.len() * n_tasks;
+        let total_ports: usize = arbiters.iter().map(ArbiterSim::num_ports).sum();
+        let mut pool = vec![0u16; lut + total_ports];
+        let mut rows = Vec::with_capacity(arbiters.len());
+        let mut port_base = lut;
         for (ai, a) in arbiters.iter().enumerate() {
-            port_base.push(total_ports);
-            total_ports += a.num_ports();
+            rows.push(ArbiterWords {
+                port_base,
+                ..ArbiterWords::default()
+            });
+            port_base += a.num_ports();
             for (ti, t) in tasks.iter().enumerate() {
                 if let Some(p) = a.port_of(t.id()) {
-                    task_port[ai * n_tasks + ti] = (p + 1) as u16;
+                    pool[ai * n_tasks + ti] = (p + 1) as u16;
                 }
             }
         }
         let mut m = Self {
             n_tasks,
-            task_port,
-            port_base,
-            lines: vec![0; total_ports],
-            words: vec![0; arbiters.len()],
+            pool,
+            arbiters: rows,
         };
         for (ai, a) in arbiters.iter().enumerate() {
             for t in tasks {
@@ -100,12 +116,34 @@ impl ReqMatrix {
 
     /// The current request word of the arbiter at `index`.
     pub(crate) fn word(&self, index: usize) -> u64 {
-        self.words[index]
+        self.arbiters[index].word
+    }
+
+    /// The grant word the arbiter at `index` issued this cycle.
+    pub(crate) fn grant(&self, index: usize) -> u64 {
+        self.arbiters.get(index).map_or(0, |a| a.grant)
+    }
+
+    /// Records what the arbiter at `index` sampled and granted this
+    /// cycle.
+    pub(crate) fn note_cycle(&mut self, index: usize, sampled: u64, grant: u64) {
+        let a = &mut self.arbiters[index];
+        a.sampled = sampled;
+        a.grant = grant;
+    }
+
+    /// Every arbiter's sampled request word and grant word this cycle,
+    /// in arbiter order.
+    pub(crate) fn sampled_lines(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.arbiters.iter().map(|a| (a.sampled, a.grant))
     }
 
     /// The port `task` drives on the arbiter at `index`, if any.
     pub(crate) fn port_of(&self, index: usize, task: TaskId) -> Option<usize> {
-        let p = *self.task_port.get(index * self.n_tasks + task.index())?;
+        if index >= self.arbiters.len() || task.index() >= self.n_tasks {
+            return None;
+        }
+        let p = self.pool[index * self.n_tasks + task.index()];
         (p != 0).then(|| (p - 1) as usize)
     }
 
@@ -118,16 +156,17 @@ impl ReqMatrix {
         let Some(p) = self.port_of(index, task) else {
             return;
         };
-        let slot = self.port_base[index] + p;
+        let row = &mut self.arbiters[index];
+        let lines = &mut self.pool[row.port_base + p];
         if now {
-            self.lines[slot] += 1;
-            if self.lines[slot] == 1 {
-                self.words[index] |= 1 << p;
+            *lines += 1;
+            if *lines == 1 {
+                row.word |= 1 << p;
             }
         } else {
-            self.lines[slot] -= 1;
-            if self.lines[slot] == 0 {
-                self.words[index] &= !(1 << p);
+            *lines -= 1;
+            if *lines == 0 {
+                row.word &= !(1 << p);
             }
         }
     }
@@ -245,10 +284,6 @@ fn low_mask(n: usize) -> u64 {
 /// state.
 #[derive(Debug)]
 pub(crate) struct CycleArena {
-    /// Grant word per arbiter (by position), rewritten every cycle.
-    pub(crate) grants: Vec<u64>,
-    /// Sampled (possibly fault-perturbed) request word per arbiter.
-    pub(crate) request_words: Vec<u64>,
     /// Collected accesses per bank slot.
     bank_accesses: Vec<Vec<BankAccess>>,
     /// Bank slots with accesses this cycle.
@@ -263,10 +298,8 @@ pub(crate) struct CycleArena {
 
 impl CycleArena {
     /// Empty buffers for a system of the given shape.
-    pub(crate) fn new(n_arbiters: usize, n_banks: usize, n_routes: usize) -> Self {
+    pub(crate) fn new(n_banks: usize, n_routes: usize) -> Self {
         Self {
-            grants: vec![0; n_arbiters],
-            request_words: vec![0; n_arbiters],
             bank_accesses: vec![Vec::new(); n_banks],
             touched_banks: Vec::new(),
             pending_reads: Vec::new(),
@@ -321,9 +354,8 @@ impl CycleArena {
     /// legacy kernel's `BTreeMap` iterates, which the violation
     /// sequence depends on). Quarantine can append a spare bank whose
     /// id is out of slot order, so slot order is not id order.
-    pub(crate) fn sort_touched_banks(&mut self, ids: &[BankId]) {
-        self.touched_banks
-            .sort_unstable_by_key(|&s| ids[s as usize]);
+    pub(crate) fn sort_touched_banks(&mut self, id_of: impl Fn(u32) -> BankId) {
+        self.touched_banks.sort_unstable_by_key(|&s| id_of(s));
     }
 
     /// Sorts the touched routes into index order (the legacy
@@ -528,21 +560,27 @@ pub(crate) struct BatchedState {
     pub(crate) tables: DenseTables,
     /// Dense running/pending task index lists.
     pub(crate) wake_list: WakeList,
-    /// Per-task deferred blocked-cycle counts: cycles a task sat in a
-    /// plain grant or data wait without being stepped. Flushed into
+    /// Per-task bookkeeping, by task index.
+    pub(crate) task_slots: Vec<TaskSlot>,
+}
+
+/// The batched kernel's bookkeeping for one task.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TaskSlot {
+    /// Deferred blocked-cycle count: cycles the task sat in a plain
+    /// grant or data wait without being stepped. Flushed into
     /// stall/starvation/wake accounting before the task next executes,
     /// before recovery may mutate task state, and before the run
     /// report is built — so every observable total is byte-identical
     /// to the legacy kernel's.
-    pub(crate) deferred_waits: Vec<u64>,
-    /// Per-task parked sleepers, beside the deferred waits: neither
-    /// stepped, refreshed nor skipped until their wake cycle, and
-    /// settled on the same flush path as the waits.
-    pub(crate) parked: Vec<Option<ParkedSleep>>,
-    /// Per-task: may the task be parked? False for a task a `TaskHang`
-    /// fault targets, whose controller must sample the hang every
-    /// cycle.
-    pub(crate) parkable: Vec<bool>,
+    pub(crate) deferred_wait: u64,
+    /// The parked sleeper, beside the deferred wait: neither stepped,
+    /// refreshed nor skipped until its wake cycle, and settled on the
+    /// same flush path as the wait.
+    pub(crate) parked: Option<ParkedSleep>,
+    /// May the task be parked? False for a task a `TaskHang` fault
+    /// targets, whose controller must sample the hang every cycle.
+    pub(crate) parkable: bool,
 }
 
 impl BatchedState {
@@ -562,7 +600,7 @@ impl BatchedState {
         policy: PolicyKind,
         cosim: bool,
     ) -> Self {
-        // The arena and grant slices are indexed by arbiter *position*;
+        // The matrix rows are indexed by arbiter *position*;
         // the interpreter looks grants up by `ArbiterId::index()`. The
         // legacy kernel already requires the two to coincide (its
         // arbiter lookups index by id), so pin the invariant here.
@@ -588,7 +626,7 @@ impl BatchedState {
         Self {
             matrix: ReqMatrix::new(arbiters, tasks),
             lanes,
-            arena: CycleArena::new(arbiters.len(), bank_ids.len(), n_routes),
+            arena: CycleArena::new(bank_ids.len(), n_routes),
             tables: DenseTables::new(
                 tasks.len(),
                 binding,
@@ -598,9 +636,14 @@ impl BatchedState {
                 bank_ids,
             ),
             wake_list,
-            deferred_waits: vec![0; tasks.len()],
-            parked: vec![None; tasks.len()],
-            parkable: tasks.iter().map(|t| !hung(t.id())).collect(),
+            task_slots: tasks
+                .iter()
+                .map(|t| TaskSlot {
+                    deferred_wait: 0,
+                    parked: None,
+                    parkable: !hung(t.id()),
+                })
+                .collect(),
         }
     }
 
@@ -608,9 +651,9 @@ impl BatchedState {
     /// last settled, as of cycle `now`: what stepping them would have
     /// added to their busy counts.
     pub(crate) fn parked_busy(&self, now: u64) -> u64 {
-        self.parked
+        self.task_slots
             .iter()
-            .flatten()
+            .filter_map(|s| s.parked)
             .map(|p| now - p.accounted_to)
             .sum()
     }
@@ -629,9 +672,10 @@ pub(crate) struct BatchedEnv<'a> {
     pub(crate) routes: &'a [RouteState],
     /// The violation/starvation monitor.
     pub(crate) monitor: &'a mut MonitorComponent,
-    /// This cycle's traffic arena (grants already written).
+    /// This cycle's traffic arena.
     pub(crate) arena: &'a mut CycleArena,
-    /// The incremental request matrix (receives request edges).
+    /// The incremental request matrix (receives request edges, holds
+    /// this cycle's grants).
     pub(crate) matrix: &'a mut ReqMatrix,
     /// Flat lookup tables.
     pub(crate) tables: &'a DenseTables,
@@ -656,7 +700,7 @@ impl CycleEnv for BatchedEnv<'_> {
             self.arbiters.get(i).and_then(|a| a.port_of(task)),
             "matrix port table out of sync"
         );
-        self.arena.grants.get(i).copied().unwrap_or(0) >> p & 1 != 0
+        self.matrix.grant(i) >> p & 1 != 0
     }
 
     fn monitor(&mut self) -> &mut MonitorComponent {

@@ -284,14 +284,111 @@ impl CycleEnv for ExecCtx<'_> {
     }
 }
 
+/// Frame slots held inline; a frame with more spills to the heap.
+const INLINE_SLOTS: usize = 8;
+
+/// A task's datapath registers: its variables, then one counter per
+/// loop slot. A task has a handful of them, so they live inline in the
+/// controller and spill to one heap allocation only past
+/// [`INLINE_SLOTS`].
+#[derive(Debug)]
+struct Frame {
+    inline: [u64; INLINE_SLOTS],
+    spill: Vec<u64>,
+    /// The number of slots.
+    len: usize,
+    /// The number of variables; the loop counters start here.
+    vars: usize,
+}
+
+impl Frame {
+    fn new(vars: usize, loop_slots: usize) -> Self {
+        let len = vars + loop_slots;
+        Self {
+            inline: [0; INLINE_SLOTS],
+            spill: if len > INLINE_SLOTS {
+                vec![0; len]
+            } else {
+                Vec::new()
+            },
+            len,
+            vars,
+        }
+    }
+
+    fn slots(&self) -> &[u64] {
+        if self.len > INLINE_SLOTS {
+            &self.spill
+        } else {
+            &self.inline[..self.len]
+        }
+    }
+
+    fn slots_mut(&mut self) -> &mut [u64] {
+        if self.len > INLINE_SLOTS {
+            &mut self.spill
+        } else {
+            &mut self.inline[..self.len]
+        }
+    }
+
+    /// The variables, the view expressions are evaluated over.
+    fn vars(&self) -> &[u64] {
+        &self.slots()[..self.vars]
+    }
+
+    /// One variable.
+    fn var_mut(&mut self, var: VarId) -> &mut u64 {
+        let vars = self.vars;
+        &mut self.slots_mut()[..vars][var.index()]
+    }
+
+    /// One loop counter.
+    fn counter_mut(&mut self, slot: usize) -> &mut u64 {
+        let vars = self.vars;
+        &mut self.slots_mut()[vars + slot]
+    }
+}
+
+/// The arbiters a task holds its request line up to. A task raises at
+/// most a couple at once, so they live inline and spill to the heap
+/// only past two.
+#[derive(Debug, Default)]
+struct RequestLines {
+    inline: [Option<ArbiterId>; 2],
+    spill: Vec<ArbiterId>,
+}
+
+impl RequestLines {
+    fn contains(&self, arbiter: ArbiterId) -> bool {
+        self.inline.contains(&Some(arbiter)) || self.spill.contains(&arbiter)
+    }
+
+    /// Drives the line to `arbiter` to `up`; returns its previous level.
+    fn set(&mut self, arbiter: ArbiterId, up: bool) -> bool {
+        let was = self.contains(arbiter);
+        if up && !was {
+            match self.inline.iter_mut().find(|s| s.is_none()) {
+                Some(free) => *free = Some(arbiter),
+                None => self.spill.push(arbiter),
+            }
+        } else if !up && was {
+            match self.inline.iter_mut().find(|s| **s == Some(arbiter)) {
+                Some(held) => *held = None,
+                None => self.spill.retain(|&a| a != arbiter),
+            }
+        }
+        was
+    }
+}
+
 /// One task controller: program, datapath state and request lines.
 #[derive(Debug)]
 pub struct TaskComponent {
     id: TaskId,
     prog: FlatProgram,
     pc: usize,
-    vars: Vec<u64>,
-    loops: Vec<u32>,
+    frame: Frame,
     compute_left: u32,
     status: TaskStatus,
     block: Block,
@@ -300,7 +397,7 @@ pub struct TaskComponent {
     wait_left: u64,
     /// Whether a bounded grant wait is in flight.
     wait_armed: bool,
-    req_lines: BTreeMap<ArbiterId, bool>,
+    req_lines: RequestLines,
     started_at: Option<u64>,
     finished_at: Option<u64>,
     stall_cycles: u64,
@@ -310,20 +407,18 @@ pub struct TaskComponent {
 impl TaskComponent {
     /// A fresh, not-yet-released task over a compiled program.
     pub fn new(id: TaskId, prog: FlatProgram) -> Self {
-        let vars = vec![0; prog.num_vars() as usize];
-        let loops = vec![0; prog.num_loop_slots()];
+        let frame = Frame::new(prog.num_vars() as usize, prog.num_loop_slots());
         Self {
             id,
             prog,
             pc: 0,
-            vars,
-            loops,
+            frame,
             compute_left: 0,
             status: TaskStatus::NotStarted,
             block: Block::Ready,
             wait_left: 0,
             wait_armed: false,
-            req_lines: BTreeMap::new(),
+            req_lines: RequestLines::default(),
             started_at: None,
             finished_at: None,
             stall_cycles: 0,
@@ -348,7 +443,7 @@ impl TaskComponent {
 
     /// Whether this task's request line to `arbiter` is asserted.
     pub fn requesting(&self, arbiter: ArbiterId) -> bool {
-        self.req_lines.get(&arbiter).copied().unwrap_or(false)
+        self.req_lines.contains(arbiter)
     }
 
     /// Releases the task at `cycle` (all predecessors done). A task
@@ -365,7 +460,7 @@ impl TaskComponent {
 
     /// Writes a variable (bank read-port delivery).
     pub fn set_var(&mut self, var: VarId, value: u64) {
-        self.vars[var.index()] = value;
+        *self.frame.var_mut(var) = value;
     }
 
     /// First running cycle.
@@ -487,12 +582,13 @@ impl TaskComponent {
             }
             match instr {
                 Instr::LoopInit { slot, times } => {
-                    self.loops[*slot] = *times;
+                    *self.frame.counter_mut(*slot) = u64::from(*times);
                     self.pc += 1;
                 }
                 Instr::LoopBack { slot, target } => {
-                    self.loops[*slot] -= 1;
-                    if self.loops[*slot] > 0 {
+                    let left = self.frame.counter_mut(*slot);
+                    *left -= 1;
+                    if *left > 0 {
                         self.pc = *target;
                     } else {
                         self.pc += 1;
@@ -523,7 +619,7 @@ impl TaskComponent {
                     let arbiter = *arbiter;
                     if ctx.task_granted(arbiter, task_id) {
                         ctx.monitor().granted(task_id, arbiter);
-                        self.vars[dst.index()] = 1;
+                        *self.frame.var_mut(*dst) = 1;
                         self.wait_armed = false;
                         self.pc += 1;
                         // Free fall-through, exactly like AwaitGrant.
@@ -537,7 +633,7 @@ impl TaskComponent {
                             // holds 0, so the task continues for free on
                             // the timeout edge (mirroring the granted
                             // fall-through).
-                            self.vars[dst.index()] = 0;
+                            *self.frame.var_mut(*dst) = 0;
                             self.wait_armed = false;
                             self.pc += 1;
                         } else {
@@ -569,14 +665,14 @@ impl TaskComponent {
                     return;
                 }
                 Instr::Set { dst, value } => {
-                    let v = self.prog.eval(*value, &self.vars);
-                    self.vars[dst.index()] = v;
+                    let v = self.prog.eval(*value, self.frame.vars());
+                    *self.frame.var_mut(*dst) = v;
                     self.pc += 1;
                     self.busy_cycles += 1;
                     issued = true;
                 }
                 Instr::BranchIfZero { cond, target } => {
-                    let v = self.prog.eval(*cond, &self.vars);
+                    let v = self.prog.eval(*cond, self.frame.vars());
                     self.pc = if v == 0 { *target } else { self.pc + 1 };
                     self.busy_cycles += 1;
                     issued = true;
@@ -584,7 +680,7 @@ impl TaskComponent {
                 Instr::MemRead { segment, addr, dst } => {
                     let (segment, dst) = (*segment, *dst);
                     ctx.check_segment_grant(task_id, segment);
-                    let a = self.prog.eval(*addr, &self.vars) as u32;
+                    let a = self.prog.eval(*addr, self.frame.vars()) as u32;
                     // Placement validated in `try_build`; a missing one
                     // degrades to a read delivering nothing.
                     if let Some((bank, offset)) = ctx.placement(segment) {
@@ -628,8 +724,8 @@ impl TaskComponent {
                 } => {
                     let segment = *segment;
                     ctx.check_segment_grant(task_id, segment);
-                    let a = self.prog.eval(*addr, &self.vars) as u32;
-                    let v = self.prog.eval(*value, &self.vars);
+                    let a = self.prog.eval(*addr, self.frame.vars()) as u32;
+                    let v = self.prog.eval(*value, self.frame.vars());
                     if let Some((bank, offset)) = ctx.placement(segment) {
                         ctx.push_access(
                             bank,
@@ -647,7 +743,7 @@ impl TaskComponent {
                 Instr::Send { channel, value } => {
                     let channel = *channel;
                     ctx.check_channel_grant(task_id, channel);
-                    let v = self.prog.eval(*value, &self.vars);
+                    let v = self.prog.eval(*value, self.frame.vars());
                     ctx.push_send(
                         channel,
                         RouteSend {
@@ -664,7 +760,7 @@ impl TaskComponent {
                     let channel = *channel;
                     match ctx.route_read(channel) {
                         Some(v) => {
-                            self.vars[dst.index()] = v;
+                            *self.frame.var_mut(*dst) = v;
                             self.pc += 1;
                             self.busy_cycles += 1;
                             issued = true;
@@ -678,7 +774,7 @@ impl TaskComponent {
                 }
                 Instr::ReqAssert { arbiter } => {
                     let arbiter = *arbiter;
-                    let was = self.req_lines.insert(arbiter, true).unwrap_or(false);
+                    let was = self.req_lines.set(arbiter, true);
                     ctx.note_request(arbiter, task_id, was, true);
                     self.pc += 1;
                     self.busy_cycles += 1;
@@ -686,7 +782,7 @@ impl TaskComponent {
                 }
                 Instr::ReqDeassert { arbiter } => {
                     let arbiter = *arbiter;
-                    let was = self.req_lines.insert(arbiter, false).unwrap_or(false);
+                    let was = self.req_lines.set(arbiter, false);
                     ctx.note_request(arbiter, task_id, was, false);
                     self.pc += 1;
                     self.busy_cycles += 1;
@@ -760,5 +856,41 @@ impl TaskComponent {
             }
             Block::Ready => debug_assert!(false, "a ready task is never skippable"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frames_keep_variables_and_counters_apart_inline_and_spilled() {
+        for (vars, loops) in [(3, 2), (6, 5)] {
+            let mut f = Frame::new(vars, loops);
+            for v in 0..vars {
+                *f.var_mut(VarId::new(v as u32)) = 10 + v as u64;
+            }
+            for slot in 0..loops {
+                *f.counter_mut(slot) = 100 + slot as u64;
+            }
+            let want: Vec<u64> = (0..vars as u64).map(|v| 10 + v).collect();
+            assert_eq!(f.vars(), want.as_slice(), "{vars} vars, {loops} loops");
+            assert_eq!(*f.counter_mut(loops - 1), 99 + loops as u64);
+        }
+    }
+
+    #[test]
+    fn request_lines_report_their_previous_level_past_the_inline_pair() {
+        let a = ArbiterId::new;
+        let mut lines = RequestLines::default();
+        for i in 0..4 {
+            assert!(!lines.set(a(i), true), "line {i} was already up");
+        }
+        assert!(lines.set(a(2), true), "a raised line reports up");
+        assert!(lines.set(a(0), false));
+        assert!(lines.set(a(3), false));
+        assert!(!lines.set(a(3), false), "a dropped line reports down");
+        let up: Vec<bool> = (0..5).map(|i| lines.contains(a(i))).collect();
+        assert_eq!(up, [false, true, true, false, false]);
     }
 }

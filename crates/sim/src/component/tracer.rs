@@ -39,14 +39,12 @@ impl TracerComponent {
     }
 
     /// Samples every arbiter's request and grant lines for `cycle`,
-    /// from the per-arbiter words (in arbiter order) the engine
-    /// assembled in its sampling phase — the words as seen *on the
-    /// wire*, i.e. after any injected line faults, which is exactly what
-    /// a logic analyzer would record.
-    pub fn sample_cycle(&mut self, cycle: u64, request_words: &[u64], grants: &[u64]) {
-        for ((ports, &request_word), &grant_word) in
-            self.signals.iter().zip(request_words).zip(grants)
-        {
+    /// from the `(request word, grant word)` pairs (in arbiter order)
+    /// the engine assembled in its sampling phase — the words as seen
+    /// *on the wire*, i.e. after any injected line faults, which is
+    /// exactly what a logic analyzer would record.
+    pub fn sample_cycle(&mut self, cycle: u64, lines: impl IntoIterator<Item = (u64, u64)>) {
+        for (ports, (request_word, grant_word)) in self.signals.iter().zip(lines) {
             for (p, &(req_sig, grant_sig)) in ports.iter().enumerate() {
                 self.vcd.sample(cycle, req_sig, request_word >> p & 1 != 0);
                 self.vcd.sample(cycle, grant_sig, grant_word >> p & 1 != 0);

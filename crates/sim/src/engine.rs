@@ -307,7 +307,7 @@ impl SystemBuilder {
         let mut segment_guards: BTreeMap<(TaskId, SegmentId), ArbiterId> = BTreeMap::new();
         let mut channel_guards: BTreeMap<(TaskId, ChannelId), ArbiterId> = BTreeMap::new();
         for inst in &self.arbiters {
-            let mut sim = ArbiterSim::new(inst.id, inst.ports.clone(), self.config.policy);
+            let mut sim = ArbiterSim::new(inst.id, &inst.ports, self.config.policy);
             if self.config.cosim
                 && matches!(
                     self.config.policy,
@@ -485,7 +485,7 @@ impl SystemBuilder {
                 &arbiters,
                 &tasks,
                 hung,
-                banks.ids(),
+                &banks.ids(),
                 routes.len(),
                 &self.binding,
                 &segment_guards,
@@ -540,23 +540,22 @@ impl SystemBuilder {
 }
 
 /// The modelled banks as a slab: models at stable slots (the dense
-/// indices the batched kernel's arena is addressed by), plus an ordered
-/// id-to-slot index preserving the `BTreeMap` iteration order the
-/// legacy kernel's violation sequences depend on. Quarantine appends
-/// a spare bank at a fresh slot without disturbing existing ones.
+/// indices the batched kernel's arena is addressed by), plus the slots
+/// in id order, preserving the `BTreeMap` iteration order the legacy
+/// kernel's violation sequences depend on. Quarantine appends a spare
+/// bank at a fresh slot without disturbing existing ones.
 #[derive(Debug)]
 struct BankSet {
     comps: Vec<BankModel>,
-    ids: Vec<BankId>,
-    index: BTreeMap<BankId, usize>,
+    /// Every slot, ordered by its bank's id.
+    order: Vec<u32>,
 }
 
 impl BankSet {
     fn from_map(map: BTreeMap<BankId, BankModel>) -> Self {
         let mut set = Self {
-            comps: Vec::new(),
-            ids: Vec::new(),
-            index: BTreeMap::new(),
+            comps: Vec::with_capacity(map.len()),
+            order: Vec::with_capacity(map.len()),
         };
         for (id, comp) in map {
             set.insert(id, comp);
@@ -565,9 +564,13 @@ impl BankSet {
     }
 
     fn insert(&mut self, id: BankId, comp: BankModel) {
-        debug_assert!(!self.index.contains_key(&id), "bank {id} already modelled");
-        self.index.insert(id, self.comps.len());
-        self.ids.push(id);
+        debug_assert_eq!(comp.id(), id, "bank model filed under another id");
+        let found = self
+            .order
+            .binary_search_by_key(&id, |&s| self.comps[s as usize].id());
+        debug_assert!(found.is_err(), "bank {id} already modelled");
+        let at = found.unwrap_or_else(|at| at);
+        self.order.insert(at, self.comps.len() as u32);
         self.comps.push(comp);
     }
 
@@ -576,16 +579,28 @@ impl BankSet {
     }
 
     /// Slot-to-id mapping, in slot order.
-    fn ids(&self) -> &[BankId] {
-        &self.ids
+    fn ids(&self) -> Vec<BankId> {
+        self.comps.iter().map(BankModel::id).collect()
+    }
+
+    /// The id of the bank at `slot`.
+    fn id_of(&self, slot: u32) -> BankId {
+        self.comps[slot as usize].id()
+    }
+
+    fn slot(&self, id: BankId) -> Option<usize> {
+        self.order
+            .binary_search_by_key(&id, |&s| self.comps[s as usize].id())
+            .ok()
+            .map(|at| self.order[at] as usize)
     }
 
     fn get(&self, id: BankId) -> Option<&BankModel> {
-        self.index.get(&id).map(|&s| &self.comps[s])
+        self.slot(id).map(|s| &self.comps[s])
     }
 
     fn get_mut(&mut self, id: BankId) -> Option<&mut BankModel> {
-        self.index.get(&id).map(|&s| &mut self.comps[s])
+        self.slot(id).map(|s| &mut self.comps[s])
     }
 
     fn slot_mut(&mut self, slot: u32) -> &mut BankModel {
@@ -594,9 +609,10 @@ impl BankSet {
 
     /// Visits every bank mutably in id order, with its slot and id.
     fn for_each_ordered_mut(&mut self, mut f: impl FnMut(u32, BankId, &mut BankModel)) {
-        let Self { comps, index, .. } = self;
-        for (&id, &slot) in index.iter() {
-            f(slot as u32, id, &mut comps[slot]);
+        let Self { comps, order } = self;
+        for &slot in order.iter() {
+            let b = &mut comps[slot as usize];
+            f(slot, b.id(), b);
         }
     }
 }
@@ -864,11 +880,11 @@ impl System {
             ..
         } = self;
         let Some(soa) = soa.as_mut() else { return };
-        for (i, n) in soa.deferred_waits.iter_mut().enumerate() {
-            if *n == 0 {
+        for (i, slot) in soa.task_slots.iter_mut().enumerate() {
+            if slot.deferred_wait == 0 {
                 continue;
             }
-            let span = std::mem::take(n);
+            let span = std::mem::take(&mut slot.deferred_wait);
             tasks[i].note_stalled(span);
             if let Some(a) = tasks[i].plain_grant_wait() {
                 let vs = monitor.tick_waiting_n(tasks[i].id(), a, span, cycle - span);
@@ -878,8 +894,8 @@ impl System {
                 w.tasks[i] += span;
             }
         }
-        for (i, p) in soa.parked.iter_mut().enumerate() {
-            if let Some(p) = p {
+        for (i, slot) in soa.task_slots.iter_mut().enumerate() {
+            if let Some(p) = &mut slot.parked {
                 tasks[i].skip(cycle - p.accounted_to);
                 p.accounted_to = cycle;
             }
@@ -1218,7 +1234,7 @@ impl System {
                 segment_guards,
                 channel_guards,
                 route_of_channel,
-                banks.ids(),
+                &banks.ids(),
             );
             soa.arena.ensure(banks.len(), routes.len());
         }
@@ -1323,7 +1339,7 @@ impl System {
                 ..
             } = self;
             // The traced words, in arbiter order, only when tracing.
-            let mut traced = tracer.as_ref().map(|_| (Vec::new(), Vec::new()));
+            let mut traced = tracer.as_ref().map(|_| Vec::with_capacity(arbiters.len()));
             for a in arbiters.iter_mut() {
                 let mut word = a.compute_word(tasks);
                 if let Some(fc) = faults.as_mut() {
@@ -1340,14 +1356,13 @@ impl System {
                         grants: grant,
                     });
                 }
-                if let Some((words, granted)) = traced.as_mut() {
-                    words.push(word);
-                    granted.push(grant);
+                if let Some(lines) = traced.as_mut() {
+                    lines.push((word, grant));
                 }
                 grants.insert(a.id(), grant);
             }
-            if let (Some(tracer), Some((words, granted))) = (tracer.as_mut(), traced) {
-                tracer.sample_cycle(cycle, &words, &granted);
+            if let (Some(tracer), Some(lines)) = (tracer.as_mut(), traced) {
+                tracer.sample_cycle(cycle, lines);
             }
         }
         // 3. Tasks execute.
@@ -1523,9 +1538,7 @@ impl System {
             arena,
             tables,
             wake_list,
-            deferred_waits,
-            parked,
-            parkable,
+            task_slots,
         } = soa;
         // 1. Release newly runnable tasks. Releasing *inside* the
         // ascending pass reproduces the legacy kernel's index-order
@@ -1567,11 +1580,10 @@ impl System {
                     grants: grant,
                 });
             }
-            arena.request_words[i] = word;
-            arena.grants[i] = grant;
+            matrix.note_cycle(i, word, grant);
         }
         if let Some(tracer) = tracer.as_mut() {
-            tracer.sample_cycle(cycle, &arena.request_words, &arena.grants);
+            tracer.sample_cycle(cycle, matrix.sampled_lines());
         }
         // 3. Tasks execute — only the ones in the running list, through
         // the SoA environment. Two kinds of task are not stepped at all:
@@ -1585,9 +1597,9 @@ impl System {
         // - with faults absent and every per-cycle wait watchdog
         //   disarmed, a task in a plain grant or data wait. Its only
         //   effects that cycle (one stall cycle, one starvation tick,
-        //   one wake) go into `deferred_waits` and are bulk-applied the
-        //   moment it would do anything else. No crossing can fire
-        //   while disarmed.
+        //   one wake) go into its `deferred_wait` count and are
+        //   bulk-applied the moment it would do anything else. No
+        //   crossing can fire while disarmed.
         //
         // The totals are order-independent sums and neither kind drives
         // request edges, so reports, VCD and memory stay byte-identical
@@ -1607,7 +1619,8 @@ impl System {
             };
             for &ti in wake_list.running() {
                 let i = ti as usize;
-                if let Some(p) = parked[i] {
+                let slot = &mut task_slots[i];
+                if let Some(p) = slot.parked {
                     if cycle < p.wake {
                         if let Some(w) = wakes.as_mut() {
                             w.tasks[i] += 1;
@@ -1616,14 +1629,14 @@ impl System {
                         continue;
                     }
                     tasks[i].skip(p.wake - p.accounted_to);
-                    parked[i] = None;
+                    slot.parked = None;
                 }
                 if defer_ok {
                     let t = &tasks[i];
                     let waiting = if let Some(a) = t.plain_grant_wait() {
                         env.matrix
                             .port_of(a.index(), t.id())
-                            .is_some_and(|p| env.arena.grants[a.index()] >> p & 1 == 0)
+                            .is_some_and(|p| env.matrix.grant(a.index()) >> p & 1 == 0)
                     } else if let Some(ch) = t.awaiting_data() {
                         env.tables
                             .route_of(ch)
@@ -1632,16 +1645,15 @@ impl System {
                         false
                     };
                     if waiting {
-                        deferred_waits[i] += 1;
+                        slot.deferred_wait += 1;
                         if let Some(w) = wakes.as_mut() {
                             w.work.waits_deferred += 1;
                         }
                         continue;
                     }
                 }
-                let n = deferred_waits[i];
+                let n = std::mem::take(&mut slot.deferred_wait);
                 if n != 0 {
-                    deferred_waits[i] = 0;
                     tasks[i].note_stalled(n);
                     if let Some(a) = tasks[i].plain_grant_wait() {
                         let vs = env.monitor.tick_waiting_n(tasks[i].id(), a, n, cycle - n);
@@ -1658,8 +1670,8 @@ impl System {
                     w.work.tasks_stepped += 1;
                 }
                 match t.sleep_left() {
-                    Some(left) if left > 1 && parkable[i] => {
-                        parked[i] = Some(ParkedSleep {
+                    Some(left) if left > 1 && slot.parkable => {
+                        slot.parked = Some(ParkedSleep {
                             wake: cycle + u64::from(left),
                             accounted_to: cycle + 1,
                         });
@@ -1671,9 +1683,9 @@ impl System {
         // 4. Banks resolve, in id order (the legacy kernel's map
         // order — quarantine can append a spare whose id is out of slot
         // order).
-        arena.sort_touched_banks(banks.ids());
+        arena.sort_touched_banks(|slot| banks.id_of(slot));
         for &slot in arena.touched_banks() {
-            let bank = banks.ids()[slot as usize];
+            let bank = banks.id_of(slot);
             let b = banks.slot_mut(slot);
             match b.cycle(arena.accesses(slot)) {
                 BankOutcome::Conflict { tasks: offenders } => {
@@ -1769,7 +1781,7 @@ impl System {
         let soa = soa.as_ref().expect("batched kernel state");
         for &ti in soa.wake_list.running() {
             let i = ti as usize;
-            if let Some(p) = soa.parked[i] {
+            if let Some(p) = soa.task_slots[i].parked {
                 scheduler.wake_at(p.wake);
                 continue;
             }
@@ -1843,11 +1855,11 @@ impl System {
                 soa,
                 ..
             } = self;
-            let parked = &soa.as_ref().expect("batched kernel state").parked;
+            let slots = &soa.as_ref().expect("batched kernel state").task_slots;
             let mut crossings: Vec<(u64, usize, u8, Violation)> = Vec::new();
             for (i, t) in tasks.iter_mut().enumerate() {
                 // A parked sleeper's settlement covers skipped cycles too.
-                if parked[i].is_some() {
+                if slots[i].parked.is_some() {
                     continue;
                 }
                 if let Some(arb) = t.blocked_on_grant() {

@@ -502,10 +502,17 @@ impl FromJson for Violation {
 /// Tracks per-(task, arbiter) wait times to detect starvation.
 #[derive(Debug, Clone, Default)]
 pub struct StarvationTracker {
-    /// `(task, arbiter) -> cycles waited so far` for live waits.
-    waiting: std::collections::BTreeMap<(TaskId, ArbiterId), u64>,
-    /// Longest completed or ongoing wait per (task, arbiter).
-    worst: std::collections::BTreeMap<(TaskId, ArbiterId), u64>,
+    /// The waits of every (task, arbiter) pair that ever waited.
+    waits: std::collections::BTreeMap<(TaskId, ArbiterId), Waits>,
+}
+
+/// One (task, arbiter) pair's waits.
+#[derive(Debug, Clone, Copy, Default)]
+struct Waits {
+    /// Cycles waited so far in the live wait (0 once granted).
+    current: u64,
+    /// Longest completed or ongoing wait.
+    worst: u64,
 }
 
 impl StarvationTracker {
@@ -527,42 +534,43 @@ impl StarvationTracker {
         if cycles == 0 {
             return;
         }
-        let w = self.waiting.entry((task, arbiter)).or_insert(0);
-        *w += cycles;
-        let best = self.worst.entry((task, arbiter)).or_insert(0);
-        *best = (*best).max(*w);
+        let w = self.waits.entry((task, arbiter)).or_default();
+        w.current += cycles;
+        w.worst = w.worst.max(w.current);
     }
 
     /// Records that `task`'s wait on `arbiter` ended (granted).
     pub fn granted(&mut self, task: TaskId, arbiter: ArbiterId) {
-        self.waiting.remove(&(task, arbiter));
+        if let Some(w) = self.waits.get_mut(&(task, arbiter)) {
+            w.current = 0;
+        }
     }
 
     /// The length of `task`'s live wait on `arbiter` (0 when not
     /// waiting).
     pub fn current_wait(&self, task: TaskId, arbiter: ArbiterId) -> u64 {
-        self.waiting.get(&(task, arbiter)).copied().unwrap_or(0)
+        self.waits.get(&(task, arbiter)).map_or(0, |w| w.current)
     }
 
     /// The worst wait observed for `(task, arbiter)`.
     pub fn worst_wait(&self, task: TaskId, arbiter: ArbiterId) -> u64 {
-        self.worst.get(&(task, arbiter)).copied().unwrap_or(0)
+        self.waits.get(&(task, arbiter)).map_or(0, |w| w.worst)
     }
 
     /// The worst wait observed anywhere.
     pub fn global_worst(&self) -> u64 {
-        self.worst.values().copied().max().unwrap_or(0)
+        self.waits.values().map(|w| w.worst).max().unwrap_or(0)
     }
 
     /// Emits a [`Violation::Starvation`] for every wait exceeding `bound`.
     pub fn violations(&self, bound: u64) -> Vec<Violation> {
-        self.worst
+        self.waits
             .iter()
-            .filter(|(_, &w)| w > bound)
-            .map(|(&(task, arbiter), &waited)| Violation::Starvation {
+            .filter(|(_, w)| w.worst > bound)
+            .map(|(&(task, arbiter), w)| Violation::Starvation {
                 task,
                 arbiter,
-                waited,
+                waited: w.worst,
             })
             .collect()
     }

@@ -170,25 +170,26 @@ impl Scheduler {
 /// sweep touches only live tasks instead of scanning (and re-checking
 /// the status of) every task every cycle.
 ///
-/// Three ascending lists partition the interesting tasks:
+/// Two ascending lists partition the interesting tasks:
 ///
 /// - `running` — tasks that have started and not finished, in
 ///   ascending index order (the order the legacy kernel steps them, so
 ///   violation and traffic ordering is preserved). Parked sleepers and
 ///   deferred waits stay on this list; the engine passes over them
-///   until they wake, so a compute or a wait costs no list churn;
+///   until they wake, so a compute or a wait costs no list churn. The
+///   tasks whose release fired this cycle are appended as a tail and
+///   merged into that order once their programs have started;
 /// - `pending` — tasks not yet released, polled against the release
-///   schedule at the top of each cycle;
-/// - `released` — the cycle's scratch buffer of tasks whose release
-///   fired, merged into `running` once their programs have started.
+///   schedule at the top of each cycle.
 ///
-/// All three buffers are reused across cycles; the only allocations are
-/// the initial builds and growth after a rebuild.
+/// Both buffers are reused across cycles; the only allocations are the
+/// initial builds and growth after a rebuild.
 #[derive(Debug, Default)]
 pub struct WakeList {
     running: Vec<u32>,
     pending: Vec<u32>,
-    released: Vec<u32>,
+    /// Where this cycle's released tail starts in `running`.
+    released_from: usize,
 }
 
 impl WakeList {
@@ -202,7 +203,6 @@ impl WakeList {
     ) {
         self.running.clear();
         self.pending.clear();
-        self.released.clear();
         for i in 0..n {
             if is_running(i) {
                 self.running.push(i as u32);
@@ -210,18 +210,21 @@ impl WakeList {
                 self.pending.push(i as u32);
             }
         }
+        self.released_from = self.running.len();
     }
 
     /// Moves every pending task approved by `ready` into the released
-    /// scratch buffer (clearing any previous cycle's leftovers).
+    /// tail.
     pub fn drain_ready(&mut self, mut ready: impl FnMut(u32) -> bool) {
         let Self {
-            pending, released, ..
+            running,
+            pending,
+            released_from,
         } = self;
-        released.clear();
+        *released_from = running.len();
         pending.retain(|&t| {
             if ready(t) {
-                released.push(t);
+                running.push(t);
                 false
             } else {
                 true
@@ -232,7 +235,7 @@ impl WakeList {
     /// The tasks released this cycle (filled by
     /// [`drain_ready`](Self::drain_ready)).
     pub fn released(&self) -> &[u32] {
-        &self.released
+        &self.running[self.released_from..]
     }
 
     /// Merges the released tasks `keep` approves into the running list,
@@ -240,17 +243,27 @@ impl WakeList {
     /// during release itself (an empty program is `Done` the moment it
     /// starts).
     pub fn commit_released(&mut self, mut keep: impl FnMut(u32) -> bool) {
-        let Self {
-            running, released, ..
-        } = self;
-        running.extend(released.drain(..).filter(|&t| keep(t)));
-        running.sort_unstable();
+        let from = self.released_from;
+        let mut kept = from;
+        for i in from..self.running.len() {
+            let t = self.running[i];
+            if keep(t) {
+                self.running[kept] = t;
+                kept += 1;
+            }
+        }
+        self.running.truncate(kept);
+        if kept > from {
+            self.running.sort_unstable();
+        }
+        self.released_from = kept;
     }
 
     /// Drops every running task `still_running` rejects (tasks that
     /// completed this cycle). Order is preserved.
     pub fn retire(&mut self, mut still_running: impl FnMut(u32) -> bool) {
         self.running.retain(|&t| still_running(t));
+        self.released_from = self.running.len();
     }
 
     /// The tasks to step this cycle, ascending.
