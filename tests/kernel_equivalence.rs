@@ -72,6 +72,7 @@ const GOLDEN_STATS: &[(&str, KernelStats)] = &[
     ("contended", stats(19201, 0, 0)),
     ("long_compute_contention", stats(561, 2961, 20)),
     ("long_compute_contention_random", stats(561, 2961, 20)),
+    ("long_compute_contention_prefix", stats(561, 2961, 20)),
     ("random_stuck_grant_window", stats(155, 130, 3)),
     ("random_resumed_mid_skip", stats(109, 128, 4)),
     ("fft_block", stats(183, 2, 1)),
@@ -100,6 +101,7 @@ const GOLDEN_WORK: &[(&str, [u64; 5])] = &[
     ("contended", [31999, 274857, 0, 12800, 0]),
     ("long_compute_contention", [1135, 77, 3192, 320, 0]),
     ("long_compute_contention_random", [1135, 77, 3192, 320, 0]),
+    ("long_compute_contention_prefix", [1135, 77, 3192, 320, 0]),
     ("fft_block", [329, 235, 20, 144, 0]),
 ];
 
@@ -1044,7 +1046,7 @@ fn long_compute_contention_graph(iters: u32, compute: u32) -> TaskGraph {
 
 /// The sparse, dense, contended and long-compute workloads, each
 /// arbitrated under the paper's insertion (the long-compute one under
-/// the round-robin and the random policy): reports, VCD and memory
+/// the round-robin, the random and the prefix-rr policy): reports, VCD and memory
 /// match legacy, every run finishes, and the batched skip decisions and
 /// work counters are pinned.
 #[test]
@@ -1067,6 +1069,12 @@ fn kernels_agree_on_sparse_dense_and_contended_workloads() {
             long_compute_contention_graph(20, 170),
             &duo,
             PolicyKind::Random,
+        ),
+        (
+            "long_compute_contention_prefix",
+            long_compute_contention_graph(20, 170),
+            &duo,
+            PolicyKind::PrefixRoundRobin,
         ),
     ] {
         let batched = assert_kernels_agree(&graph, board, true, policy, 2);
