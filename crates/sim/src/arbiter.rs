@@ -1,6 +1,8 @@
 //! Behavioural arbiters with optional netlist co-simulation.
 
-use crate::component::TaskComponent;
+use crate::component::{MonitorComponent, TaskComponent};
+use crate::fault::FaultController;
+use crate::monitor::Violation;
 use rcarb_core::generator::{ArbiterGenerator, ArbiterSpec};
 use rcarb_core::policy::{self, Policy, PolicyKind};
 use rcarb_logic::tools::{SynthReport, ToolModel};
@@ -70,27 +72,34 @@ impl ArbiterSim {
         }
     }
 
+    /// The spec the arbiter's policy is generated from.
+    fn spec(&self) -> ArbiterSpec {
+        ArbiterSpec::round_robin(self.num_ports()).with_policy(self.policy.kind())
+    }
+
+    /// Whether [`with_cosim`](Self::with_cosim) applies: the policy is
+    /// generated as a symbolic FSM ([`ArbiterSpec::fsm_states`]), so its
+    /// synthesized netlist is independent of the behavioural model.
+    pub fn can_cosim(&self) -> bool {
+        self.spec().fsm_states().is_some()
+    }
+
     /// Enables gate-level co-simulation: the Synplify-model netlist of
     /// the policy's FSM runs in lock step with the behavioural arbiter
     /// and every grant word is compared.
     ///
     /// # Panics
     ///
-    /// Panics for structurally generated policies (random/FIFO/priority)
-    /// — their netlists *are* the reference implementation, so there is
-    /// nothing independent to compare against.
+    /// Panics unless [`can_cosim`](Self::can_cosim): the structurally
+    /// generated policies' (random/FIFO/priority) netlists *are* the
+    /// reference implementation, so there is nothing independent to
+    /// compare against.
     pub fn with_cosim(mut self) -> Self {
-        let kind = self.policy.kind();
         assert!(
-            matches!(
-                kind,
-                PolicyKind::RoundRobin
-                    | PolicyKind::PreemptiveRoundRobin
-                    | PolicyKind::PrefixRoundRobin
-            ),
+            self.can_cosim(),
             "co-simulation is wired for the FSM-based policies"
         );
-        let spec = ArbiterSpec::round_robin(self.num_ports()).with_policy(kind);
+        let spec = self.spec();
         let synth = ArbiterGenerator::new().synthesize(&spec, &ToolModel::synplify());
         let state = synth.netlist.reset_state();
         self.cosim = Some(Cosim { synth, state });
@@ -161,7 +170,8 @@ impl ArbiterSim {
     /// policy's [`next_grant`](Policy::next_grant) promise, suppressed
     /// while co-simulation is on (the netlist state must advance in
     /// lock step every cycle, so a co-simulated arbiter is never
-    /// skippable). The promise may leave request-independent policy
+    /// skippable). Both kernels step the same policy, so this promise
+    /// is about the live state. It may leave request-independent policy
     /// state moving, the random policy's LFSR; [`Policy::skip`]
     /// replays it.
     pub fn steady_grant(&self, word: u64) -> Option<u64> {
@@ -174,11 +184,11 @@ impl ArbiterSim {
     /// Advances one cycle from an already-assembled (possibly
     /// fault-perturbed) request word. What the arbiter *sampled* is what
     /// steadiness is judged against, so that word is what gets
-    /// remembered.
+    /// remembered, beside the grant counters.
     pub fn step_word(&mut self, word: u64) -> u64 {
         // In debug builds, hold the behavioural policy to any fixed
-        // point it promised — the legacy kernel thereby cross-checks
-        // the same `next_grant` interface the batched kernel skips on.
+        // point it promised — every executed cycle thereby cross-checks
+        // the `next_grant` interface the batched kernel skips on.
         #[cfg(debug_assertions)]
         let promised = self.policy.next_grant(word);
         let grants = self.policy.step(word);
@@ -190,7 +200,12 @@ impl ArbiterSim {
                 self.id
             );
         }
-        self.note_step(word, grants);
+        if grants != 0 {
+            self.grants_issued += 1;
+            self.port_grants[grants.trailing_zeros() as usize] += 1;
+        }
+        self.last_word = word;
+        self.last_grant = grants;
         if let Some(cosim) = &mut self.cosim {
             let bits: Vec<bool> = (0..self.port_grants.len())
                 .map(|i| word >> i & 1 != 0)
@@ -207,38 +222,54 @@ impl ArbiterSim {
         grants
     }
 
-    /// Records one live step of `word` to `grants`: the grant counters
-    /// and the request/grant pair steadiness is judged against. The
-    /// batched kernel calls this directly when a lane's FSM was stepped
-    /// in the flat word-level arrays instead of through
-    /// [`step_word`](Self::step_word); the boxed policy's state is then
-    /// stale, and nothing consults it.
-    pub(crate) fn note_step(&mut self, word: u64, grants: u64) {
-        if grants != 0 {
-            self.grants_issued += 1;
-            self.port_grants[grants.trailing_zeros() as usize] += 1;
+    /// One cycle's arbitration phase, as both kernels run it, from
+    /// `word`, the request word the task lines assemble. Stuck-request
+    /// faults perturb the sampled word (what the arbiter *and*
+    /// steadiness see); stuck-grant and glitch faults perturb the issued
+    /// grant on the wire (what the tasks, tracer and multi-grant check
+    /// see), leaving the arbiter's own bookkeeping on the raw grant.
+    /// Returns the sampled word and the wire grant.
+    pub(crate) fn sample(
+        &mut self,
+        cycle: u64,
+        word: u64,
+        faults: &mut Option<FaultController>,
+        monitor: &mut MonitorComponent,
+    ) -> (u64, u64) {
+        let mut word = word;
+        if let Some(fc) = faults.as_mut() {
+            word = fc.perturb_requests(self.id, cycle, word, |t| self.port_of(t));
         }
-        self.last_word = word;
-        self.last_grant = grants;
+        let mut grant = self.step_word(word);
+        if let Some(fc) = faults.as_mut() {
+            grant = fc.perturb_grant(self.id, cycle, grant);
+        }
+        if grant.count_ones() > 1 {
+            monitor.push(Violation::MultipleGrants {
+                cycle,
+                arbiter: self.id,
+                grants: grant,
+            });
+        }
+        (word, grant)
     }
 
     /// Whether the arbiter is provably inert under `word`, the request
     /// word assembled *after* this cycle's task execution (the word the
-    /// arbiter would sample next cycle), given `promise`, the grant
-    /// fixed point of whichever FSM holds the live state (the policy's
-    /// [`steady_grant`](Self::steady_grant) or a batched lane's):
+    /// arbiter would sample next cycle):
     ///
     /// - the word equals the one sampled in the executed cycle (no
     ///   request edge is pending, so the VCD request signals hold), and
-    /// - the promised fixed point is the executed cycle's grant (so the
-    ///   grant signals hold and no request-dependent state moves), and
+    /// - the [`steady_grant`](Self::steady_grant) promise is the
+    ///   executed cycle's grant (so the grant signals hold and no
+    ///   request-dependent state moves), and
     /// - at most one port is granted (a multi-grant word must execute so
     ///   the `MultipleGrants` violation is recorded per cycle).
     ///
-    /// `promise` is asked only once the word is known to hold.
-    pub(crate) fn steady_for(&self, word: u64, promise: impl FnOnce(u64) -> Option<u64>) -> bool {
+    /// The promise is asked only once the word is known to hold.
+    pub(crate) fn steady_for(&self, word: u64) -> bool {
         word == self.last_word
-            && promise(word) == Some(self.last_grant)
+            && self.steady_grant(word) == Some(self.last_grant)
             && self.last_grant.count_ones() <= 1
     }
 
@@ -252,9 +283,8 @@ impl ArbiterSim {
     /// was [steady](Self::steady_for), so it kept issuing its last
     /// grant: the counters and the policy's request-independent state
     /// ([`Policy::skip`]) advance exactly as `cycles` live steps would
-    /// have advanced them. The random policy has no FSM lane, so its
-    /// boxed policy is the live state and its LFSR jumps here; a lane
-    /// policy's skip is the no-op default.
+    /// have advanced them: the random policy's LFSR jumps here, and
+    /// every other policy's skip is the no-op default.
     pub(crate) fn skip(&mut self, cycles: u64) {
         if self.last_grant != 0 {
             self.grants_issued += cycles;

@@ -14,11 +14,11 @@
 //!   and grant-wait watchdogs;
 //! - [`TracerComponent`] — the VCD request/grant waveform;
 //! - the batched kernel's structure-of-arrays state (bitset request
-//!   matrix, word-level arbiter FSM lanes, reused traffic arenas, flat
-//!   lookup tables).
+//!   matrix, reused traffic arenas, flat lookup tables).
 //!
 //! Both kernels run the same step code on these types in the same
-//! per-cycle phase order (see `crate::engine`). The legacy kernel
+//! per-cycle phase order (see `crate::engine`), and step every arbiter
+//! through its own policy. The legacy kernel
 //! executes every cycle; the batched kernel skips the cycles every unit
 //! proves inert and differs otherwise only in how the per-cycle traffic
 //! is carried (fresh `BTreeMap`s versus reused flat arenas).

@@ -9,10 +9,6 @@
 //!   maintained incrementally from request-line *edges* instead of being
 //!   reassembled from scratch, beside the words each arbiter sampled and
 //!   granted in the executing cycle;
-//! - [`FsmLanes`] — the round-robin arbiter FSMs as parallel arrays
-//!   (per-lane priority pointer, packed claimed bits), stepped with the
-//!   word-level [`prefix_first_requester`] network instead of boxed
-//!   dynamic dispatch;
 //! - [`CycleArena`] — reused per-cycle traffic buffers (bank accesses,
 //!   route sends, pending reads) with dense touched-lists replacing the
 //!   per-cycle `BTreeMap` allocations;
@@ -24,8 +20,9 @@
 //!   construction.
 //!
 //! Everything here is bookkeeping over the very same task, arbiter, bank
-//! and route state the legacy kernel uses; `tests/kernel_equivalence.rs` holds the two to
-//! byte-identical reports, VCD and memory.
+//! and route state the legacy kernel uses (arbiters step through their
+//! own policy in both kernels); `tests/kernel_equivalence.rs` holds the
+//! two to byte-identical reports, VCD and memory.
 
 use super::monitor::MonitorComponent;
 use super::task::{CycleEnv, TaskComponent};
@@ -36,8 +33,6 @@ use crate::memory::BankAccess;
 use crate::scheduler::WakeList;
 use rcarb_board::memory::BankId;
 use rcarb_core::memmap::MemoryBinding;
-use rcarb_core::policy::PolicyKind;
-use rcarb_core::prefix::prefix_first_requester;
 use rcarb_taskgraph::id::{ArbiterId, ChannelId, SegmentId, TaskId, VarId};
 use std::collections::BTreeMap;
 
@@ -169,109 +164,6 @@ impl ReqMatrix {
                 row.word &= !(1 << p);
             }
         }
-    }
-}
-
-/// The round-robin arbiter FSMs as parallel per-lane arrays.
-///
-/// One lane per arbiter, each the Fig. 5 FSM — free with a priority
-/// pointer, or claimed by a holder — stepped through the word-level
-/// [`prefix_first_requester`] network. Grant-identical to both
-/// `RoundRobinArbiter` and `PrefixRoundRobin` from any shared state
-/// (the boxed policies the arbiters still own go stale while lanes are
-/// active; the engine reports counters and steadiness from here).
-#[derive(Debug)]
-pub(crate) struct FsmLanes {
-    /// Ports per lane.
-    nports: Vec<u8>,
-    /// Scan-start pointer: the priority port while free, the holding
-    /// port while claimed.
-    prio: Vec<u8>,
-    /// Claimed bits, packed 64 lanes per word.
-    claimed: Vec<u64>,
-}
-
-impl FsmLanes {
-    /// One fresh `F0` lane per arbiter.
-    pub(crate) fn new(arbiters: &[ArbiterSim]) -> Self {
-        let nports: Vec<u8> = arbiters
-            .iter()
-            .map(|a| {
-                let n = a.num_ports();
-                debug_assert!((1..=64).contains(&n));
-                n as u8
-            })
-            .collect();
-        let words = arbiters.len().div_ceil(64);
-        Self {
-            prio: vec![0; nports.len()],
-            claimed: vec![0; words],
-            nports,
-        }
-    }
-
-    fn is_claimed(&self, lane: usize) -> bool {
-        self.claimed[lane / 64] >> (lane % 64) & 1 != 0
-    }
-
-    fn set_claimed(&mut self, lane: usize, claimed: bool) {
-        if claimed {
-            self.claimed[lane / 64] |= 1 << (lane % 64);
-        } else {
-            self.claimed[lane / 64] &= !(1 << (lane % 64));
-        }
-    }
-
-    /// Advances one lane one cycle from `word`, returning the grant.
-    /// Bit-for-bit the `RoundRobinArbiter`/`PrefixRoundRobin` step.
-    pub(crate) fn step(&mut self, lane: usize, word: u64) -> u64 {
-        let n = self.nports[lane] as usize;
-        let word = word & low_mask(n);
-        let i = self.prio[lane] as usize;
-        if self.is_claimed(lane) {
-            if word == 0 {
-                self.set_claimed(lane, false);
-                self.prio[lane] = ((i + 1) % n) as u8;
-                0
-            } else if word >> i & 1 != 0 {
-                1 << i
-            } else {
-                let j = prefix_first_requester(word, (i + 1) % n, n).expect("requests nonzero");
-                self.prio[lane] = j as u8;
-                1 << j
-            }
-        } else {
-            match prefix_first_requester(word, i, n) {
-                None => 0,
-                Some(j) => {
-                    self.set_claimed(lane, true);
-                    self.prio[lane] = j as u8;
-                    1 << j
-                }
-            }
-        }
-    }
-
-    /// The lane's grant fixed point under a held `word`, if any — the
-    /// [`Policy::next_grant`](rcarb_core::policy::Policy::next_grant)
-    /// promise the engine's steadiness check relies on.
-    pub(crate) fn next_grant(&self, lane: usize, word: u64) -> Option<u64> {
-        let n = self.nports[lane] as usize;
-        let word = word & low_mask(n);
-        let i = self.prio[lane] as usize;
-        if self.is_claimed(lane) {
-            (word >> i & 1 != 0).then(|| 1 << i)
-        } else {
-            (word == 0).then_some(0)
-        }
-    }
-}
-
-fn low_mask(n: usize) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
     }
 }
 
@@ -544,16 +436,12 @@ pub(crate) struct ParkedSleep {
     pub(crate) accounted_to: u64,
 }
 
-/// The batched kernel's whole SoA state: matrix, lanes, arena, tables
+/// The batched kernel's whole SoA state: matrix, arena, tables
 /// and the wake-list, owned by the engine alongside the units it mirrors.
 #[derive(Debug)]
 pub(crate) struct BatchedState {
     /// Incremental request words.
     pub(crate) matrix: ReqMatrix,
-    /// Word-level round-robin FSMs, when the configured policy has a
-    /// lane implementation and co-simulation is off (co-sim must step
-    /// the boxed policy's netlist in lock step every cycle).
-    pub(crate) lanes: Option<FsmLanes>,
     /// Reused per-cycle traffic buffers.
     pub(crate) arena: CycleArena,
     /// Flat lookup tables.
@@ -597,8 +485,6 @@ impl BatchedState {
         segment_guards: &BTreeMap<(TaskId, SegmentId), ArbiterId>,
         channel_guards: &BTreeMap<(TaskId, ChannelId), ArbiterId>,
         route_of_channel: &BTreeMap<ChannelId, usize>,
-        policy: PolicyKind,
-        cosim: bool,
     ) -> Self {
         // The matrix rows are indexed by arbiter *position*;
         // the interpreter looks grants up by `ArbiterId::index()`. The
@@ -611,12 +497,6 @@ impl BatchedState {
                 .all(|(i, a)| a.id().index() == i),
             "arbiter ids must be positional"
         );
-        let lanes = (!cosim
-            && matches!(
-                policy,
-                PolicyKind::RoundRobin | PolicyKind::PrefixRoundRobin
-            ))
-        .then(|| FsmLanes::new(arbiters));
         let mut wake_list = WakeList::default();
         wake_list.rebuild(
             tasks.len(),
@@ -625,7 +505,6 @@ impl BatchedState {
         );
         Self {
             matrix: ReqMatrix::new(arbiters, tasks),
-            lanes,
             arena: CycleArena::new(bank_ids.len(), n_routes),
             tables: DenseTables::new(
                 tasks.len(),
@@ -763,64 +642,5 @@ impl CycleEnv for BatchedEnv<'_> {
 
     fn retry_reads(&self) -> bool {
         self.retry_reads
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rcarb_core::policy::Policy;
-    use rcarb_core::prefix::PrefixRoundRobin;
-
-    #[test]
-    fn lanes_step_matches_boxed_policy_on_random_walks() {
-        // One lane per width, stepped against the boxed oracle from the
-        // same fresh state.
-        for n in [1usize, 2, 3, 5, 8, 13, 32] {
-            let mut lanes = FsmLanes {
-                nports: vec![n as u8],
-                prio: vec![0],
-                claimed: vec![0],
-            };
-            let mut oracle = PrefixRoundRobin::new(n);
-            let mut x = 0x9e3779b97f4a7c15u64 ^ n as u64;
-            for step in 0..4000 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let req = x & low_mask(n);
-                assert_eq!(
-                    lanes.next_grant(0, req),
-                    oracle.next_grant(req),
-                    "n={n} step={step}: next_grant diverged"
-                );
-                assert_eq!(
-                    lanes.step(0, req),
-                    oracle.step(req),
-                    "n={n} step={step}: step diverged on {req:#b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn claimed_bits_pack_across_word_boundaries() {
-        let lanes_n = 130;
-        let mut lanes = FsmLanes {
-            nports: vec![2; lanes_n],
-            prio: vec![0; lanes_n],
-            claimed: vec![0; 3],
-        };
-        // Claim every odd lane, then release them all.
-        for lane in (1..lanes_n).step_by(2) {
-            assert_eq!(lanes.step(lane, 0b10), 0b10);
-        }
-        for lane in 0..lanes_n {
-            assert_eq!(lanes.is_claimed(lane), lane % 2 == 1, "lane {lane}");
-        }
-        for lane in (1..lanes_n).step_by(2) {
-            assert_eq!(lanes.step(lane, 0), 0);
-            assert!(!lanes.is_claimed(lane));
-        }
     }
 }

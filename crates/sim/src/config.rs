@@ -117,10 +117,10 @@ pub enum KernelKind {
     Event,
     /// Cycle-skipping plus a batched structure-of-arrays dense path:
     /// provably inert stretches are bulk-accounted, request/grant state
-    /// lives in flat `u64` bitset lanes, arbiter FSMs step as
-    /// word-level operations, and per-cycle traffic is carried in
-    /// reused arenas instead of fresh `BTreeMap`s. The default and the
-    /// one production kernel.
+    /// lives in flat `u64` bitset lanes, arbiters step through their own
+    /// policy exactly as under [`KernelKind::Legacy`], and per-cycle
+    /// traffic is carried in reused arenas instead of fresh
+    /// `BTreeMap`s. The default and the one production kernel.
     BatchedSoa,
 }
 

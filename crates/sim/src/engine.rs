@@ -34,9 +34,11 @@
 //!   tasks and arbiters ([`TaskComponent::skip`], `ArbiterSim::skip`).
 //!   Dense cycles execute through flat structure-of-arrays state
 //!   (`crate::component::soa`): request words live in `u64` bitset
-//!   lanes maintained from request-line edges, round-robin FSMs step as
-//!   word-level parallel-prefix operations, and per-cycle traffic
-//!   travels in reused arenas instead of fresh `BTreeMap`s.
+//!   lanes maintained from request-line edges, and per-cycle traffic
+//!   travels in reused arenas instead of fresh `BTreeMap`s. Both
+//!   kernels step every arbiter through its own policy
+//!   (`ArbiterSim::sample`), so the batched kernel's skip decisions
+//!   rest on the very state the legacy kernel steps.
 //!
 //! `tests/kernel_equivalence.rs` holds the two to identical
 //! [`RunReport`]s, identical VCD output and identical memory.
@@ -60,7 +62,6 @@ use rcarb_board::memory::BankId;
 use rcarb_core::channel::ChannelMergePlan;
 use rcarb_core::insertion::{ArbitratedResource, ArbitrationPlan};
 use rcarb_core::memmap::MemoryBinding;
-use rcarb_core::policy::PolicyKind;
 use rcarb_obs::Obs;
 use rcarb_taskgraph::graph::TaskGraph;
 use rcarb_taskgraph::id::{ArbiterId, ChannelId, SegmentId, TaskId, VarId};
@@ -308,14 +309,7 @@ impl SystemBuilder {
         let mut channel_guards: BTreeMap<(TaskId, ChannelId), ArbiterId> = BTreeMap::new();
         for inst in &self.arbiters {
             let mut sim = ArbiterSim::new(inst.id, &inst.ports, self.config.policy);
-            if self.config.cosim
-                && matches!(
-                    self.config.policy,
-                    PolicyKind::RoundRobin
-                        | PolicyKind::PreemptiveRoundRobin
-                        | PolicyKind::PrefixRoundRobin
-                )
-            {
+            if self.config.cosim && sim.can_cosim() {
                 sim = sim.with_cosim();
             }
             match inst.resource {
@@ -491,8 +485,6 @@ impl SystemBuilder {
                 &segment_guards,
                 &channel_guards,
                 &route_of_channel,
-                self.config.policy,
-                self.config.cosim,
             )
         });
         Ok(System {
@@ -1323,11 +1315,8 @@ impl System {
                 }
             }
         }
-        // 2. Arbiters sample the request lines. Stuck-request faults
-        // perturb the sampled word (what the arbiter *and* steadiness
-        // see); stuck-grant and glitch faults perturb the issued grant
-        // on the wire (what the tasks, tracer and multi-grant check
-        // see), leaving the arbiter's own bookkeeping on the raw grant.
+        // 2. Arbiters sample the request lines (`ArbiterSim::sample`
+        // applies the faults and the multi-grant check).
         let mut grants: BTreeMap<ArbiterId, u64> = BTreeMap::new();
         {
             let Self {
@@ -1341,21 +1330,7 @@ impl System {
             // The traced words, in arbiter order, only when tracing.
             let mut traced = tracer.as_ref().map(|_| Vec::with_capacity(arbiters.len()));
             for a in arbiters.iter_mut() {
-                let mut word = a.compute_word(tasks);
-                if let Some(fc) = faults.as_mut() {
-                    word = fc.perturb_requests(a.id(), cycle, word, |t| a.port_of(t));
-                }
-                let mut grant = a.step_word(word);
-                if let Some(fc) = faults.as_mut() {
-                    grant = fc.perturb_grant(a.id(), cycle, grant);
-                }
-                if grant.count_ones() > 1 {
-                    monitor.push(Violation::MultipleGrants {
-                        cycle,
-                        arbiter: a.id(),
-                        grants: grant,
-                    });
-                }
+                let (word, grant) = a.sample(cycle, a.compute_word(tasks), faults, monitor);
                 if let Some(lines) = traced.as_mut() {
                     lines.push((word, grant));
                 }
@@ -1511,8 +1486,8 @@ impl System {
 
     /// Executes one cycle through the batched structure-of-arrays path:
     /// the same five phases as [`step_cycle`](Self::step_cycle), with
-    /// request words read from the incremental matrix, FSMs stepped in
-    /// the word-level lanes, and traffic carried in the reused arena.
+    /// request words read from the incremental matrix and traffic
+    /// carried in the reused arena.
     fn step_batched(&mut self) {
         let cycle = self.cycle;
         let retry_reads = self.recovery.retry_reads;
@@ -1534,7 +1509,6 @@ impl System {
         let soa = soa.as_mut().expect("batched kernel state");
         let BatchedState {
             matrix,
-            lanes,
             arena,
             tables,
             wake_list,
@@ -1554,32 +1528,11 @@ impl System {
         });
         wake_list.commit_released(|t| tasks[t as usize].status() == TaskStatus::Running);
         // 2. Arbiters sample the request lines — straight out of the
-        // matrix, no reassembly. Fault perturbation and the multi-grant
-        // check are identical to the legacy path.
+        // matrix, no reassembly — through the legacy path's
+        // `ArbiterSim::sample`.
         arena.begin_cycle();
         for (i, a) in arbiters.iter_mut().enumerate() {
-            let mut word = matrix.word(i);
-            if let Some(fc) = faults.as_mut() {
-                word = fc.perturb_requests(a.id(), cycle, word, |t| a.port_of(t));
-            }
-            let mut grant = match lanes.as_mut() {
-                Some(l) => {
-                    let g = l.step(i, word);
-                    a.note_step(word, g);
-                    g
-                }
-                None => a.step_word(word),
-            };
-            if let Some(fc) = faults.as_mut() {
-                grant = fc.perturb_grant(a.id(), cycle, grant);
-            }
-            if grant.count_ones() > 1 {
-                monitor.push(Violation::MultipleGrants {
-                    cycle,
-                    arbiter: a.id(),
-                    grants: grant,
-                });
-            }
+            let (word, grant) = a.sample(cycle, matrix.word(i), faults, monitor);
             matrix.note_cycle(i, word, grant);
         }
         if let Some(tracer) = tracer.as_mut() {
@@ -1817,17 +1770,11 @@ impl System {
             }
         }
         // Arbiter steadiness against the post-exec matrix word — the
-        // word it will sample next cycle. In lanes mode the boxed
-        // policy is stale, so the fixed-point promise comes from the
-        // lane FSM itself.
+        // word it will sample next cycle.
         for (i, a) in arbiters.iter().enumerate() {
             let word = soa.matrix.word(i);
             debug_assert_eq!(word, a.compute_word(tasks), "request matrix out of sync");
-            let steady = match &soa.lanes {
-                Some(l) => a.steady_for(word, |w| l.next_grant(i, w)),
-                None => a.steady_for(word, |w| a.steady_grant(w)),
-            };
-            if !steady {
+            if !a.steady_for(word) {
                 scheduler.mark_active();
                 return;
             }

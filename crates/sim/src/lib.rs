@@ -29,8 +29,8 @@
 //! - [`component`] — the units with no behavioural model of their own:
 //!   tasks (with their wake condition and skip accounting), the monitor
 //!   and the VCD tracer, plus the batched kernel's structure-of-arrays
-//!   state (bitset request matrix, word-level arbiter FSM lanes, reused
-//!   traffic arenas, flat lookup tables);
+//!   state (bitset request matrix, reused traffic arenas, flat lookup
+//!   tables); both kernels step every arbiter through its own policy;
 //! - [`scheduler`] — the batched kernel's wake-list/dirty-set
 //!   scheduler and its cycle-accounting [`KernelStats`];
 //! - [`engine`] — the simulation kernel: drives one type per simulated

@@ -1,7 +1,8 @@
 //! Differential testing of the two simulation kernels.
 //!
-//! The batched SoA production kernel sweeps flat request/grant words
-//! and FSM lanes and skips cycles it can prove inert; the legacy
+//! The batched SoA production kernel sweeps flat request/grant words,
+//! steps every arbiter through its own policy as the legacy kernel
+//! does, and skips cycles it can prove inert; the legacy
 //! cycle-scanning reference executes every cycle unconditionally. For
 //! any design, any policy and any configuration, the two must produce
 //! an *identical* [`RunReport`], identical memory contents and — with
