@@ -13,15 +13,15 @@
 //! - [`MonitorComponent`] — the run's violation log, starvation tracker
 //!   and grant-wait watchdogs;
 //! - [`TracerComponent`] — the VCD request/grant waveform;
-//! - the batched kernel's structure-of-arrays state (bitset request
-//!   matrix, reused traffic arenas, flat lookup tables).
+//! - the structure-of-arrays state the cycle body runs over (bitset
+//!   request matrix, reused traffic arenas, flat lookup tables).
 //!
-//! Both kernels run the same step code on these types in the same
-//! per-cycle phase order (see `crate::engine`), and step every arbiter
-//! through its own policy. The legacy kernel
-//! executes every cycle; the batched kernel skips the cycles every unit
-//! proves inert and differs otherwise only in how the per-cycle traffic
-//! is carried (fresh `BTreeMap`s versus reused flat arenas).
+//! Both kernels execute one cycle body on these types (see
+//! `crate::engine`), and step every arbiter through its own policy.
+//! They differ only in skipping, parking and wait deferral, which the
+//! legacy kernel turns off, and in where an arbiter's request word
+//! comes from: the legacy kernel reassembles it from the task lines
+//! every cycle, the batched kernel reads the incremental matrix.
 
 pub mod monitor;
 pub(crate) mod soa;
@@ -29,7 +29,7 @@ pub mod task;
 pub mod tracer;
 
 pub use monitor::MonitorComponent;
-pub use task::{CycleEnv, ExecCtx, ReadFault, TaskComponent, TaskStatus};
+pub use task::{ReadFault, TaskComponent, TaskStatus};
 pub use tracer::TracerComponent;
 
 /// A task's wake condition, re-registered with the batched kernel's

@@ -1,35 +1,36 @@
-//! Structure-of-arrays state for the batched simulation kernel.
-//!
-//! The legacy kernel re-derives everything each cycle: request words are recomputed from per-task `BTreeMap` request
-//! lines, grants and traffic travel in freshly allocated maps, and every
-//! placement or guard lookup walks an ordered tree. The batched kernel
-//! keeps the same *semantics* but flattens the state:
+//! Structure-of-arrays state behind the one cycle body both kernels
+//! execute.
 //!
 //! - [`ReqMatrix`] — every arbiter's request word as a `u64` bitset,
 //!   maintained incrementally from request-line *edges* instead of being
 //!   reassembled from scratch, beside the words each arbiter sampled and
 //!   granted in the executing cycle;
 //! - [`CycleArena`] — reused per-cycle traffic buffers (bank accesses,
-//!   route sends, pending reads) with dense touched-lists replacing the
-//!   per-cycle `BTreeMap` allocations;
+//!   route sends, pending reads) with dense touched-lists, so a cycle
+//!   allocates nothing at steady state;
 //! - [`DenseTables`] — flat index-addressed lookup tables for segment
-//!   placements, access guards, channel routes and bank slots;
-//! - [`BatchedEnv`] — the [`CycleEnv`] implementation gluing the above
-//!   under the task interpreter, so the batched kernel executes the
-//!   *same* instruction semantics as the legacy kernel by
-//!   construction.
+//!   placements, access guards, channel routes and bank slots, updated
+//!   in place when recovery moves a bank or a channel;
+//! - [`BatchedEnv`] — the environment the task interpreter executes
+//!   against.
 //!
-//! Everything here is bookkeeping over the very same task, arbiter, bank
-//! and route state the legacy kernel uses (arbiters step through their
-//! own policy in both kernels); `tests/kernel_equivalence.rs` holds the
-//! two to byte-identical reports, VCD and memory.
+//! The legacy kernel runs the very same cycle body over this state
+//! with skipping, parking and wait deferral off, and samples every
+//! arbiter's request word reassembled from the task lines
+//! (`ArbiterSim::compute_word`) rather than from the matrix. Those are
+//! the only differences, so `tests/kernel_equivalence.rs`, which holds
+//! the two kernels to byte-identical reports, VCD and memory, checks
+//! the skip, park and defer decisions and the matrix's incremental
+//! edges; the lookups here are checked against the binding, guard and
+//! route answers by this module's tests.
 
 use super::monitor::MonitorComponent;
-use super::task::{CycleEnv, TaskComponent};
+use super::task::{ReadFault, TaskComponent};
 use crate::arbiter::ArbiterSim;
 use crate::channel::{RouteSend, RouteState};
 use crate::fault::FaultController;
 use crate::memory::BankAccess;
+use crate::monitor::Violation;
 use crate::scheduler::WakeList;
 use rcarb_board::memory::BankId;
 use rcarb_core::memmap::MemoryBinding;
@@ -169,11 +170,9 @@ impl ReqMatrix {
 
 /// Reused per-cycle traffic buffers.
 ///
-/// The legacy kernel allocates fresh `BTreeMap`s and `Vec`s every
-/// cycle; the arena keeps one buffer per bank slot / route / arbiter
-/// alive across the whole run and tracks which were touched, so a cycle
-/// costs clears of *touched* buffers only and no allocation at steady
-/// state.
+/// The arena keeps one buffer per bank slot and per route alive across
+/// the whole run and tracks which were touched, so a cycle costs clears
+/// of *touched* buffers only and no allocation at steady state.
 #[derive(Debug)]
 pub(crate) struct CycleArena {
     /// Collected accesses per bank slot.
@@ -242,16 +241,15 @@ impl CycleArena {
         v.push(send);
     }
 
-    /// Sorts the touched bank slots into `BankId` order (the order the
-    /// legacy kernel's `BTreeMap` iterates, which the violation
-    /// sequence depends on). Quarantine can append a spare bank whose
-    /// id is out of slot order, so slot order is not id order.
+    /// Sorts the touched bank slots into `BankId` order, the order the
+    /// violation sequence is defined in. Tasks touch banks in task
+    /// order, and quarantine can append a spare bank whose id is out of
+    /// slot order, so neither touch order nor slot order is id order.
     pub(crate) fn sort_touched_banks(&mut self, id_of: impl Fn(u32) -> BankId) {
         self.touched_banks.sort_unstable_by_key(|&s| id_of(s));
     }
 
-    /// Sorts the touched routes into index order (the legacy
-    /// kernel's map order).
+    /// Sorts the touched routes into index order.
     pub(crate) fn sort_touched_routes(&mut self) {
         self.touched_routes.sort_unstable();
     }
@@ -303,10 +301,9 @@ impl CycleArena {
 }
 
 /// Flat index-addressed lookup tables for the hot per-instruction
-/// questions the legacy kernel answers with `BTreeMap` walks:
-/// segment placement, access guards, channel routing and bank slots.
-/// Rebuilt (cheaply, and rarely) after a quarantine or re-route
-/// mutates the binding or routing.
+/// questions: segment placement, access guards, channel routing and
+/// bank slots. Built from the design's maps once; a quarantine or
+/// re-route updates the rows it moves in place.
 #[derive(Debug)]
 pub(crate) struct DenseTables {
     n_segments: usize,
@@ -324,7 +321,7 @@ pub(crate) struct DenseTables {
 }
 
 impl DenseTables {
-    /// Builds the tables from the engine's maps.
+    /// Builds the tables from the system builder's maps.
     pub(crate) fn new(
         n_tasks: usize,
         binding: &MemoryBinding,
@@ -421,6 +418,24 @@ impl DenseTables {
         let s = *self.bank_slot.get(bank.index())?;
         (s != 0).then(|| s - 1)
     }
+
+    /// Moves the placed `segment` to `bank` at `offset` (quarantine).
+    pub(crate) fn place(&mut self, segment: SegmentId, bank: BankId, offset: u32) {
+        self.placements[segment.index()] = Some((bank, offset));
+    }
+
+    /// Registers a newly modelled `bank` at `slot` (quarantine).
+    pub(crate) fn add_bank(&mut self, bank: BankId, slot: usize) {
+        if self.bank_slot.len() <= bank.index() {
+            self.bank_slot.resize(bank.index() + 1, 0);
+        }
+        self.bank_slot[bank.index()] = (slot + 1) as u32;
+    }
+
+    /// Moves the routed `channel` onto `route` (re-route).
+    pub(crate) fn reroute(&mut self, channel: ChannelId, route: usize) {
+        self.route_of[channel.index()] = (route + 1) as u32;
+    }
 }
 
 /// A sleeper the batched kernel stopped stepping: a task that stepped
@@ -436,8 +451,9 @@ pub(crate) struct ParkedSleep {
     pub(crate) accounted_to: u64,
 }
 
-/// The batched kernel's whole SoA state: matrix, arena, tables
-/// and the wake-list, owned by the engine alongside the units it mirrors.
+/// The whole SoA state both kernels execute over: matrix, arena, tables
+/// and the batched kernel's wake-list and per-task slots, owned by the
+/// engine alongside the units it mirrors.
 #[derive(Debug)]
 pub(crate) struct BatchedState {
     /// Incremental request words.
@@ -460,36 +476,32 @@ pub(crate) struct TaskSlot {
     /// stall/starvation/wake accounting before the task next executes,
     /// before recovery may mutate task state, and before the run
     /// report is built — so every observable total is byte-identical
-    /// to the legacy kernel's.
+    /// to stepping the task every cycle.
     pub(crate) deferred_wait: u64,
     /// The parked sleeper, beside the deferred wait: neither stepped,
     /// refreshed nor skipped until its wake cycle, and settled on the
     /// same flush path as the wait.
     pub(crate) parked: Option<ParkedSleep>,
-    /// May the task be parked? False for a task a `TaskHang` fault
-    /// targets, whose controller must sample the hang every cycle.
+    /// May the task be parked? False under the legacy kernel, and for
+    /// a task a `TaskHang` fault targets, whose controller must sample
+    /// the hang every cycle.
     pub(crate) parkable: bool,
 }
 
 impl BatchedState {
-    /// Builds the SoA mirror of a freshly constructed system; `hung`
-    /// says which tasks a `TaskHang` fault targets.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the SoA state of a freshly constructed system;
+    /// `parkable` says which tasks may be parked in a multi-cycle
+    /// compute.
     pub(crate) fn new(
         arbiters: &[ArbiterSim],
         tasks: &[TaskComponent],
-        hung: impl Fn(TaskId) -> bool,
-        bank_ids: &[BankId],
+        parkable: impl Fn(TaskId) -> bool,
+        tables: DenseTables,
+        n_banks: usize,
         n_routes: usize,
-        binding: &MemoryBinding,
-        segment_guards: &BTreeMap<(TaskId, SegmentId), ArbiterId>,
-        channel_guards: &BTreeMap<(TaskId, ChannelId), ArbiterId>,
-        route_of_channel: &BTreeMap<ChannelId, usize>,
     ) -> Self {
-        // The matrix rows are indexed by arbiter *position*;
-        // the interpreter looks grants up by `ArbiterId::index()`. The
-        // legacy kernel already requires the two to coincide (its
-        // arbiter lookups index by id), so pin the invariant here.
+        // The matrix rows are indexed by arbiter *position*; the
+        // interpreter looks grants up by `ArbiterId::index()`.
         debug_assert!(
             arbiters
                 .iter()
@@ -505,22 +517,15 @@ impl BatchedState {
         );
         Self {
             matrix: ReqMatrix::new(arbiters, tasks),
-            arena: CycleArena::new(bank_ids.len(), n_routes),
-            tables: DenseTables::new(
-                tasks.len(),
-                binding,
-                segment_guards,
-                channel_guards,
-                route_of_channel,
-                bank_ids,
-            ),
+            arena: CycleArena::new(n_banks, n_routes),
+            tables,
             wake_list,
             task_slots: tasks
                 .iter()
                 .map(|t| TaskSlot {
                     deferred_wait: 0,
                     parked: None,
-                    parkable: !hung(t.id()),
+                    parkable: parkable(t.id()),
                 })
                 .collect(),
         }
@@ -538,9 +543,10 @@ impl BatchedState {
     }
 }
 
-/// The batched kernel's [`CycleEnv`]: same answers as the legacy
-/// [`ExecCtx`](super::ExecCtx), sourced from the flat tables and the
-/// arena instead of the per-cycle maps.
+/// The environment a task borrows for one execution cycle, in both
+/// kernels: this cycle's grants (the matrix rows), the route registers
+/// and the flat lookup tables, plus the arena the task's memory and
+/// channel traffic is collected in for the bank and route phases.
 pub(crate) struct BatchedEnv<'a> {
     /// The executing cycle.
     pub(crate) cycle: u64,
@@ -560,16 +566,16 @@ pub(crate) struct BatchedEnv<'a> {
     pub(crate) tables: &'a DenseTables,
     /// The compiled fault plan, when this run injects faults.
     pub(crate) faults: &'a mut Option<FaultController>,
-    /// Replay faulted reads instead of consuming the corrupted word.
+    /// Replay faulted reads instead of consuming the corrupted word
+    /// ([`RecoveryPolicy::retry_reads`]).
+    ///
+    /// [`RecoveryPolicy::retry_reads`]: crate::fault::RecoveryPolicy::retry_reads
     pub(crate) retry_reads: bool,
 }
 
-impl CycleEnv for BatchedEnv<'_> {
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn task_granted(&self, arbiter: ArbiterId, task: TaskId) -> bool {
+impl BatchedEnv<'_> {
+    /// Whether `task` holds `arbiter`'s grant this cycle.
+    pub(crate) fn task_granted(&self, arbiter: ArbiterId, task: TaskId) -> bool {
         let i = arbiter.index();
         let Some(p) = self.matrix.port_of(i, task) else {
             return false;
@@ -582,65 +588,320 @@ impl CycleEnv for BatchedEnv<'_> {
         self.matrix.grant(i) >> p & 1 != 0
     }
 
-    fn monitor(&mut self) -> &mut MonitorComponent {
-        self.monitor
+    /// Reports an `AccessWithoutGrant` if `task` touches a resource
+    /// `guard` arbitrates without holding its grant.
+    pub(crate) fn check_grant(&mut self, task: TaskId, guard: Option<ArbiterId>) {
+        if let Some(arbiter) = guard {
+            if !self.task_granted(arbiter, task) {
+                self.monitor.push(Violation::AccessWithoutGrant {
+                    cycle: self.cycle,
+                    task,
+                    arbiter,
+                });
+            }
+        }
     }
 
-    fn placement(&self, segment: SegmentId) -> Option<(BankId, u32)> {
-        self.tables.placement(segment)
-    }
-
-    fn segment_guard(&self, task: TaskId, segment: SegmentId) -> Option<ArbiterId> {
-        self.tables.segment_guard(task, segment)
-    }
-
-    fn channel_guard(&self, task: TaskId, channel: ChannelId) -> Option<ArbiterId> {
-        self.tables.channel_guard(task, channel)
-    }
-
-    fn route_read(&self, channel: ChannelId) -> Option<u64> {
+    /// Reads the route register visible to `channel`'s receiver.
+    pub(crate) fn route_read(&self, channel: ChannelId) -> Option<u64> {
         let r = self.tables.route_of(channel)?;
         self.routes[r as usize].read(channel)
     }
 
-    fn push_access(&mut self, bank: BankId, access: BankAccess) {
+    /// Collects one bank access for the bank-resolution phase.
+    pub(crate) fn push_access(&mut self, bank: BankId, access: BankAccess) {
         // Placements are validated in `try_build`, so the slot exists;
-        // degrade to a dropped access otherwise, like the legacy
-        // kernel's map miss.
+        // degrade to a dropped access otherwise.
         if let Some(slot) = self.tables.bank_slot(bank) {
             self.arena.push_access(slot, access);
         }
     }
 
-    fn push_pending_read(&mut self, bank: BankId, task: TaskId, dst: VarId, mask: u64) {
+    /// Collects one read awaiting its bank's resolution; `mask` is
+    /// XOR'd into the delivered word and is zero on the fault-free path.
+    pub(crate) fn push_pending_read(&mut self, bank: BankId, task: TaskId, dst: VarId, mask: u64) {
         self.arena.pending_reads.push((bank, task, dst, mask));
     }
 
-    fn push_send(&mut self, channel: ChannelId, send: RouteSend) {
+    /// Collects one channel send for the route-resolution phase
+    /// (dropped when the channel is unrouted).
+    pub(crate) fn push_send(&mut self, channel: ChannelId, send: RouteSend) {
         if let Some(r) = self.tables.route_of(channel) {
             self.arena.push_send(r, send);
         }
     }
 
-    fn note_request(&mut self, arbiter: ArbiterId, task: TaskId, was: bool, now: bool) {
+    /// Applies a request-line edge (`was` -> `now`) on `arbiter` to the
+    /// request matrix.
+    pub(crate) fn note_request(&mut self, arbiter: ArbiterId, task: TaskId, was: bool, now: bool) {
         self.matrix.note_edge(arbiter.index(), task, was, now);
     }
 
-    fn task_hung(&mut self, task: TaskId) -> bool {
+    /// Whether a live hang fault freezes `task` this cycle.
+    pub(crate) fn task_hung(&mut self, task: TaskId) -> bool {
         let cycle = self.cycle;
         self.faults
             .as_mut()
             .is_some_and(|fc| fc.task_hung(task, cycle))
     }
 
-    fn read_fault(&mut self, bank: BankId) -> Option<u64> {
+    /// Consults the fault plan for a read of `bank` by `task` this
+    /// cycle; a failed parity check is recorded as a
+    /// [`Violation::BankReadFault`] at the injection cycle.
+    pub(crate) fn bank_read_fault(&mut self, bank: BankId, task: TaskId) -> ReadFault {
         let cycle = self.cycle;
-        self.faults
+        let Some(mask) = self
+            .faults
             .as_mut()
             .and_then(|fc| fc.read_fault(bank, cycle))
+        else {
+            return ReadFault::None;
+        };
+        self.monitor
+            .push(Violation::BankReadFault { cycle, bank, task });
+        if self.retry_reads {
+            ReadFault::Retry
+        } else {
+            ReadFault::Corrupt(mask)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::engine::{System, SystemBuilder};
+    use crate::fault::{FaultPlan, FaultWindow, RecoveryPolicy};
+    use rcarb_board::board::{Board, PeId};
+    use rcarb_board::presets;
+    use rcarb_core::channel::{plan_merges, ChannelMergePlan};
+    use rcarb_core::insertion::{
+        insert_arbiters, ArbitratedResource, ArbitrationPlan, InsertionConfig,
+    };
+    use rcarb_taskgraph::builder::TaskGraphBuilder;
+    use rcarb_taskgraph::graph::TaskGraph;
+    use rcarb_taskgraph::program::{Expr, Program};
+
+    /// A design whose tables hold every kind of row. Writers `W0..W2`
+    /// (on PE0) send to readers `R0..R2` (on PE1) over `c0..c2`, more
+    /// channels than the boards below route between two PEs, so two
+    /// writers share a merged, arbitrated route; `W0` also sends to
+    /// `W1` over the on-chip `local`, which gets a private route. `W0`
+    /// and `W2` share segment `A`, `W1` and `R1` share `B`, and `C` is
+    /// written by `R0` alone.
+    fn design() -> (TaskGraph, [SegmentId; 3], [ChannelId; 4]) {
+        let mut b = TaskGraphBuilder::new("tables");
+        let seg = [
+            b.segment("A", 16, 16),
+            b.segment("B", 16, 16),
+            b.segment("C", 16, 16),
+        ];
+        let w: Vec<TaskId> = (0..3)
+            .map(|i| b.task(format!("W{i}"), Program::empty()))
+            .collect();
+        let r: Vec<TaskId> = (0..3)
+            .map(|i| b.task(format!("R{i}"), Program::empty()))
+            .collect();
+        let ch: Vec<ChannelId> = (0..3)
+            .map(|i| b.channel(format!("c{i}"), 16, w[i], r[i]))
+            .collect();
+        let local = b.channel("local", 16, w[0], w[1]);
+        let mut graph = b.finish().expect("valid design");
+        for i in 0..3 {
+            let (read, chan) = (seg[[0, 1, 0][i]], ch[i]);
+            graph.task_mut(w[i]).set_program(Program::build(move |p| {
+                for k in 0..4u64 {
+                    let v = p.mem_read(read, Expr::lit(k));
+                    p.send(chan, Expr::add(Expr::var(v), Expr::lit(k)));
+                }
+                match i {
+                    0 => p.send(local, Expr::lit(7)),
+                    1 => {
+                        let _ = p.recv(local);
+                    }
+                    _ => {}
+                }
+            }));
+            let write = [Some(seg[2]), Some(seg[1]), None][i];
+            graph.task_mut(r[i]).set_program(Program::build(move |p| {
+                p.compute(20);
+                let v = p.recv(chan);
+                if let Some(write) = write {
+                    p.mem_write(write, Expr::lit(1), Expr::var(v));
+                }
+            }));
+        }
+        (graph, seg, [ch[0], ch[1], ch[2], local])
     }
 
-    fn retry_reads(&self) -> bool {
-        self.retry_reads
+    /// Arbitrates `graph` with the writers on PE0 and the readers on
+    /// PE1.
+    fn arbitrate(
+        graph: &TaskGraph,
+        board: &Board,
+        binding: &MemoryBinding,
+    ) -> (ArbitrationPlan, ChannelMergePlan) {
+        let place = |t: TaskId| PeId::new(u32::from(t.index() >= 3));
+        let merges = plan_merges(graph, board, &place).expect("routes exist");
+        assert!(
+            merges.merges().iter().any(|m| m.needs_arbiter()),
+            "two writers must share a route"
+        );
+        let plan = insert_arbiters(graph, binding, &merges, &InsertionConfig::paper());
+        (plan, merges)
+    }
+
+    /// Checks every lookup of `sys`'s tables against the answer of the
+    /// maps they replace: the live binding; the guards the plan and
+    /// its build-time `binding` imply; the routes the merge plan
+    /// implies, with each channel in `rerouted` moved, in order, onto a
+    /// fresh route after them; and the modelled bank slots.
+    fn assert_tables_match(
+        sys: &System,
+        plan: &ArbitrationPlan,
+        binding: &MemoryBinding,
+        merges: &ChannelMergePlan,
+        board: &Board,
+        rerouted: &[ChannelId],
+    ) {
+        let graph = &plan.graph;
+        let tables = sys.dense_tables();
+        for s in graph.segments() {
+            let want = sys.binding().placement(s.id()).map(|p| (p.bank, p.offset));
+            assert_eq!(tables.placement(s.id()), want, "placement of {}", s.id());
+        }
+        let mut seg_guards = BTreeMap::new();
+        let mut chan_guards = BTreeMap::new();
+        for inst in &plan.arbiters {
+            for task in inst.arbitrated_tasks() {
+                match inst.resource {
+                    ArbitratedResource::Bank(bank) => {
+                        for s in graph.task(task).program().segments_accessed() {
+                            if binding.bank_of(s) == Some(bank) {
+                                seg_guards.insert((task, s), inst.id);
+                            }
+                        }
+                    }
+                    ArbitratedResource::MergedChannel(mi) => {
+                        for &c in &merges.merges()[mi].logicals {
+                            if graph.channel(c).writer() == task {
+                                chan_guards.insert((task, c), inst.id);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(!seg_guards.is_empty() && !chan_guards.is_empty());
+        for t in graph.tasks() {
+            for s in graph.segments() {
+                let want = seg_guards.get(&(t.id(), s.id())).copied();
+                let got = tables.segment_guard(t.id(), s.id());
+                assert_eq!(got, want, "guard of ({}, {})", t.id(), s.id());
+            }
+            for c in graph.channels() {
+                let want = chan_guards.get(&(t.id(), c.id())).copied();
+                let got = tables.channel_guard(t.id(), c.id());
+                assert_eq!(got, want, "guard of ({}, {})", t.id(), c.id());
+            }
+        }
+        // One route per merge group, then a private route per channel
+        // no merge carries, in channel order.
+        let mut route_of: BTreeMap<ChannelId, u32> = BTreeMap::new();
+        for (i, m) in merges.merges().iter().enumerate() {
+            for &c in &m.logicals {
+                route_of.insert(c, i as u32);
+            }
+        }
+        let mut next = merges.merges().len() as u32;
+        for c in graph.channels() {
+            route_of.entry(c.id()).or_insert_with(|| {
+                next += 1;
+                next - 1
+            });
+        }
+        for &c in rerouted {
+            route_of.insert(c, next);
+            next += 1;
+        }
+        for c in graph.channels() {
+            let want = route_of.get(&c.id()).copied();
+            assert_eq!(tables.route_of(c.id()), want, "route of {}", c.id());
+        }
+        for i in 0..board.banks().len() {
+            let bank = BankId::new(i as u32);
+            let want = sys.bank_slot(bank).map(|s| s as u32);
+            assert_eq!(tables.bank_slot(bank), want, "slot of {bank}");
+        }
+    }
+
+    #[test]
+    fn dense_tables_answer_like_the_binding_guard_and_route_maps() {
+        let (graph, seg, _) = design();
+        for board in [presets::duo_small(), presets::quad_large()] {
+            // Everything in the one shared bank on duo_small; `A` and
+            // `B` in the two shared banks on quad_large, `C` beside `B`.
+            let banks = match board.banks().len() {
+                1 => [0, 0, 0],
+                _ => [4, 5, 5],
+            };
+            let mut binding = MemoryBinding::default();
+            for (k, (&s, &bank)) in seg.iter().zip(&banks).enumerate() {
+                binding.place(s, BankId::new(bank), 16 * k as u32);
+            }
+            let (plan, merges) = arbitrate(&graph, &board, &binding);
+            let arbitrated_banks = plan
+                .arbiters
+                .iter()
+                .filter(|a| matches!(a.resource, ArbitratedResource::Bank(_)))
+                .count();
+            assert_eq!(arbitrated_banks, board.banks().len().min(2));
+            let mut sys = SystemBuilder::from_plan(&plan, &binding, &merges)
+                .try_build(&board)
+                .expect("builds");
+            assert_tables_match(&sys, &plan, &binding, &merges, &board, &[]);
+            assert!(sys.run(10_000).completed);
+            assert_tables_match(&sys, &plan, &binding, &merges, &board, &[]);
+        }
+    }
+
+    #[test]
+    fn dense_tables_follow_quarantine_and_reroute() {
+        let (graph, seg, ch) = design();
+        let board = presets::quad_large();
+        let mut binding = MemoryBinding::default();
+        binding.place(seg[0], BankId::new(4), 0);
+        binding.place(seg[1], BankId::new(5), 0);
+        binding.place(seg[2], BankId::new(5), 16);
+        let (plan, merges) = arbitrate(&graph, &board, &binding);
+        let sick = FaultPlan::seeded(1).with_bank_read_error(
+            BankId::new(4),
+            1000,
+            FaultWindow::starting_at(0),
+        );
+        let noisy = FaultPlan::seeded(1).with_channel_bit_flip(ch[0], FaultWindow::starting_at(0));
+        let recovery = RecoveryPolicy::none()
+            .with_retry_reads(true)
+            .with_quarantine_banks(1)
+            .with_reroute_channels(1);
+        for (faults, rerouted) in [(sick, &[][..]), (noisy, &[ch[0]][..])] {
+            let mut sys = SystemBuilder::from_plan(&plan, &binding, &merges)
+                .with_config(SimConfig::new().with_recovery(recovery))
+                .with_faults(faults)
+                .try_build(&board)
+                .expect("builds");
+            assert_tables_match(&sys, &plan, &binding, &merges, &board, &[]);
+            let report = sys.run(10_000);
+            assert!(report.completed);
+            assert_eq!(sys.fault_report().recovered, 1);
+            assert_tables_match(&sys, &plan, &binding, &merges, &board, rerouted);
+            if rerouted.is_empty() {
+                // The first spare, LOC0, is appended after both shared
+                // banks: its id is out of slot order.
+                assert_eq!(sys.binding().bank_of(seg[0]), Some(BankId::new(0)));
+                assert_eq!(sys.bank_slot(BankId::new(0)), Some(2));
+            }
+        }
     }
 }

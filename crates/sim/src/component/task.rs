@@ -8,18 +8,12 @@
 //! ([`TaskComponent::wake`]) and skip cycles without executing them
 //! ([`TaskComponent::skip`]).
 
-use super::monitor::MonitorComponent;
+use super::soa::BatchedEnv;
 use super::Wake;
-use crate::arbiter::ArbiterSim;
-use crate::channel::{RouteSend, RouteState};
+use crate::channel::RouteSend;
 use crate::compile::{FlatProgram, Instr};
-use crate::fault::FaultController;
 use crate::memory::BankAccess;
-use crate::monitor::Violation;
-use rcarb_board::memory::BankId;
-use rcarb_core::memmap::MemoryBinding;
-use rcarb_taskgraph::id::{ArbiterId, ChannelId, SegmentId, TaskId, VarId};
-use std::collections::BTreeMap;
+use rcarb_taskgraph::id::{ArbiterId, ChannelId, TaskId, VarId};
 
 /// A task's lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,158 +39,6 @@ enum Block {
     AwaitingData(ChannelId),
 }
 
-/// The environment a task borrows for one execution cycle.
-///
-/// Tasks read this cycle's grant words and route registers, and collect
-/// their memory and channel traffic for the bank/route resolution
-/// phases. [`TaskComponent::step_cycle`] is generic over this trait and
-/// monomorphizes once per environment — the legacy kernel's [`ExecCtx`]
-/// (fresh per-cycle maps) and the batched kernel's
-/// arena-backed SoA environment — so every kernel executes the *same*
-/// instruction semantics by construction.
-pub trait CycleEnv {
-    /// The executing cycle.
-    fn cycle(&self) -> u64;
-
-    /// Whether `task` holds `arbiter`'s grant this cycle.
-    fn task_granted(&self, arbiter: ArbiterId, task: TaskId) -> bool;
-
-    /// The violation/starvation monitor.
-    fn monitor(&mut self) -> &mut MonitorComponent;
-
-    /// The bank and in-bank base offset `segment` is placed at, if
-    /// bound.
-    fn placement(&self, segment: SegmentId) -> Option<(BankId, u32)>;
-
-    /// The arbiter guarding `task`'s accesses to `segment`, if any.
-    fn segment_guard(&self, task: TaskId, segment: SegmentId) -> Option<ArbiterId>;
-
-    /// The arbiter guarding `task`'s sends on `channel`, if any.
-    fn channel_guard(&self, task: TaskId, channel: ChannelId) -> Option<ArbiterId>;
-
-    /// Reads the route register visible to `channel`'s receiver.
-    fn route_read(&self, channel: ChannelId) -> Option<u64>;
-
-    /// Collects one bank access for the bank-resolution phase.
-    fn push_access(&mut self, bank: BankId, access: BankAccess);
-
-    /// Collects one read awaiting its bank's resolution: `(bank, task,
-    /// dst var, corruption mask)`. The mask is XOR'd into the delivered
-    /// word and is zero on the fault-free path.
-    fn push_pending_read(&mut self, bank: BankId, task: TaskId, dst: VarId, mask: u64);
-
-    /// Collects one channel send for the route-resolution phase
-    /// (dropped when the channel is unrouted).
-    fn push_send(&mut self, channel: ChannelId, send: RouteSend);
-
-    /// Observes a request-line edge (`was` -> `now`) on `arbiter`. The
-    /// legacy kernel reassembles request words from the lines every
-    /// cycle and ignores this; the batched kernel maintains its request
-    /// matrix incrementally from exactly these edges.
-    fn note_request(&mut self, arbiter: ArbiterId, task: TaskId, was: bool, now: bool);
-
-    /// Whether a live hang fault freezes `task` this cycle.
-    fn task_hung(&mut self, task: TaskId) -> bool;
-
-    /// Consults the fault plan for a read of `bank` this cycle,
-    /// returning the corruption mask of a failed check.
-    fn read_fault(&mut self, bank: BankId) -> Option<u64>;
-
-    /// Replay faulted reads instead of consuming the corrupted word
-    /// ([`RecoveryPolicy::retry_reads`]).
-    ///
-    /// [`RecoveryPolicy::retry_reads`]: crate::fault::RecoveryPolicy::retry_reads
-    fn retry_reads(&self) -> bool;
-
-    /// Reports an `AccessWithoutGrant` if `task` touches a guarded
-    /// segment without holding the guard's grant.
-    fn check_segment_grant(&mut self, task: TaskId, segment: SegmentId) {
-        if let Some(arb) = self.segment_guard(task, segment) {
-            if !self.task_granted(arb, task) {
-                let cycle = self.cycle();
-                self.monitor().push(Violation::AccessWithoutGrant {
-                    cycle,
-                    task,
-                    arbiter: arb,
-                });
-            }
-        }
-    }
-
-    /// Reports an `AccessWithoutGrant` if `task` sends on a guarded
-    /// channel without holding the guard's grant.
-    fn check_channel_grant(&mut self, task: TaskId, channel: ChannelId) {
-        if let Some(arb) = self.channel_guard(task, channel) {
-            if !self.task_granted(arb, task) {
-                let cycle = self.cycle();
-                self.monitor().push(Violation::AccessWithoutGrant {
-                    cycle,
-                    task,
-                    arbiter: arb,
-                });
-            }
-        }
-    }
-
-    /// Consults the fault plan for a read of `bank` by `task` this
-    /// cycle; a failed parity check is recorded as a
-    /// [`Violation::BankReadFault`] at the injection cycle.
-    fn bank_read_fault(&mut self, bank: BankId, task: TaskId) -> ReadFault {
-        match self.read_fault(bank) {
-            Some(mask) => {
-                let cycle = self.cycle();
-                self.monitor()
-                    .push(Violation::BankReadFault { cycle, bank, task });
-                if self.retry_reads() {
-                    ReadFault::Retry
-                } else {
-                    ReadFault::Corrupt(mask)
-                }
-            }
-            None => ReadFault::None,
-        }
-    }
-}
-
-/// The legacy kernel's environment: per-cycle `BTreeMap` traffic
-/// and map-walk lookups. The batched kernel's SoA environment lives in
-/// `super::soa`.
-pub struct ExecCtx<'a> {
-    /// The executing cycle.
-    pub cycle: u64,
-    /// This cycle's grant word per arbiter.
-    pub grants: &'a BTreeMap<ArbiterId, u64>,
-    /// All arbiters (for port lookups).
-    pub arbiters: &'a [ArbiterSim],
-    /// All channel routes (for `Recv` register reads).
-    pub routes: &'a [RouteState],
-    /// Route index of every logical channel.
-    pub route_of_channel: &'a BTreeMap<ChannelId, usize>,
-    /// The memory binding (segment -> bank placement).
-    pub binding: &'a MemoryBinding,
-    /// Arbiter guarding each (task, segment) access, if any.
-    pub segment_guards: &'a BTreeMap<(TaskId, SegmentId), ArbiterId>,
-    /// Arbiter guarding each (task, channel) send, if any.
-    pub channel_guards: &'a BTreeMap<(TaskId, ChannelId), ArbiterId>,
-    /// The violation/starvation monitor.
-    pub monitor: &'a mut MonitorComponent,
-    /// This cycle's collected bank accesses.
-    pub bank_accesses: &'a mut BTreeMap<BankId, Vec<BankAccess>>,
-    /// Reads awaiting their bank's resolution: `(bank, task, dst var,
-    /// corruption mask)`. The mask is XOR'd into the delivered word and
-    /// is zero on the fault-free path.
-    pub pending_reads: &'a mut Vec<(BankId, TaskId, VarId, u64)>,
-    /// This cycle's collected route sends, per route index.
-    pub route_sends: &'a mut BTreeMap<usize, Vec<RouteSend>>,
-    /// The compiled fault plan, when this run injects faults.
-    pub(crate) faults: &'a mut Option<FaultController>,
-    /// Replay reads whose error detection failed instead of consuming
-    /// the corrupted word ([`RecoveryPolicy::retry_reads`]).
-    ///
-    /// [`RecoveryPolicy::retry_reads`]: crate::fault::RecoveryPolicy::retry_reads
-    pub(crate) retry_reads: bool,
-}
-
 /// What a read of a faulted bank does this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadFault {
@@ -208,80 +50,6 @@ pub enum ReadFault {
     /// Error detection failed and replay is on: discard the word and
     /// re-issue the read next cycle.
     Retry,
-}
-
-impl CycleEnv for ExecCtx<'_> {
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn task_granted(&self, arbiter: ArbiterId, task: TaskId) -> bool {
-        let word = self.grants.get(&arbiter).copied().unwrap_or(0);
-        self.arbiters
-            .get(arbiter.index())
-            .is_some_and(|a| a.task_granted(word, task))
-    }
-
-    fn monitor(&mut self) -> &mut MonitorComponent {
-        self.monitor
-    }
-
-    fn placement(&self, segment: SegmentId) -> Option<(BankId, u32)> {
-        self.binding.placement(segment).map(|p| (p.bank, p.offset))
-    }
-
-    fn segment_guard(&self, task: TaskId, segment: SegmentId) -> Option<ArbiterId> {
-        self.segment_guards.get(&(task, segment)).copied()
-    }
-
-    fn channel_guard(&self, task: TaskId, channel: ChannelId) -> Option<ArbiterId> {
-        self.channel_guards.get(&(task, channel)).copied()
-    }
-
-    fn route_read(&self, channel: ChannelId) -> Option<u64> {
-        self.route_of_channel
-            .get(&channel)
-            .and_then(|&route| self.routes[route].read(channel))
-    }
-
-    fn push_access(&mut self, bank: BankId, access: BankAccess) {
-        self.bank_accesses.entry(bank).or_default().push(access);
-    }
-
-    fn push_pending_read(&mut self, bank: BankId, task: TaskId, dst: VarId, mask: u64) {
-        self.pending_reads.push((bank, task, dst, mask));
-    }
-
-    fn push_send(&mut self, channel: ChannelId, send: RouteSend) {
-        // Channel validated in `try_build`; a missing route degrades to
-        // a dropped send.
-        if let Some(&route) = self.route_of_channel.get(&channel) {
-            self.route_sends.entry(route).or_default().push(send);
-        }
-    }
-
-    fn note_request(&mut self, _arbiter: ArbiterId, _task: TaskId, _was: bool, _now: bool) {
-        // Dispatch kernels reassemble request words from the task lines
-        // every cycle; edges carry no extra information for them.
-    }
-
-    fn task_hung(&mut self, task: TaskId) -> bool {
-        let cycle = self.cycle;
-        self.faults
-            .as_mut()
-            .is_some_and(|fc| fc.task_hung(task, cycle))
-    }
-
-    fn read_fault(&mut self, bank: BankId) -> Option<u64> {
-        let cycle = self.cycle;
-        self.faults
-            .as_mut()
-            .and_then(|fc| fc.read_fault(bank, cycle))
-    }
-
-    fn retry_reads(&self) -> bool {
-        self.retry_reads
-    }
 }
 
 /// Frame slots held inline; a frame with more spills to the heap.
@@ -535,7 +303,7 @@ impl TaskComponent {
     /// at most one costed instruction, then any trailing bookkeeping —
     /// so a program whose last costed instruction issues this cycle
     /// also *finishes* this cycle.
-    pub fn step_cycle<E: CycleEnv>(&mut self, ctx: &mut E) {
+    pub(crate) fn step_cycle(&mut self, ctx: &mut BatchedEnv<'_>) {
         if self.status == TaskStatus::Running && ctx.task_hung(self.id) {
             // A hung controller issues nothing: the freeze is pure stall
             // and the task re-evaluates every cycle until the hang
@@ -551,17 +319,17 @@ impl TaskComponent {
         // the last instruction, not a cycle later).
         if self.status == TaskStatus::Running && self.pc >= self.prog.instrs().len() {
             self.status = TaskStatus::Done;
-            self.finished_at = Some(ctx.cycle());
+            self.finished_at = Some(ctx.cycle);
         }
     }
 
-    fn exec<E: CycleEnv>(&mut self, ctx: &mut E) {
+    fn exec(&mut self, ctx: &mut BatchedEnv<'_>) {
         let task_id = self.id;
         let mut issued = false;
         loop {
             if self.pc >= self.prog.instrs().len() {
                 self.status = TaskStatus::Done;
-                self.finished_at = Some(ctx.cycle());
+                self.finished_at = Some(ctx.cycle);
                 return;
             }
             // Borrow the instruction in place: the program is a disjoint
@@ -600,13 +368,12 @@ impl TaskComponent {
                 Instr::AwaitGrant { arbiter } => {
                     let arbiter = *arbiter;
                     if ctx.task_granted(arbiter, task_id) {
-                        ctx.monitor().granted(task_id, arbiter);
+                        ctx.monitor.granted(task_id, arbiter);
                         self.pc += 1;
                         // Free fall-through: keep executing this cycle.
                     } else {
                         self.stall_cycles += 1;
-                        let cycle = ctx.cycle();
-                        ctx.monitor().tick_waiting(task_id, arbiter, cycle);
+                        ctx.monitor.tick_waiting(task_id, arbiter, ctx.cycle);
                         self.block = Block::AwaitingGrant(arbiter);
                         return;
                     }
@@ -618,7 +385,7 @@ impl TaskComponent {
                 } => {
                     let arbiter = *arbiter;
                     if ctx.task_granted(arbiter, task_id) {
-                        ctx.monitor().granted(task_id, arbiter);
+                        ctx.monitor.granted(task_id, arbiter);
                         *self.frame.var_mut(*dst) = 1;
                         self.wait_armed = false;
                         self.pc += 1;
@@ -639,8 +406,7 @@ impl TaskComponent {
                         } else {
                             self.wait_left -= 1;
                             self.stall_cycles += 1;
-                            let cycle = ctx.cycle();
-                            ctx.monitor().tick_waiting(task_id, arbiter, cycle);
+                            ctx.monitor.tick_waiting(task_id, arbiter, ctx.cycle);
                             self.block = Block::AwaitingGrant(arbiter);
                             return;
                         }
@@ -679,11 +445,11 @@ impl TaskComponent {
                 }
                 Instr::MemRead { segment, addr, dst } => {
                     let (segment, dst) = (*segment, *dst);
-                    ctx.check_segment_grant(task_id, segment);
+                    ctx.check_grant(task_id, ctx.tables.segment_guard(task_id, segment));
                     let a = self.prog.eval(*addr, self.frame.vars()) as u32;
                     // Placement validated in `try_build`; a missing one
                     // degrades to a read delivering nothing.
-                    if let Some((bank, offset)) = ctx.placement(segment) {
+                    if let Some((bank, offset)) = ctx.tables.placement(segment) {
                         let fault = ctx.bank_read_fault(bank, task_id);
                         // The access drives the bank's lines either way,
                         // so conflicts are detected even on a replay.
@@ -723,10 +489,10 @@ impl TaskComponent {
                     value,
                 } => {
                     let segment = *segment;
-                    ctx.check_segment_grant(task_id, segment);
+                    ctx.check_grant(task_id, ctx.tables.segment_guard(task_id, segment));
                     let a = self.prog.eval(*addr, self.frame.vars()) as u32;
                     let v = self.prog.eval(*value, self.frame.vars());
-                    if let Some((bank, offset)) = ctx.placement(segment) {
+                    if let Some((bank, offset)) = ctx.tables.placement(segment) {
                         ctx.push_access(
                             bank,
                             BankAccess {
@@ -742,7 +508,7 @@ impl TaskComponent {
                 }
                 Instr::Send { channel, value } => {
                     let channel = *channel;
-                    ctx.check_channel_grant(task_id, channel);
+                    ctx.check_grant(task_id, ctx.tables.channel_guard(task_id, channel));
                     let v = self.prog.eval(*value, self.frame.vars());
                     ctx.push_send(
                         channel,

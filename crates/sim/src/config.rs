@@ -96,18 +96,20 @@ impl Default for WatchdogConfig {
 
 /// Which simulation kernel executes the run.
 ///
-/// Both kernels share one cycle semantics — phase order, unit step
-/// code and violation ordering are identical — and are proven
-/// report/VCD/memory-identical by `tests/kernel_equivalence.rs`. They
-/// differ only in *how* they reach the next interesting cycle:
-/// [`Legacy`](Self::Legacy) executes every cycle, while
-/// [`BatchedSoa`](Self::BatchedSoa) skips the cycles every task,
-/// arbiter and bank proves inert.
+/// Both kernels execute one cycle body over one structure-of-arrays
+/// state, and are proven report/VCD/memory-identical by
+/// `tests/kernel_equivalence.rs`. They differ only in skipping inert
+/// cycles, parking sleepers, deferring waits and where request words
+/// come from: [`BatchedSoa`](Self::BatchedSoa) does all four,
+/// [`Legacy`](Self::Legacy) none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// Execute every cycle. The slowest and
-    /// simplest kernel, kept as the differential oracle the production
-    /// kernel is measured and verified against.
+    /// The production cycle body with skipping, parking and wait
+    /// deferral off: it executes every cycle, releases tasks by a full
+    /// index scan, steps every running task, and reassembles every
+    /// arbiter's request word from the task lines instead of reading
+    /// the incremental request matrix. The differential oracle the
+    /// production kernel is measured and verified against.
     Legacy,
     /// Deprecated alias for [`KernelKind::BatchedSoa`]: the
     /// per-component event kernel it named is gone. The alias goes away
@@ -115,12 +117,13 @@ pub enum KernelKind {
     /// that still names it.
     #[deprecated(note = "the event kernel is gone; this alias runs `KernelKind::BatchedSoa`")]
     Event,
-    /// Cycle-skipping plus a batched structure-of-arrays dense path:
-    /// provably inert stretches are bulk-accounted, request/grant state
-    /// lives in flat `u64` bitset lanes, arbiters step through their own
-    /// policy exactly as under [`KernelKind::Legacy`], and per-cycle
-    /// traffic is carried in reused arenas instead of fresh
-    /// `BTreeMap`s. The default and the one production kernel.
+    /// Cycle skipping over the structure-of-arrays cycle body: provably
+    /// inert stretches are bulk-accounted, sleepers in multi-cycle
+    /// computes are parked, plain waits are deferred, and request words
+    /// are read from the incremental `u64` bitset matrix. Arbiters step
+    /// through their own policy exactly as under
+    /// [`KernelKind::Legacy`]. The default and the one production
+    /// kernel.
     BatchedSoa,
 }
 

@@ -20,41 +20,44 @@
 //! Each simulated unit is one type: tasks ([`TaskComponent`]), arbiters
 //! ([`ArbiterSim`]), banks ([`BankModel`]), routes ([`RouteState`]),
 //! plus the [`MonitorComponent`] and the [`TracerComponent`]. Both
-//! kernels drive them through the phase order above and differ only in
-//! how they reach the next interesting cycle ([`KernelKind`]):
+//! kernels ([`KernelKind`]) execute one cycle body, `System::step`, over
+//! one structure-of-arrays state (`crate::component::soa`): grants in
+//! the request matrix's rows, traffic in reused arenas, lookups in flat
+//! tables, and every arbiter stepped through its own policy
+//! (`ArbiterSim::sample`). They differ in four things only:
 //!
-//! - the **legacy** cycle-scanning loop executes every cycle
-//!   unconditionally — the differential oracle;
-//! - the **batched SoA** kernel (the default, and the one production
-//!   kernel) asks the [`Scheduler`] after every executed cycle whether
-//!   every unit is inert (tasks sleeping in multi-cycle computes or
-//!   blocked on steady arbiters, no pending release, no floating select
-//!   line, no fault window live or just closed). If so, the clock jumps
-//!   straight to the next wake and the gap is bulk-accounted on the
-//!   tasks and arbiters ([`TaskComponent::skip`], `ArbiterSim::skip`).
-//!   Dense cycles execute through flat structure-of-arrays state
-//!   (`crate::component::soa`): request words live in `u64` bitset
-//!   lanes maintained from request-line edges, and per-cycle traffic
-//!   travels in reused arenas instead of fresh `BTreeMap`s. Both
-//!   kernels step every arbiter through its own policy
-//!   (`ArbiterSim::sample`), so the batched kernel's skip decisions
-//!   rest on the very state the legacy kernel steps.
+//! - **skip** — after every executed cycle the batched kernel asks the
+//!   [`Scheduler`] whether every unit is inert (tasks sleeping in
+//!   multi-cycle computes or blocked on steady arbiters, no pending
+//!   release, no floating select line, no fault window live or just
+//!   closed); if so the clock jumps straight to the next wake and the
+//!   gap is bulk-accounted on the tasks and arbiters
+//!   ([`TaskComponent::skip`], `ArbiterSim::skip`);
+//! - **park** — it stops stepping a task inside a multi-cycle compute
+//!   until the compute's last cycle;
+//! - **defer** — with faults and wait watchdogs off, it counts a task
+//!   in a plain grant or data wait instead of stepping it;
+//! - **request words** — it samples each arbiter's word from the
+//!   incremental matrix, where the legacy kernel reassembles it from the
+//!   task lines (`ArbiterSim::compute_word`).
+//!
+//! The legacy kernel, the differential oracle, turns the first three
+//! off: it executes every cycle, releases tasks by a full index scan and
+//! steps every running task by index.
 //!
 //! `tests/kernel_equivalence.rs` holds the two to identical
 //! [`RunReport`]s, identical VCD output and identical memory.
 
 use crate::arbiter::ArbiterSim;
-use crate::channel::{RegisterPlacement, RouteOutcome, RouteSend, RouteState};
+use crate::channel::{RegisterPlacement, RouteOutcome, RouteState};
 use crate::compile::{FlatProgram, Instr};
 use crate::component::soa::{BatchedEnv, BatchedState, DenseTables, ParkedSleep};
-use crate::component::{
-    ExecCtx, MonitorComponent, TaskComponent, TaskStatus, TracerComponent, Wake,
-};
+use crate::component::{MonitorComponent, TaskComponent, TaskStatus, TracerComponent, Wake};
 use crate::config::{KernelKind, SimConfig, WatchdogConfig};
 use crate::fault::{
     self, FaultController, FaultKind, FaultPlan, FaultReport, FaultTarget, RecoveryPolicy,
 };
-use crate::memory::{BankAccess, BankModel, BankOutcome};
+use crate::memory::{BankModel, BankOutcome};
 use crate::monitor::Violation;
 use crate::scheduler::{KernelStats, Scheduler};
 use rcarb_board::board::Board;
@@ -64,7 +67,7 @@ use rcarb_core::insertion::{ArbitratedResource, ArbitrationPlan};
 use rcarb_core::memmap::MemoryBinding;
 use rcarb_obs::Obs;
 use rcarb_taskgraph::graph::TaskGraph;
-use rcarb_taskgraph::id::{ArbiterId, ChannelId, SegmentId, TaskId, VarId};
+use rcarb_taskgraph::id::{ArbiterId, ChannelId, SegmentId, TaskId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// True when any task program contains a bounded wait
@@ -464,29 +467,35 @@ impl SystemBuilder {
         // The one place the deprecated `Event` alias is resolved: it
         // runs the batched kernel.
         #[allow(deprecated)]
-        let batched = matches!(
+        let skipping = matches!(
             self.config.kernel,
             KernelKind::BatchedSoa | KernelKind::Event
         );
-        let soa = batched.then(|| {
-            let hung = |t: TaskId| {
-                faults.as_ref().is_some_and(|fc| {
+        // A task a hang fault targets samples the hang every cycle, so
+        // it is never parked.
+        let parkable = |t: TaskId| {
+            skipping
+                && !faults.as_ref().is_some_and(|fc| {
                     fc.planned()
                         .any(|(k, _)| matches!(*k, FaultKind::TaskHang { task } if task == t))
                 })
-            };
-            BatchedState::new(
-                &arbiters,
-                &tasks,
-                hung,
-                &banks.ids(),
-                routes.len(),
-                &self.binding,
-                &segment_guards,
-                &channel_guards,
-                &route_of_channel,
-            )
-        });
+        };
+        let tables = DenseTables::new(
+            tasks.len(),
+            &self.binding,
+            &segment_guards,
+            &channel_guards,
+            &route_of_channel,
+            &banks.ids(),
+        );
+        let soa = BatchedState::new(
+            &arbiters,
+            &tasks,
+            parkable,
+            tables,
+            banks.len(),
+            routes.len(),
+        );
         Ok(System {
             control_deps: self.graph.control_deps().to_vec(),
             segment_words: self.graph.segments().iter().map(|s| s.words()).collect(),
@@ -503,13 +512,11 @@ impl SystemBuilder {
             tasks,
             banks,
             routes,
-            route_of_channel,
             arbiters,
-            segment_guards,
-            channel_guards,
             starvation_bound: self.config.starvation_bound,
             select_line: self.config.select_line,
             soa,
+            skipping,
             watchdog: self.config.watchdog,
             recovery: self.config.recovery,
             cycle: 0,
@@ -532,10 +539,9 @@ impl SystemBuilder {
 }
 
 /// The modelled banks as a slab: models at stable slots (the dense
-/// indices the batched kernel's arena is addressed by), plus the slots
-/// in id order, preserving the `BTreeMap` iteration order the legacy
-/// kernel's violation sequences depend on. Quarantine appends a spare
-/// bank at a fresh slot without disturbing existing ones.
+/// indices the arena is addressed by), plus the slots in id order, the
+/// order the violation sequences are defined in. Quarantine appends a
+/// spare bank at a fresh slot without disturbing existing ones.
 #[derive(Debug)]
 struct BankSet {
     comps: Vec<BankModel>,
@@ -735,15 +741,14 @@ pub struct System {
     tasks: Vec<TaskComponent>,
     banks: BankSet,
     routes: Vec<RouteState>,
-    route_of_channel: BTreeMap<ChannelId, usize>,
     arbiters: Vec<ArbiterSim>,
-    segment_guards: BTreeMap<(TaskId, SegmentId), ArbiterId>,
-    channel_guards: BTreeMap<(TaskId, ChannelId), ArbiterId>,
     starvation_bound: u64,
     select_line: rcarb_core::line::SharedLineKind,
-    /// The batched kernel's SoA mirror; `Some` exactly when the run
-    /// uses [`KernelKind::BatchedSoa`], `None` for the legacy kernel.
-    soa: Option<BatchedState>,
+    /// The structure-of-arrays state the cycle body runs over.
+    soa: BatchedState,
+    /// Skip inert cycles, park sleepers, defer waits and read request
+    /// words from the matrix: false exactly for [`KernelKind::Legacy`].
+    skipping: bool,
     watchdog: WatchdogConfig,
     recovery: RecoveryPolicy,
     cycle: u64,
@@ -854,14 +859,13 @@ impl System {
             .collect())
     }
 
-    /// Applies every outstanding deferred blocked-cycle count (batched
-    /// kernel only; no-op elsewhere): stall cycles, bulk starvation
-    /// ticks, and wake accounting, exactly as if each parked task had
-    /// been stepped on every cycle it sat waiting. Parked sleepers are
-    /// settled up to the current cycle and stay parked. Called before
-    /// recovery may mutate task state and at the end of every run, so
-    /// the report reads legacy totals and a later `run` continues
-    /// exactly.
+    /// Applies every outstanding deferred blocked-cycle count: stall
+    /// cycles, bulk starvation ticks, and wake accounting, exactly as if
+    /// each parked task had been stepped on every cycle it sat waiting.
+    /// Parked sleepers are settled up to the current cycle and stay
+    /// parked. Called before recovery may mutate task state and at the
+    /// end of every run, so the report reads legacy totals and a later
+    /// `run` continues exactly.
     fn flush_deferred_waits(&mut self) {
         let cycle = self.cycle;
         let Self {
@@ -871,7 +875,6 @@ impl System {
             soa,
             ..
         } = self;
-        let Some(soa) = soa.as_mut() else { return };
         for (i, slot) in soa.task_slots.iter_mut().enumerate() {
             if slot.deferred_wait == 0 {
                 continue;
@@ -899,7 +902,7 @@ impl System {
     /// restart.
     pub fn run(&mut self, max_cycles: u64) -> RunReport {
         let progress_bound = self.watchdog.progress_bound;
-        let skipping = self.soa.is_some();
+        let skipping = self.skipping;
         while self.cycle < max_cycles && !self.all_done() {
             // Deadlock/livelock watchdog: every kernel measures the gap
             // in *simulated* cycles since the last cycle that advanced
@@ -932,11 +935,7 @@ impl System {
                 }
             }
             let from = self.monitor.violations().len();
-            if skipping {
-                self.step_batched();
-            } else {
-                self.step_cycle();
-            }
+            self.step();
             if self.faults.is_some() {
                 self.process_new_violations(from);
             }
@@ -1095,7 +1094,9 @@ impl System {
             s = s.min(fc.horizon(self.cycle));
         }
         if self.watchdog.progress_bound != u64::MAX {
-            s = s.min((self.last_progress + self.watchdog.progress_bound) - self.cycle);
+            // The run loop fires the watchdog first, so the gap since
+            // the last progress is below the bound here.
+            s = s.min(self.watchdog.progress_bound - (self.cycle - self.last_progress));
         }
         s
     }
@@ -1111,7 +1112,7 @@ impl System {
         if self.watchdog.progress_bound == u64::MAX {
             return;
         }
-        let parked = self.soa.as_ref().map_or(0, |s| s.parked_busy(self.cycle));
+        let parked = self.soa.parked_busy(self.cycle);
         let busy: u64 = self.tasks.iter().map(TaskComponent::busy_cycles).sum();
         let sig = (busy + parked, self.done);
         if sig != self.last_sig {
@@ -1184,59 +1185,21 @@ impl System {
                 }
             }
         }
-        let mut structural = false;
         for (bank, cycle) in quarantine {
-            let moved = self.quarantine_bank(bank, cycle);
-            acted |= moved;
-            structural |= moved;
+            acted |= self.quarantine_bank(bank, cycle);
         }
         for (channel, cycle) in reroute {
             self.reroute_channel(channel, cycle);
             acted = true;
-            structural = true;
-        }
-        if structural {
-            // Quarantine moved placements (and added a bank slot);
-            // re-route grew the route set. The batched kernel's flat
-            // tables mirror both, so rebuild them.
-            self.rebuild_batched_tables();
         }
         acted
     }
 
-    /// Rebuilds the batched kernel's flat lookup tables after a
-    /// structural recovery (quarantine or re-route) mutated the binding,
-    /// the bank set or the routing. No-op for the legacy kernel.
-    fn rebuild_batched_tables(&mut self) {
-        let Self {
-            tasks,
-            banks,
-            routes,
-            binding,
-            segment_guards,
-            channel_guards,
-            route_of_channel,
-            soa,
-            ..
-        } = self;
-        if let Some(soa) = soa.as_mut() {
-            soa.tables = DenseTables::new(
-                tasks.len(),
-                binding,
-                segment_guards,
-                channel_guards,
-                route_of_channel,
-                &banks.ids(),
-            );
-            soa.arena.ensure(banks.len(), routes.len());
-        }
-    }
-
     /// Migrates a quarantined bank's role onto a spare board bank:
-    /// storage contents, protocol clients and segment placements all
-    /// move, so nothing touches the faulted bank again. Returns `false`
-    /// when no spare with enough capacity exists — the fault then stays
-    /// unrecovered in the report.
+    /// storage contents, protocol clients and segment placements (in the
+    /// binding and the flat tables alike) all move, so nothing touches
+    /// the faulted bank again. Returns `false` when no spare with enough
+    /// capacity exists — the fault then stays unrecovered in the report.
     fn quarantine_bank(&mut self, bank: BankId, cycle: u64) -> bool {
         let Some(old) = self.banks.get(bank) else {
             return false;
@@ -1273,8 +1236,11 @@ impl System {
                 .expect("segment is in bank")
                 .offset;
             self.binding.place(seg, spare, offset);
+            self.soa.tables.place(seg, spare, offset);
         }
+        self.soa.tables.add_bank(spare, self.banks.len());
         self.banks.insert(spare, fresh);
+        self.soa.arena.ensure(self.banks.len(), self.routes.len());
         if let Some(fc) = self.faults.as_mut() {
             fc.recover_bank(bank, cycle);
         }
@@ -1289,209 +1255,29 @@ impl System {
     fn reroute_channel(&mut self, channel: ChannelId, cycle: u64) {
         let idx = self.routes.len();
         let mut fresh = RouteState::new(vec![channel], RegisterPlacement::Receiver);
-        if let Some(&old) = self.route_of_channel.get(&channel) {
-            if let Some(v) = self.routes[old].read(channel) {
+        if let Some(old) = self.soa.tables.route_of(channel) {
+            if let Some(v) = self.routes[old as usize].read(channel) {
                 fresh.preload(channel, v);
             }
         }
         self.routes.push(fresh);
-        self.route_of_channel.insert(channel, idx);
+        self.soa.tables.reroute(channel, idx);
+        self.soa.arena.ensure(self.banks.len(), self.routes.len());
         if let Some(fc) = self.faults.as_mut() {
             fc.recover_channel(channel, cycle);
         }
     }
 
-    /// Executes one cycle through the shared phase order: the legacy
-    /// kernel runs exactly this code for every cycle.
-    fn step_cycle(&mut self) {
-        let cycle = self.cycle;
-        // 1. Release newly runnable tasks.
-        for i in 0..self.tasks.len() {
-            if self.tasks[i].status() == TaskStatus::NotStarted {
-                let id = self.tasks[i].id();
-                if deps_done(&self.control_deps, &self.tasks, id) {
-                    self.tasks[i].release(cycle);
-                    self.done += usize::from(self.tasks[i].status() == TaskStatus::Done);
-                }
-            }
-        }
-        // 2. Arbiters sample the request lines (`ArbiterSim::sample`
-        // applies the faults and the multi-grant check).
-        let mut grants: BTreeMap<ArbiterId, u64> = BTreeMap::new();
-        {
-            let Self {
-                tasks,
-                arbiters,
-                monitor,
-                tracer,
-                faults,
-                ..
-            } = self;
-            // The traced words, in arbiter order, only when tracing.
-            let mut traced = tracer.as_ref().map(|_| Vec::with_capacity(arbiters.len()));
-            for a in arbiters.iter_mut() {
-                let (word, grant) = a.sample(cycle, a.compute_word(tasks), faults, monitor);
-                if let Some(lines) = traced.as_mut() {
-                    lines.push((word, grant));
-                }
-                grants.insert(a.id(), grant);
-            }
-            if let (Some(tracer), Some(lines)) = (tracer.as_mut(), traced) {
-                tracer.sample_cycle(cycle, lines);
-            }
-        }
-        // 3. Tasks execute.
-        let mut bank_accesses: BTreeMap<BankId, Vec<BankAccess>> = BTreeMap::new();
-        let mut pending_reads: Vec<(BankId, TaskId, VarId, u64)> = Vec::new();
-        let mut route_sends: BTreeMap<usize, Vec<RouteSend>> = BTreeMap::new();
-        {
-            let retry_reads = self.recovery.retry_reads;
-            let Self {
-                tasks,
-                arbiters,
-                routes,
-                route_of_channel,
-                binding,
-                segment_guards,
-                channel_guards,
-                monitor,
-                faults,
-                wakes,
-                done,
-                ..
-            } = self;
-            let mut ctx = ExecCtx {
-                cycle,
-                grants: &grants,
-                arbiters: arbiters.as_slice(),
-                routes: routes.as_slice(),
-                route_of_channel,
-                binding,
-                segment_guards,
-                channel_guards,
-                monitor,
-                bank_accesses: &mut bank_accesses,
-                pending_reads: &mut pending_reads,
-                route_sends: &mut route_sends,
-                faults,
-                retry_reads,
-            };
-            for (i, t) in tasks.iter_mut().enumerate() {
-                if t.status() == TaskStatus::Running {
-                    t.step_cycle(&mut ctx);
-                    *done += usize::from(t.status() == TaskStatus::Done);
-                    if let Some(w) = wakes.as_mut() {
-                        w.tasks[i] += 1;
-                        w.work.tasks_stepped += 1;
-                    }
-                }
-            }
-        }
-        // 4. Banks resolve.
-        {
-            let Self {
-                tasks,
-                banks,
-                monitor,
-                ..
-            } = self;
-            for (bank, accesses) in &bank_accesses {
-                // Accesses come from placements validated in try_build,
-                // so the bank is modelled; degrade gracefully otherwise.
-                let Some(b) = banks.get_mut(*bank) else {
-                    continue;
-                };
-                match b.cycle(accesses) {
-                    BankOutcome::Conflict { tasks: offenders } => {
-                        monitor.push(Violation::BankConflict {
-                            cycle,
-                            bank: *bank,
-                            tasks: offenders,
-                        });
-                    }
-                    BankOutcome::Ok {
-                        task,
-                        read_value: Some(v),
-                    } => {
-                        if let Some(&(_, _, dst, mask)) = pending_reads
-                            .iter()
-                            .find(|(bk, t, _, _)| bk == bank && *t == task)
-                        {
-                            tasks[task.index()].set_var(dst, v ^ mask);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            // 4b. Fig. 4 select-line discipline on every shared bank.
-            let select_line = self.select_line;
-            let mut select_checks = 0;
-            banks.for_each_ordered_mut(|_slot, bank, b| {
-                select_checks += u64::from(b.check_select(
-                    cycle,
-                    bank_accesses.get(&bank),
-                    select_line,
-                    monitor,
-                ));
-            });
-            if let Some(w) = self.wakes.as_mut() {
-                w.work.select_checks += select_checks;
-            }
-        }
-        // 5. Routes resolve, after any live bit-flip faults corrupt
-        // words in flight (the flip is on the wire, before the latch).
-        {
-            let Self {
-                routes,
-                monitor,
-                faults,
-                ..
-            } = self;
-            if let Some(fc) = faults.as_mut() {
-                for (route, sends) in route_sends.iter_mut() {
-                    for s in sends.iter_mut() {
-                        if let Some(mask) = fc.channel_flip(s.channel, *route, cycle) {
-                            s.value ^= mask;
-                            monitor.push(Violation::ChannelFault {
-                                cycle,
-                                channel: s.channel,
-                                bit: mask.trailing_zeros(),
-                            });
-                        }
-                    }
-                }
-            }
-            for (route, sends) in &route_sends {
-                let outcome = routes[*route].cycle(sends);
-                if let RouteOutcome::Conflict { tasks: offenders } = outcome {
-                    if routes[*route].is_shared() {
-                        monitor.push(Violation::RouteConflict {
-                            cycle,
-                            route: *route,
-                            tasks: offenders,
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(w) = self.wakes.as_mut() {
-            w.arbiters += self.arbiters.len() as u64;
-            w.banks += bank_accesses.len() as u64;
-            w.routes += route_sends.len() as u64;
-            w.work.bank_resolves += bank_accesses.len() as u64;
-        }
-        self.cycle += 1;
-        self.scheduler.record_executed();
-    }
-
-    /// Executes one cycle through the batched structure-of-arrays path:
-    /// the same five phases as [`step_cycle`](Self::step_cycle), with
-    /// request words read from the incremental matrix and traffic
-    /// carried in the reused arena.
-    fn step_batched(&mut self) {
+    /// Executes one cycle: the one cycle body of both kernels. With
+    /// `skipping` off (the legacy kernel) it releases tasks by a full
+    /// index scan, reassembles every request word from the task lines
+    /// and steps every running task by index, parking and deferring
+    /// nothing.
+    fn step(&mut self) {
         let cycle = self.cycle;
         let retry_reads = self.recovery.retry_reads;
         let select_line = self.select_line;
+        let skipping = self.skipping;
         let Self {
             control_deps,
             tasks,
@@ -1506,7 +1292,6 @@ impl System {
             done,
             ..
         } = self;
-        let soa = soa.as_mut().expect("batched kernel state");
         let BatchedState {
             matrix,
             arena,
@@ -1514,32 +1299,45 @@ impl System {
             wake_list,
             task_slots,
         } = soa;
-        // 1. Release newly runnable tasks. Releasing *inside* the
-        // ascending pass reproduces the legacy kernel's index-order
-        // scan exactly: an empty-program predecessor that completes on
-        // release lets a later-indexed successor start this same cycle.
-        wake_list.drain_ready(|t| {
-            let ready = deps_done(control_deps, tasks, tasks[t as usize].id());
+        // 1. Release newly runnable tasks, in ascending index order: an
+        // empty-program predecessor that completes on release lets a
+        // later-indexed successor start this same cycle.
+        let n_tasks = tasks.len();
+        let mut release = |t: usize| {
+            let ready = tasks[t].status() == TaskStatus::NotStarted
+                && deps_done(control_deps, tasks, tasks[t].id());
             if ready {
-                tasks[t as usize].release(cycle);
-                *done += usize::from(tasks[t as usize].status() == TaskStatus::Done);
+                tasks[t].release(cycle);
+                *done += usize::from(tasks[t].status() == TaskStatus::Done);
             }
             ready
-        });
-        wake_list.commit_released(|t| tasks[t as usize].status() == TaskStatus::Running);
-        // 2. Arbiters sample the request lines — straight out of the
-        // matrix, no reassembly — through the legacy path's
-        // `ArbiterSim::sample`.
+        };
+        if skipping {
+            wake_list.drain_ready(|t| release(t as usize));
+            wake_list.commit_released(|t| tasks[t as usize].status() == TaskStatus::Running);
+        } else {
+            for t in 0..n_tasks {
+                release(t);
+            }
+        }
+        // 2. Arbiters sample the request lines as left at the end of the
+        // previous cycle (`ArbiterSim::sample` applies the faults and the
+        // multi-grant check).
         arena.begin_cycle();
         for (i, a) in arbiters.iter_mut().enumerate() {
-            let (word, grant) = a.sample(cycle, matrix.word(i), faults, monitor);
+            let word = if skipping {
+                matrix.word(i)
+            } else {
+                a.compute_word(tasks)
+            };
+            let (word, grant) = a.sample(cycle, word, faults, monitor);
             matrix.note_cycle(i, word, grant);
         }
         if let Some(tracer) = tracer.as_mut() {
             tracer.sample_cycle(cycle, matrix.sampled_lines());
         }
-        // 3. Tasks execute — only the ones in the running list, through
-        // the SoA environment. Two kinds of task are not stepped at all:
+        // 3. Tasks execute. The batched kernel visits only its running
+        // list, and does not step two kinds of task at all:
         //
         // - a sleeper parked in a multi-cycle compute, until the
         //   compute's last cycle. Its only effects per cycle (one
@@ -1556,86 +1354,89 @@ impl System {
         //
         // The totals are order-independent sums and neither kind drives
         // request edges, so reports, VCD and memory stay byte-identical
-        // to the legacy kernel.
-        {
-            let defer_ok = faults.is_none() && !monitor.wait_bounds_armed();
-            let mut env = BatchedEnv {
-                cycle,
-                arbiters: arbiters.as_slice(),
-                routes: routes.as_slice(),
-                monitor: &mut *monitor,
-                arena: &mut *arena,
-                matrix: &mut *matrix,
-                tables,
-                faults: &mut *faults,
-                retry_reads,
+        // to stepping every running task, as the legacy kernel does.
+        let defer_ok = skipping && faults.is_none() && !monitor.wait_bounds_armed();
+        let mut env = BatchedEnv {
+            cycle,
+            arbiters: arbiters.as_slice(),
+            routes: routes.as_slice(),
+            monitor: &mut *monitor,
+            arena: &mut *arena,
+            matrix: &mut *matrix,
+            tables,
+            faults: &mut *faults,
+            retry_reads,
+        };
+        let stepped = if skipping {
+            wake_list.running().len()
+        } else {
+            n_tasks
+        };
+        for k in 0..stepped {
+            let i = if skipping {
+                wake_list.running()[k] as usize
+            } else if tasks[k].status() == TaskStatus::Running {
+                k
+            } else {
+                continue;
             };
-            for &ti in wake_list.running() {
-                let i = ti as usize;
-                let slot = &mut task_slots[i];
-                if let Some(p) = slot.parked {
-                    if cycle < p.wake {
-                        if let Some(w) = wakes.as_mut() {
-                            w.tasks[i] += 1;
-                            w.work.sleeps_parked += 1;
-                        }
-                        continue;
-                    }
-                    tasks[i].skip(p.wake - p.accounted_to);
-                    slot.parked = None;
-                }
-                if defer_ok {
-                    let t = &tasks[i];
-                    let waiting = if let Some(a) = t.plain_grant_wait() {
-                        env.matrix
-                            .port_of(a.index(), t.id())
-                            .is_some_and(|p| env.matrix.grant(a.index()) >> p & 1 == 0)
-                    } else if let Some(ch) = t.awaiting_data() {
-                        env.tables
-                            .route_of(ch)
-                            .is_none_or(|r| env.routes[r as usize].read(ch).is_none())
-                    } else {
-                        false
-                    };
-                    if waiting {
-                        slot.deferred_wait += 1;
-                        if let Some(w) = wakes.as_mut() {
-                            w.work.waits_deferred += 1;
-                        }
-                        continue;
-                    }
-                }
-                let n = std::mem::take(&mut slot.deferred_wait);
-                if n != 0 {
-                    tasks[i].note_stalled(n);
-                    if let Some(a) = tasks[i].plain_grant_wait() {
-                        let vs = env.monitor.tick_waiting_n(tasks[i].id(), a, n, cycle - n);
-                        debug_assert!(vs.is_empty(), "deferred wait crossed an armed bound");
-                    }
+            let slot = &mut task_slots[i];
+            if let Some(p) = slot.parked {
+                if cycle < p.wake {
                     if let Some(w) = wakes.as_mut() {
-                        w.tasks[i] += n;
+                        w.tasks[i] += 1;
+                        w.work.sleeps_parked += 1;
                     }
+                    continue;
                 }
-                let t = &mut tasks[i];
-                t.step_cycle(&mut env);
-                if let Some(w) = wakes.as_mut() {
-                    w.tasks[i] += 1;
-                    w.work.tasks_stepped += 1;
-                }
-                match t.sleep_left() {
-                    Some(left) if left > 1 && slot.parkable => {
-                        slot.parked = Some(ParkedSleep {
-                            wake: cycle + u64::from(left),
-                            accounted_to: cycle + 1,
-                        });
+                tasks[i].skip(p.wake - p.accounted_to);
+                slot.parked = None;
+            }
+            if defer_ok {
+                let t = &tasks[i];
+                let waiting = if let Some(a) = t.plain_grant_wait() {
+                    !env.task_granted(a, t.id())
+                } else if let Some(ch) = t.awaiting_data() {
+                    env.route_read(ch).is_none()
+                } else {
+                    false
+                };
+                if waiting {
+                    slot.deferred_wait += 1;
+                    if let Some(w) = wakes.as_mut() {
+                        w.work.waits_deferred += 1;
                     }
-                    _ => *done += usize::from(t.status() == TaskStatus::Done),
+                    continue;
                 }
             }
+            let n = std::mem::take(&mut slot.deferred_wait);
+            if n != 0 {
+                tasks[i].note_stalled(n);
+                if let Some(a) = tasks[i].plain_grant_wait() {
+                    let vs = env.monitor.tick_waiting_n(tasks[i].id(), a, n, cycle - n);
+                    debug_assert!(vs.is_empty(), "deferred wait crossed an armed bound");
+                }
+                if let Some(w) = wakes.as_mut() {
+                    w.tasks[i] += n;
+                }
+            }
+            let t = &mut tasks[i];
+            t.step_cycle(&mut env);
+            if let Some(w) = wakes.as_mut() {
+                w.tasks[i] += 1;
+                w.work.tasks_stepped += 1;
+            }
+            match t.sleep_left() {
+                Some(left) if left > 1 && slot.parkable => {
+                    slot.parked = Some(ParkedSleep {
+                        wake: cycle + u64::from(left),
+                        accounted_to: cycle + 1,
+                    });
+                }
+                _ => *done += usize::from(t.status() == TaskStatus::Done),
+            }
         }
-        // 4. Banks resolve, in id order (the legacy kernel's map
-        // order — quarantine can append a spare whose id is out of slot
-        // order).
+        // 4. Banks resolve, in id order.
         arena.sort_touched_banks(|slot| banks.id_of(slot));
         for &slot in arena.touched_banks() {
             let bank = banks.id_of(slot);
@@ -1706,7 +1507,9 @@ impl System {
             w.work.select_checks += select_checks;
         }
         // Retire tasks that completed this cycle.
-        wake_list.retire(|t| tasks[t as usize].status() == TaskStatus::Running);
+        if skipping {
+            wake_list.retire(|t| tasks[t as usize].status() == TaskStatus::Running);
+        }
         self.cycle += 1;
         self.scheduler.record_executed();
     }
@@ -1731,7 +1534,6 @@ impl System {
             soa,
             ..
         } = self;
-        let soa = soa.as_ref().expect("batched kernel state");
         for &ti in soa.wake_list.running() {
             let i = ti as usize;
             if let Some(p) = soa.task_slots[i].parked {
@@ -1802,7 +1604,7 @@ impl System {
                 soa,
                 ..
             } = self;
-            let slots = &soa.as_ref().expect("batched kernel state").task_slots;
+            let slots = &soa.task_slots;
             let mut crossings: Vec<(u64, usize, u8, Violation)> = Vec::new();
             for (i, t) in tasks.iter_mut().enumerate() {
                 // A parked sleeper's settlement covers skipped cycles too.
@@ -1833,6 +1635,24 @@ impl System {
             self.process_new_violations(from);
         }
         self.note_progress();
+    }
+}
+
+#[cfg(test)]
+impl System {
+    /// The flat lookup tables the cycle body executes through.
+    pub(crate) fn dense_tables(&self) -> &DenseTables {
+        &self.soa.tables
+    }
+
+    /// The live memory binding (moved by quarantine).
+    pub(crate) fn binding(&self) -> &MemoryBinding {
+        &self.binding
+    }
+
+    /// The slot `bank` is modelled at, if any.
+    pub(crate) fn bank_slot(&self, bank: BankId) -> Option<usize> {
+        self.banks.slot(bank)
     }
 }
 
@@ -2269,5 +2089,81 @@ mod tests {
         .expect_err("a plan naming an unknown task must be rejected");
         assert!(matches!(err, rcarb_core::Error::FaultPlan { .. }));
         assert!(err.to_string().contains("invalid fault plan"));
+    }
+
+    #[test]
+    fn a_progress_bound_near_the_top_of_u64_does_not_overflow_the_skip_clamp() {
+        let mut b = TaskGraphBuilder::new("near_max_bound");
+        // Progress at the end of the first compute moves the watchdog's
+        // last-progress cycle off zero before the second one is skipped.
+        let t = b.task(
+            "T",
+            Program::build(|p| {
+                p.compute(50);
+                p.compute(50);
+            }),
+        );
+        let graph = b.finish().unwrap();
+        let watchdog = WatchdogConfig::none().with_progress_bound(u64::MAX - 1);
+        let mut sys = SystemBuilder::unarbitrated(
+            &graph,
+            &MemoryBinding::default(),
+            &ChannelMergePlan::default(),
+        )
+        .with_config(SimConfig::new().with_watchdog(watchdog))
+        .try_build(&rcarb_board::presets::duo_small())
+        .unwrap();
+        let report = sys.run(1000);
+        assert!(report.clean());
+        assert_eq!(report.task(t).finished_at, Some(99));
+        assert!(sys.kernel_stats().skipped_cycles > 90);
+    }
+
+    #[test]
+    fn bank_conflicts_in_one_cycle_are_reported_in_bank_id_order() {
+        // Tasks touch banks in task order: the first two tasks collide
+        // on the higher bank, the last two on the lower one.
+        let mut b = TaskGraphBuilder::new("two_conflicts");
+        let high = b.segment("H", 8, 16);
+        let low = b.segment("L", 8, 16);
+        let tasks: Vec<TaskId> = [high, high, low, low]
+            .iter()
+            .enumerate()
+            .map(|(i, &seg)| {
+                b.task(
+                    format!("T{i}"),
+                    Program::build(move |p| p.mem_write(seg, Expr::lit(0), Expr::lit(1))),
+                )
+            })
+            .collect();
+        let graph = b.finish().unwrap();
+        let board = rcarb_board::presets::quad_large();
+        let mut binding = MemoryBinding::default();
+        binding.place(high, BankId::new(5), 0);
+        binding.place(low, BankId::new(4), 0);
+        for kernel in [KernelKind::Legacy, KernelKind::BatchedSoa] {
+            let mut sys =
+                SystemBuilder::unarbitrated(&graph, &binding, &ChannelMergePlan::default())
+                    .with_config(SimConfig::new().with_kernel(kernel))
+                    .try_build(&board)
+                    .unwrap();
+            let report = sys.run(100);
+            assert_eq!(
+                report.violations,
+                [
+                    Violation::BankConflict {
+                        cycle: 0,
+                        bank: BankId::new(4),
+                        tasks: vec![tasks[2], tasks[3]],
+                    },
+                    Violation::BankConflict {
+                        cycle: 0,
+                        bank: BankId::new(5),
+                        tasks: vec![tasks[0], tasks[1]],
+                    },
+                ],
+                "{kernel:?}"
+            );
+        }
     }
 }

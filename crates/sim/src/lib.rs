@@ -28,17 +28,18 @@
 //!   [`RecoveryPolicy`] knobs (scrub/retry/quarantine/re-route);
 //! - [`component`] — the units with no behavioural model of their own:
 //!   tasks (with their wake condition and skip accounting), the monitor
-//!   and the VCD tracer, plus the batched kernel's structure-of-arrays
-//!   state (bitset request matrix, reused traffic arenas, flat lookup
-//!   tables); both kernels step every arbiter through its own policy;
+//!   and the VCD tracer, plus the structure-of-arrays state both
+//!   kernels' one cycle body runs over (bitset request matrix, reused
+//!   traffic arenas, flat lookup tables);
 //! - [`scheduler`] — the batched kernel's wake-list/dirty-set
 //!   scheduler and its cycle-accounting [`KernelStats`];
 //! - [`engine`] — the simulation kernel: drives one type per simulated
-//!   unit through the shared per-cycle phase order, skipping provably
-//!   inert cycles. [`KernelKind`] selects between the batched SoA default,
-//!   the one production kernel, and the legacy always-execute
-//!   differential oracle — the two held to identical reports, VCD and
-//!   memory by `tests/kernel_equivalence.rs`;
+//!   unit through one cycle body, skipping provably inert cycles.
+//!   [`KernelKind`] selects between the batched SoA default, the one
+//!   production kernel, and the legacy differential oracle, the same
+//!   cycle body with skipping, parking and wait deferral off — the two
+//!   held to identical reports, VCD and memory by
+//!   `tests/kernel_equivalence.rs`;
 //! - [`stats`] — fairness and utilization summaries;
 //! - [`vcd`] — a small VCD waveform writer for request/grant traces.
 //!

@@ -1,9 +1,10 @@
 //! Differential testing of the two simulation kernels.
 //!
-//! The batched SoA production kernel sweeps flat request/grant words,
-//! steps every arbiter through its own policy as the legacy kernel
-//! does, and skips cycles it can prove inert; the legacy
-//! cycle-scanning reference executes every cycle unconditionally. For
+//! Both kernels execute one cycle body. The batched SoA production
+//! kernel skips cycles it can prove inert, parks sleepers, defers
+//! waits and reads request words from its incremental matrix; the
+//! legacy reference turns all of that off, executes every cycle and
+//! reassembles every request word from the task lines. For
 //! any design, any policy and any configuration, the two must produce
 //! an *identical* [`RunReport`], identical memory contents and — with
 //! tracing on — byte-identical VCD output. The legacy kernel never
